@@ -1,10 +1,11 @@
 """Private information retrieval from noise-protected MDS-coded storage.
 
 Core pieces: exact GF(q) arithmetic (``field``), Cauchy-Vandermonde linear
-algebra (``linalg``), the layered retrieval scheme (``protocol``), consensus
-error decoding (``robust``), distribution-equality guarantees (``audit``),
-private secure distributed matrix multiplication (``psdmm``), the simulation
-harness (``sim``), and a command-line frontend (``cli``).
+algebra (``linalg``), the layered retrieval scheme (``protocol``),
+Reed-Solomon error decoding by Gao's algorithm (``robust``),
+distribution-equality guarantees (``audit``), private secure distributed
+matrix multiplication (``psdmm``), the simulation harness (``sim``), and a
+command-line frontend (``cli``).
 """
 
 from .field import FieldElement, PrimeField, is_prime, smallest_prime_geq

@@ -4,18 +4,37 @@ A rows x width decoding matrix with rows - width = 2B generates an
 MDS(rows, width) code: any width rows form an invertible square system, so the
 minimum distance is 2B + 1 and up to B corrupted observations are correctable.
 
-Decoding is subset consensus: solve each width-row square system, re-encode
-over all rows, and accept the first candidate (in lexicographic subset order,
-so results are reproducible) agreeing with the observations in at least
-rows - B positions.  Uniqueness of an accepted candidate follows from the
-minimum distance.
+The code is a generalized Reed-Solomon code.  Row n of the matrix is
+[1/(f_l - a_n)]_l ++ [a_n^j]_j; scaled by P(a_n) = prod_l (f_l - a_n) it is the
+evaluation at a_n of the basis prod_{l' != l}(f_l' - x), P(x) x^j of the
+polynomials of degree < width.  So for observations y the scaled values
+z_n = P(a_n) y_n are, up to the corruptions, the evaluations of one polynomial
+g(x) = sum_l c_l prod_{l' != l}(f_l' - x) + P(x) V(x) of degree < width.
+
+With errors allowed, decoding is Gao's algorithm (S. Gao, "A new algorithm for
+decoding Reed-Solomon codes", 2003): interpolate g0 through the z_n, run the
+extended Euclidean algorithm on (G, g0) with G(x) = prod_n (x - a_n) until the
+remainder r has degree < (rows + width)/2, and take g = r / v, which must
+divide exactly with degree < width.  The solution is read off g: each
+c_l = g(f_l) / prod_{l' != l}(f_l' - f_l), and the Vandermonde coefficients
+are those of the exact quotient (g - sum_l c_l prod_{l' != l}(f_l' - x)) / P(x).
+This is the cross-subspace-alignment view of Jia and Jafar (CSA codes).
+
+A result must finally agree with at least rows - num_errors observations, or
+DecodingFailure is raised.  Any such vector is the unique codeword within
+distance num_errors of the observations (by the minimum distance), and Gao's
+algorithm finds every codeword within (rows - width)/2 >= num_errors, so the
+output equals that of subset consensus (solve every width-row square system,
+re-encode, accept a candidate agreeing on rows - num_errors rows; kept as
+``RobustDecoder.candidates``) on every input, in polynomial time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
+from operator import mul
 
 from .linalg import DecodingMatrix, FieldMatrix
 
@@ -37,28 +56,101 @@ class RobustInstance:
             raise ValueError("one observation per matrix row required")
 
 
+def _trim(p: list[int]) -> list[int]:
+    """Drop high zero coefficients; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _product(factors, q: int) -> list[int]:
+    """Coefficients (low to high) of the product of linear polynomials c0 + c1 x."""
+    p = [1]
+    for c0, c1 in factors:
+        p = [(c0 * lo + c1 * hi) % q for lo, hi in zip(p + [0], [0] + p)]
+    return p
+
+
+def _evaluate(p: list[int], x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _sub(a: list[int], b: list[int], q: int) -> list[int]:
+    return _trim([(u - v) % q for u, v in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a: list[int], b: list[int], q: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return [c % q for c in out]
+
+
+def _divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Polynomial quotient and remainder over GF(q); den must be trimmed and nonzero."""
+    rem = num[:]
+    dd = len(den) - 1
+    inv = pow(den[-1], q - 2, q)
+    quot = [0] * max(len(num) - dd, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd] * inv % q
+        quot[i] = c
+        if c:
+            for j, d in enumerate(den):
+                rem[i + j] = (rem[i + j] - c * d) % q
+    return _trim(quot), _trim(rem[:dd])
+
+
 class RobustDecoder:
-    """Reusable decoder for one DecodingMatrix; caches square-subset inverses."""
+    """Reusable decoder for one DecodingMatrix, with its per-matrix constants."""
 
     def __init__(self, matrix: DecodingMatrix):
         self.matrix = matrix
         self._full = matrix.matrix()
-        self._subset_inv: dict[tuple[int, ...], FieldMatrix] = {}
+        self._square_inv: FieldMatrix | None = None
+        if matrix.rows > matrix.width:  # a square matrix corrects no errors
+            self._init_gao()
 
-    def _inverse_for(self, subset: tuple[int, ...]) -> FieldMatrix:
-        inv = self._subset_inv.get(subset)
-        if inv is None:
-            inv = self._full.row_submatrix(subset).inverse()
-            self._subset_inv[subset] = inv
-        return inv
+    def _init_gao(self):
+        m = self.matrix
+        q = m.field.q
+        fs = m.points.f
+        alphas = [m.points.alpha[n - 1] for n in m.row_servers]
+        self._locator = _product([(-a, 1) for a in alphas], q)  # G(x)
+        # g0 = sum_n y_n P(a_n) w_n G(x)/(x - a_n) with Lagrange weight
+        # w_n = 1/prod_{m != n}(a_n - a_m): one row per coefficient of g0.
+        columns = []
+        for n, a in enumerate(alphas):
+            basis, _ = _divmod(self._locator, [-a % q, 1], q)
+            c = pow(_evaluate(basis, a, q), q - 2, q)
+            for f in fs:
+                c = c * (f - a) % q
+            columns.append([c * v % q for v in basis])
+        self._interp = list(zip(*columns))
+        # P(x) = prod_l (f_l - x); per layer, f_l, the inverse of
+        # prod_{l' != l}(f_l' - f_l) and the Cauchy basis prod_{l' != l}(f_l' - x).
+        self._p = _product([(f, -1) for f in fs], q)
+        self._cauchy = []
+        for l, f in enumerate(fs):
+            basis = _product([(g, -1) for g in fs[:l] + fs[l + 1:]], q)
+            self._cauchy.append((f, pow(_evaluate(basis, f, q), q - 2, q), basis))
 
     def candidates(self, observed):
-        """Yield (subset, solution, agreement count) for every width-subset."""
+        """Yield (subset, solution, agreement count) for every width-subset.
+
+        The subset-consensus reference: not used by ``solve``.
+        """
         m = self.matrix
         data = self._full.data
         q = m.field.q
         for subset in combinations(range(m.rows), m.width):
-            x = self._inverse_for(subset).matvec([observed[i] for i in subset])
+            x = self._full.row_submatrix(subset).inverse().matvec(
+                [observed[i] for i in subset]
+            )
             agree = sum(
                 1
                 for i, row in enumerate(data)
@@ -78,16 +170,43 @@ class RobustDecoder:
                 f"{m.rows} rows at width {m.width} cannot correct {num_errors} errors"
             )
         if num_errors == 0:
-            subset = tuple(range(m.width))
-            return self._inverse_for(subset).matvec([observed[i] for i in subset])
+            if self._square_inv is None:
+                self._square_inv = self._full.row_submatrix(range(m.width)).inverse()
+            return self._square_inv.matvec([observed[i] for i in range(m.width)])
         threshold = m.rows - num_errors
-        for _, x, agree in self.candidates(observed):
+        x = self._gao(observed)
+        if x is not None:
+            agree = sum(e == y for e, y in zip(self._full.matvec(x), observed))
             if agree >= threshold:
                 return x
         raise DecodingFailure(
             f"no candidate agreed on >= {threshold} of {m.rows} rows; "
             f"more than {num_errors} corrupted answers"
         )
+
+    def _gao(self, observed) -> list[int] | None:
+        """Coefficients of the codeword Gao's algorithm finds near the observations, or None."""
+        m = self.matrix
+        q = m.field.q
+        r0, r1 = self._locator, _trim(
+            [sum(map(mul, col, observed)) % q for col in self._interp]
+        )
+        v0, v1 = [], [1]
+        while 2 * (len(r1) - 1) >= m.rows + m.width:
+            quot, rem = _divmod(r0, r1, q)
+            r0, r1 = r1, rem
+            v0, v1 = v1, _sub(v0, _mul(quot, v1, q), q)
+        g, rem = _divmod(r1, v1, q)
+        if rem or len(g) > m.width:
+            return None
+        coeffs = []
+        for f, inv, basis in self._cauchy:
+            c = _evaluate(g, f, q) * inv % q
+            coeffs.append(c)
+            g = _sub(g, [c * b % q for b in basis], q)
+        # g now vanishes at every f_l, so P divides it exactly.
+        vander, _ = _divmod(g, self._p, q)
+        return coeffs + vander + [0] * (m.width - len(coeffs) - len(vander))
 
 
 @lru_cache(maxsize=4096)

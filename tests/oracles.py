@@ -7,7 +7,9 @@ directly from the raw message and noise vectors, and evaluated numerically.
 
 from __future__ import annotations
 
-from xstpir.linalg import EvaluationPoints
+from itertools import combinations
+
+from xstpir.linalg import DecodingMatrix, EvaluationPoints
 from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise
 
 
@@ -110,3 +112,19 @@ def evaluate_matrix_coefficients(coeffs, points, layer: int, server: int):
         term = m.scale(pow(base, abs(e), q))
         total = term if total is None else total.add(term)
     return total
+
+
+def consensus_decode(matrix: DecodingMatrix, observed, b: int):
+    """Subset consensus: the first width-row solution agreeing on >= rows - b rows.
+
+    Scans the width-row subsets in lexicographic order, solving each square
+    system by elimination and re-encoding over every row; returns None when no
+    candidate reaches the threshold.
+    """
+    full = matrix.matrix()
+    for subset in combinations(range(matrix.rows), matrix.width):
+        x = full.row_submatrix(subset).solve([observed[i] for i in subset])
+        agree = sum(e == y for e, y in zip(full.matvec(x), observed))
+        if agree >= matrix.rows - b:
+            return x
+    return None

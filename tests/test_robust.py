@@ -1,12 +1,15 @@
-"""Consensus error decoding: planted errors, budget exhaustion, uniqueness."""
+"""Error decoding: planted errors, budget exhaustion, uniqueness, consensus parity."""
 
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from xstpir.field import PrimeField
+from oracles import consensus_decode
+from xstpir import sim
+from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
+from xstpir.protocol import derive_params
 from xstpir.robust import (
     DecodingFailure,
     RobustDecoder,
@@ -59,9 +62,12 @@ def test_two_errors_exceed_budget():
         corrupted[j] = (corrupted[j] + rng.randrange(1, 13)) % 13
         try:
             got = robust_solve(RobustInstance(m, tuple(corrupted)), 1)
-            assert got != x or got == x  # a rare mis-decode is allowed here
         except DecodingFailure:
             failures += 1
+        else:
+            # a mis-decode is allowed, but only to a codeword within the budget
+            agree = sum(e == c for e, c in zip(m.matrix().matvec(got), corrupted))
+            assert agree >= 6 - 1
     assert failures > trials // 2  # generic double corruptions mostly fail loudly
 
 
@@ -132,3 +138,58 @@ def test_b0_equals_erasure_equals_square_solve():
 def test_decoder_cache_returns_same_instance():
     m = tall_matrix()
     assert decoder_for(m) is decoder_for(m)
+
+
+def _default_matrix(q, rows, width, layers):
+    pts = EvaluationPoints.default(PrimeField(q), layers, rows)
+    return build_decoding_matrix(pts, tuple(range(1, rows + 1)), layers, width)
+
+
+# (rows, width, layers).  L + rows is prime except at (6, 2, 2), (8, 4, 2) and
+# (8, 2, 1), so the smallest field usually wraps the last alpha to 0;
+# (5, 2, 2), (7, 4, 4) and (8, 5, 5) have no Vandermonde column, and slack
+# rows beyond 2b (as at (8, 2, 1) with b < 3) must not widen acceptance.
+PARITY_SHAPES = (
+    (4, 2, 1), (5, 3, 2), (5, 2, 2), (6, 4, 1), (6, 2, 2),
+    (7, 5, 4), (7, 4, 4), (8, 6, 3), (8, 4, 2), (8, 2, 1), (8, 5, 5),
+)
+
+
+@pytest.mark.parametrize("rows,width,layers", PARITY_SHAPES)
+def test_solve_matches_subset_consensus(rows, width, layers):
+    """Same vector as subset consensus, or DecodingFailure exactly where it has none."""
+    rng = Random(rows * 100 + width * 10 + layers)
+    for q in sorted({smallest_prime_geq(layers + rows), 13, 2**31 - 1}):
+        m = _default_matrix(q, rows, width, layers)
+        dec = decoder_for(m)
+        for b in range(1, (rows - width) // 2 + 1):
+            x = [rng.randrange(q) for _ in range(width)]
+            y = m.matrix().matvec(x)
+            cases = [[rng.randrange(q) for _ in range(rows)] for _ in range(20)]
+            for count in range(b + 2):
+                for bad in combinations(range(rows), count):
+                    corrupted = y[:]
+                    for pos in bad:
+                        corrupted[pos] = (corrupted[pos] + rng.randrange(1, q)) % q
+                    cases.append(corrupted)
+            for observed in cases:
+                expected = consensus_decode(m, observed, b)
+                if expected is None:
+                    with pytest.raises(DecodingFailure):
+                        dec.solve(observed, b)
+                else:
+                    assert dec.solve(observed, b) == expected
+
+
+def _liars_session(liars: int, strict: bool):
+    params = derive_params(30, 1, 1, 1, 0, 8, 2)
+    adversary = sim.AdversaryConfig(byzantine=tuple(range(1, liars + 1)), seed=5)
+    return sim.run_session(params, adversary, 2, 11, PrimeField(2**31 - 1), strict=strict)
+
+
+def test_thirty_servers_eight_liars_decode_in_polynomial_time():
+    """N=30, B=8: subset consensus would face C(30, 14) ~ 1.45e8 candidates."""
+    t = _liars_session(8, strict=True)
+    assert t.ok and t.decoded == t.messages[1]
+    over = _liars_session(9, strict=False)
+    assert not over.ok and over.failure.startswith("decoding failure")
