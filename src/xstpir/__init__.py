@@ -1,14 +1,15 @@
 """Private information retrieval from noise-protected MDS-coded storage.
 
 Core pieces: exact GF(q) arithmetic (``field``), Cauchy-Vandermonde linear
-algebra (``linalg``), the layered retrieval scheme (``protocol``),
-Reed-Solomon error decoding by Gao's algorithm (``robust``),
+algebra (``linalg``), the layered retrieval scheme with the coded-share
+kernel and round decoder shared with PSDMM (``protocol``), Reed-Solomon
+error decoding by Gao's algorithm (``robust``),
 distribution-equality guarantees (``audit``), private secure distributed
 matrix multiplication (``psdmm``), the simulation harness (``sim``), and a
 command-line frontend (``cli``).
 """
 
-from .field import FieldElement, PrimeField, is_prime, smallest_prime_geq
+from .field import PrimeField, is_prime, smallest_prime_geq
 from .linalg import (
     DecodingMatrix,
     EvaluationPoints,
@@ -33,17 +34,10 @@ from .protocol import (
     derive_params,
     encode_storage,
     gen_queries,
-    interference_offset,
     recover_messages,
     server_answer,
 )
-from .robust import (
-    DecodingFailure,
-    RobustDecoder,
-    RobustInstance,
-    erase_and_solve,
-    robust_solve,
-)
+from .robust import DecodingFailure, RobustDecoder
 from . import audit, psdmm, sim  # noqa: E402  (submodule access convenience)
 
 __all__ = [
@@ -51,7 +45,6 @@ __all__ = [
     "DecodingFailure",
     "DecodingMatrix",
     "EvaluationPoints",
-    "FieldElement",
     "FieldMatrix",
     "InfeasibleParamsError",
     "MessageSet",
@@ -60,7 +53,6 @@ __all__ = [
     "QueryBundle",
     "QueryNoise",
     "RobustDecoder",
-    "RobustInstance",
     "ServerStorage",
     "SingularMatrixError",
     "StorageNoise",
@@ -72,12 +64,9 @@ __all__ = [
     "default_points",
     "derive_params",
     "encode_storage",
-    "erase_and_solve",
     "gen_queries",
-    "interference_offset",
     "is_prime",
     "recover_messages",
-    "robust_solve",
     "server_answer",
     "smallest_prime_geq",
 ]

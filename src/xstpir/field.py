@@ -1,14 +1,11 @@
 """Exact arithmetic in a prime finite field GF(q).
 
 Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
-and does the arithmetic; ``FieldElement`` is a thin immutable wrapper with
-operator overloading for code that prefers element objects.  The rest of the
-package works on raw residues with an explicit ``PrimeField`` for speed.
+and does the scalar arithmetic; the rest of the package works on raw residues
+(and flat int vectors) with an explicit ``PrimeField``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def is_prime(n: int) -> bool:
@@ -91,13 +88,6 @@ class PrimeField:
             raise ValueError("negative exponent; use inv() first")
         return pow(a, e, self.q)
 
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(v % self.q, self)
-
-    def elements(self):
-        """All residues 0..q-1 as FieldElements."""
-        return (FieldElement(v, self) for v in range(self.q))
-
     def random(self, rng) -> int:
         """Uniform residue drawn from an explicit rng (random.Random)."""
         return rng.randrange(self.q)
@@ -107,74 +97,3 @@ class PrimeField:
         q = self.q
         return [rr(q) for _ in range(n)]
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue bound to its field; operations across fields are rejected."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            object.__setattr__(self, "value", self.value % self.field.q)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"mismatched fields GF({self.field.q}) and GF({other.field.q})"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + v) % self.field.q, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - v) % self.field.q, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((v - self.value) % self.field.q, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value * v) % self.field.q, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement((-self.value) % self.field.q, self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(self.value, v), self.field)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF{self.field.q}({self.value})"

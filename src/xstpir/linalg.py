@@ -15,6 +15,7 @@ pivot magnitude is irrelevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import PrimeField
 
@@ -252,16 +253,18 @@ class DecodingMatrix:
         return [list(r) for r in self.entries]
 
 
+@lru_cache(maxsize=4096)
 def build_decoding_matrix(
     points: EvaluationPoints,
-    row_servers,
+    row_servers: tuple[int, ...],
     cauchy_cols: int,
     width: int,
 ) -> DecodingMatrix:
     """Build the rows x width decoding matrix for the given servers.
 
     Requires 1 <= cauchy_cols <= rows - 1 (the guaranteed-invertibility
-    domain) and cauchy_cols <= width <= rows.
+    domain) and cauchy_cols <= width <= rows.  Memoized: a repeated
+    (points, servers, L, width) returns the same immutable matrix.
     """
     servers = tuple(row_servers)
     rows = len(servers)

@@ -5,8 +5,14 @@ placed on the Cauchy term 1/(f_l - a_n)^(K_c-k+1) of each server's share, and
 the matching query round k scales the selection vector so that round-k answers
 expose exactly the L desired symbols (W_lk e_theta) on the terms
 1/(f_l - a_n), with every remaining product collapsing onto the shared span
-1, a_n, ..., a_n^(K_c+X+T-2).  Decoding runs the rounds in order, subtracting
-the already-known contribution of earlier rounds before each linear solve.
+1, a_n, ..., a_n^(K_c+X+T-2).
+
+Every coded object (storage shares, queries, the MDS recovery rows, the PSDMM
+shares and queries, the interference offsets) is one sum
+sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share``.  Every
+decode (PIR, and PSDMM with lambda*mu scalars per answer) is ``decode_rounds``:
+the rounds in order, subtracting the already-known contribution of earlier
+rounds before each solve.
 """
 
 from __future__ import annotations
@@ -115,12 +121,13 @@ def comparison_rate_prior(params: ProtocolParams) -> Fraction:
     )
 
 
-def default_field(params: ProtocolParams) -> PrimeField:
-    """Smallest prime field satisfying q >= L + N."""
+def default_field(params) -> PrimeField:
+    """Smallest prime field satisfying q >= L + N (ProtocolParams or PsdmmParams)."""
     return PrimeField(smallest_prime_geq(params.min_field_size))
 
 
-def default_points(params: ProtocolParams, field: PrimeField | None = None) -> EvaluationPoints:
+def default_points(params, field: PrimeField | None = None) -> EvaluationPoints:
+    """f_l = l and alpha_n = L + n over ``field`` (default: ``default_field``)."""
     if field is None:
         field = default_field(params)
     return EvaluationPoints.default(field, params.layers, params.num_servers)
@@ -269,6 +276,23 @@ class AnswerBundle:
     scalars: tuple[int, ...]
 
 
+def coded_share(d: int, exponents, vectors, q: int) -> list[int]:
+    """sum_e d^e v_e mod q, elementwise over equal-length int vectors.
+
+    ``exponents`` and ``vectors`` pair up and must be non-empty; every negative
+    exponent is a power of the one inverse of d.
+    """
+    inv = pow(d, q - 2, q) if min(exponents) < 0 else 1
+    acc = None
+    for e, vec in zip(exponents, vectors):
+        c = pow(d, e, q) if e >= 0 else pow(inv, -e, q)
+        if acc is None:
+            acc = [c * v for v in vec]
+        else:
+            acc = [a + c * v for a, v in zip(acc, vec)]
+    return [a % q for a in acc]
+
+
 def encode_storage(
     messages: MessageSet,
     noise: StorageNoise,
@@ -285,28 +309,23 @@ def encode_storage(
         raise ValueError("storage noise must be L x X vectors")
     field = points.field
     q = field.q
-    kc, xx, kk = params.code_dim, params.security, params.num_messages
-    w_vecs = [
-        [messages.layer_vector(l, k) for k in range(1, kc + 1)]
+    kc = params.code_dim
+    exponents = range(-kc, params.security)
+    terms = [
+        [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1])
         for l in range(1, params.layers + 1)
     ]
-    out = []
-    for n in range(1, params.num_servers + 1):
-        shares = []
-        for l in range(1, params.layers + 1):
-            d = points.diff(l, n)
-            inv_d = pow(d, q - 2, q)
-            coefs = [pow(inv_d, kc - k + 1, q) for k in range(1, kc + 1)]
-            coefs += [pow(d, x - 1, q) for x in range(1, xx + 1)]
-            vecs = w_vecs[l - 1] + list(noise.z[l - 1])
-            shares.append(
-                tuple(
-                    sum(c * v[j] for c, v in zip(coefs, vecs)) % q
-                    for j in range(kk)
-                )
-            )
-        out.append(ServerStorage(n, tuple(shares), field))
-    return out
+    return [
+        ServerStorage(
+            n,
+            tuple(
+                tuple(coded_share(points.diff(l, n), exponents, terms[l - 1], q))
+                for l in range(1, params.layers + 1)
+            ),
+            field,
+        )
+        for n in range(1, params.num_servers + 1)
+    ]
 
 
 def gen_queries(
@@ -328,7 +347,8 @@ def gen_queries(
         raise ValueError("query noise must be L x T x K_c vectors")
     field = points.field
     q = field.q
-    kc, tt, kk = params.code_dim, params.privacy, params.num_messages
+    kc, tt = params.code_dim, params.privacy
+    exponents = range(kc, kc + tt)
     out = []
     for n in range(1, params.num_servers + 1):
         rounds = []
@@ -336,13 +356,13 @@ def gen_queries(
             per_layer = []
             for l in range(1, params.layers + 1):
                 d = points.diff(l, n)
-                vec = [0] * kk
-                vec[theta - 1] = pow(d, kc - rk, q)
-                for t in range(1, tt + 1):
-                    c = pow(d, kc + t - 1, q)
-                    zv = noise.zp[l - 1][t - 1][rk - 1]
-                    for j in range(kk):
-                        vec[j] = (vec[j] + c * zv[j]) % q
+                if tt:
+                    zl = noise.zp[l - 1]
+                    vec = coded_share(d, exponents, [zt[rk - 1] for zt in zl], q)
+                else:
+                    vec = [0] * params.num_messages
+                # e_theta touches one entry: add it there, not as a dense term
+                vec[theta - 1] = (vec[theta - 1] + pow(d, kc - rk, q)) % q
                 per_layer.append(tuple(vec))
             rounds.append(tuple(per_layer))
         out.append(QueryBundle(n, tuple(rounds), field))
@@ -371,31 +391,6 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
     return AnswerBundle(storage.server, tuple(scalars))
 
 
-def interference_offset(
-    decoded: dict[tuple[int, int], int],
-    points: EvaluationPoints,
-    params: ProtocolParams,
-    round_k: int,
-    server: int,
-) -> int:
-    """Known contribution of rounds < round_k to this server's round-k answer.
-
-    Equals sum_l sum_(k<round_k) decoded[(l,k)] / (f_l - a_n)^(round_k-k+1);
-    subtracting it leaves only round-k desired terms plus spanned interference.
-    """
-    q = points.field.q
-    off = 0
-    for l in range(1, params.layers + 1):
-        inv_d = pow(points.diff(l, server), q - 2, q)
-        for k in range(1, round_k):
-            try:
-                sym = decoded[(l, k)]
-            except KeyError:
-                raise ValueError(f"round {round_k} offset needs decoded symbol (l={l}, k={k})")
-            off = (off + sym * pow(inv_d, round_k - k + 1, q)) % q
-    return off
-
-
 def _normalize_answers(answers) -> dict[int, AnswerBundle]:
     if isinstance(answers, dict):
         bundles = answers.values()
@@ -409,12 +404,34 @@ def _normalize_answers(answers) -> dict[int, AnswerBundle]:
     return out
 
 
-def decoding_matrix_for(
-    points: EvaluationPoints, params: ProtocolParams, servers
-) -> DecodingMatrix:
-    return build_decoding_matrix(
-        points, tuple(servers), params.layers, params.decode_width
-    )
+def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list[tuple[int, ...]]:
+    """Decode K_c rounds of S scalar streams through one decoding matrix.
+
+    ``observations[r][k]`` holds the S round-(k+1) scalars of matrix row r
+    (S = 1 for retrieval, lambda*mu for PSDMM).  Round k first subtracts the
+    known contribution of the earlier rounds' desired symbols c_lj,
+    sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1), reading 1/(f_l - a_n) off the
+    matrix's Cauchy columns, then solves every stream with up to num_errors
+    corrupted rows.  Returns the L S-vectors of desired symbols of each
+    round, round by round.
+    """
+    q = matrix.field.q
+    layers = matrix.cauchy_cols
+    decoder = decoder_for(matrix)
+    decoded: list[tuple[int, ...]] = []  # [layers*j + l]: round j+1, layer l+1
+    for rk in range(len(observations[0])):
+        corrected = []
+        for row, obs in zip(matrix.entries, observations):
+            y = obs[rk]
+            if rk:  # round 1 has no earlier contribution
+                exponents = range(rk + 1, 1, -1)
+                for l in range(layers):
+                    off = coded_share(row[l], exponents, decoded[l::layers], q)
+                    y = [a - b for a, b in zip(y, off)]
+            corrected.append([v % q for v in y])
+        solved = [decoder.solve(stream, num_errors) for stream in zip(*corrected)]
+        decoded += list(zip(*solved))[:layers]
+    return decoded
 
 
 def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[int]:
@@ -436,23 +453,9 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     for n in chosen:
         if len(by_server[n].scalars) != kc:
             raise ValueError(f"server {n} answer must hold {kc} scalars")
-    q = points.field.q
-    decoder = decoder_for(decoding_matrix_for(points, params, chosen))
-    decoded: dict[tuple[int, int], int] = {}
-    for rk in range(1, kc + 1):
-        corrected = [
-            (by_server[n].scalars[rk - 1]
-             - interference_offset(decoded, points, params, rk, n)) % q
-            for n in chosen
-        ]
-        coeffs = decoder.solve(corrected, params.max_byzantine)
-        for l in range(1, params.layers + 1):
-            decoded[(l, rk)] = coeffs[l - 1]
-    return [
-        decoded[(l, k)]
-        for k in range(1, kc + 1)
-        for l in range(1, params.layers + 1)
-    ]
+    matrix = build_decoding_matrix(points, tuple(chosen), params.layers, params.decode_width)
+    observations = [[(v,) for v in by_server[n].scalars] for n in chosen]
+    return [s[0] for s in decode_rounds(matrix, observations, params.max_byzantine)]
 
 
 def recover_messages(
@@ -462,7 +465,8 @@ def recover_messages(
 
     Independent of the retrieval path: per layer it solves the linear system
     whose row for server n is the storage coefficient pattern
-    [1/d^K_c, ..., 1/d, 1, d, ..., d^(X-1)] with d = f_l - a_n.
+    [1/d^K_c, ..., 1/d, 1, d, ..., d^(X-1)] with d = f_l - a_n, the coded
+    share of the unit vectors.
     """
     storages = list(storages)
     need = params.code_dim + params.security
@@ -470,19 +474,15 @@ def recover_messages(
         raise ValueError(f"message recovery needs {need} shares, got {len(storages)}")
     storages = storages[:need]
     field = points.field
-    q = field.q
-    kc, xx, kk = params.code_dim, params.security, params.num_messages
+    kc, kk = params.code_dim, params.num_messages
+    exponents = range(-kc, params.security)
+    units = FieldMatrix.identity(field, need).data
     symbols = [[0] * params.message_len for _ in range(kk)]
     for l in range(1, params.layers + 1):
-        rows = []
-        for st in storages:
-            d = points.diff(l, st.server)
-            inv_d = pow(d, q - 2, q)
-            rows.append(
-                [pow(inv_d, kc - k + 1, q) for k in range(1, kc + 1)]
-                + [pow(d, x - 1, q) for x in range(1, xx + 1)]
-            )
-        system = FieldMatrix(field, rows)
+        system = FieldMatrix(
+            field,
+            [coded_share(points.diff(l, st.server), exponents, units, field.q) for st in storages],
+        )
         for j in range(kk):
             sol = system.solve([st.shares[l - 1][j] for st in storages])
             for k in range(1, kc + 1):

@@ -4,10 +4,13 @@ The confidential blocks A_1..A_ell are secret-shared exactly like message
 columns (Cauchy terms plus X_A noise layers), the library matrices B_1..B_M
 are optionally shared with X_B noise on the interference span, and the block
 selector Q_theta is hidden like a query.  Each server returns
-sum_l A~_nl B~_nl Q_nl per round; the per-entry scalars then decode with the
-same round-by-round interference cancellation, because the share product has
-the storage shape with an effective noise level of K_c + X_A + X_B - 1
-(or X_A when the library is public).
+sum_l A~_nl B~_nl Q_nl per round.  The share product has the storage shape
+(Cauchy terms plus an effective noise span of K_c + X_A + X_B - 1, or X_A when
+the library is public), so its lambda*mu entries decode as lambda*mu scalar
+streams of the retrieval round decoder ``protocol.decode_rounds``.
+
+Shares and queries are ``protocol.coded_share`` sums over the matrices
+flattened row-major; they come back as ``FieldMatrix``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import PrimeField, smallest_prime_geq
+from .field import PrimeField
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
-from .protocol import InfeasibleParamsError
+from .protocol import (  # noqa: F401  (default_field/default_points re-exported)
+    InfeasibleParamsError,
+    coded_share,
+    decode_rounds,
+    default_field,
+    default_points,
+)
 
 
 @dataclass(frozen=True)
@@ -113,16 +122,6 @@ def derive_psdmm_params(
     )
 
 
-def default_field(params: PsdmmParams) -> PrimeField:
-    return PrimeField(smallest_prime_geq(params.min_field_size))
-
-
-def default_points(params: PsdmmParams, field: PrimeField | None = None) -> EvaluationPoints:
-    if field is None:
-        field = default_field(params)
-    return EvaluationPoints.default(field, params.layers, params.num_servers)
-
-
 def _random_matrix(field: PrimeField, rng, rows: int, cols: int) -> FieldMatrix:
     return FieldMatrix(field, [field.random_vector(rng, cols) for _ in range(rows)])
 
@@ -202,26 +201,37 @@ class PsdmmNoise:
         )
 
 
+def _flat(m: FieldMatrix) -> list[int]:
+    return [v for row in m.data for v in row]
+
+
+def _matrix(field: PrimeField, flat, cols: int) -> FieldMatrix:
+    return FieldMatrix(field, [flat[i:i + cols] for i in range(0, len(flat), cols)])
+
+
+def _shares(points: EvaluationPoints, params: PsdmmParams, exponents, terms, cols: int):
+    """[server][layer] matrices: the coded share of layer l's flattened terms."""
+    field = points.field
+    return [
+        [
+            _matrix(field, coded_share(points.diff(l, n), exponents, terms[l - 1], field.q), cols)
+            for l in range(1, params.layers + 1)
+        ]
+        for n in range(1, params.num_servers + 1)
+    ]
+
+
 def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[list[FieldMatrix]]:
     """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx."""
-    q = points.field.q
     kc = params.code_dim
-    out = []
-    for n in range(1, params.num_servers + 1):
-        per_layer = []
-        for l in range(1, params.layers + 1):
-            d = points.diff(l, n)
-            inv_d = pow(d, q - 2, q)
-            acc = FieldMatrix.zeros(points.field, params.rows_a, params.inner_dim)
-            for k in range(1, kc + 1):
-                acc = acc.add(inst.a_block(params, l, k).scale(pow(inv_d, kc - k + 1, q)))
-            for x in range(1, params.security_a + 1):
-                acc = acc.add(noise.a_noise[l - 1][x - 1].scale(pow(d, x - 1, q)))
-            per_layer.append(acc)
-        out.append(per_layer)
-    return out
+    terms = [
+        [_flat(inst.a_block(params, l, k)) for k in range(1, kc + 1)]
+        + [_flat(z) for z in noise.a_noise[l - 1]]
+        for l in range(1, params.layers + 1)
+    ]
+    return _shares(points, params, range(-kc, params.security_a), terms, params.inner_dim)
 
 
 def share_b(
@@ -234,19 +244,9 @@ def share_b(
     b = inst.b_concat
     if not params.shared_library:
         return [[b for _ in range(params.layers)] for _ in range(params.num_servers)]
-    q = points.field.q
     kc = params.code_dim
-    out = []
-    for n in range(1, params.num_servers + 1):
-        per_layer = []
-        for l in range(1, params.layers + 1):
-            d = points.diff(l, n)
-            acc = b
-            for x in range(1, params.security_b + 1):
-                acc = acc.add(noise.b_noise[l - 1][x - 1].scale(pow(d, kc + x - 1, q)))
-            per_layer.append(acc)
-        out.append(per_layer)
-    return out
+    terms = [[_flat(b)] + [_flat(z) for z in zl] for zl in noise.b_noise]
+    return _shares(points, params, [0, *range(kc, kc + params.security_b)], terms, b.cols)
 
 
 def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int) -> FieldMatrix:
@@ -265,25 +265,19 @@ def psdmm_query(
     theta: int, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[list[list[FieldMatrix]]]:
     """Per-server block queries Q_nl = d^(K_c-k) Q_theta + sum_t d^(K_c+t-1) Z''_lt."""
-    q = points.field.q
     kc = params.code_dim
-    q_theta = block_selector(points.field, params.library_size, params.cols_b, theta)
-    out = []
-    for n in range(1, params.num_servers + 1):
-        rounds = []
-        for rk in range(1, kc + 1):
-            per_layer = []
-            for l in range(1, params.layers + 1):
-                d = points.diff(l, n)
-                acc = q_theta.scale(pow(d, kc - rk, q))
-                for t in range(1, params.privacy + 1):
-                    acc = acc.add(
-                        noise.query_noise[l - 1][t - 1][rk - 1].scale(pow(d, kc + t - 1, q))
-                    )
-                per_layer.append(acc)
-            rounds.append(per_layer)
-        out.append(rounds)
-    return out
+    selector = _flat(block_selector(points.field, params.library_size, params.cols_b, theta))
+    per_round = [  # [round][server][layer]
+        _shares(
+            points,
+            params,
+            [kc - rk, *range(kc, kc + params.privacy)],
+            [[selector] + [_flat(zt[rk - 1]) for zt in zl] for zl in noise.query_noise],
+            params.cols_b,
+        )
+        for rk in range(1, kc + 1)
+    ]
+    return [list(rounds) for rounds in zip(*per_round)]
 
 
 def psdmm_answer(
@@ -311,59 +305,25 @@ def psdmm_decode(
 ) -> list[FieldMatrix]:
     """Recover (A_1 B_theta, ..., A_ell B_theta) from all N servers' answers.
 
-    Runs the scalar round decoder once per output entry; the single N x N
-    decoding matrix inversion is shared by every entry.
+    Every server's K_c answer blocks, flattened row-major, are lambda*mu scalar
+    streams of the retrieval round decoder, all sharing one decoding matrix.
     """
     if len(answers) != params.num_servers:
         raise ValueError("answers from all servers are required")
-    n_srv = params.num_servers
-    if params.decode_width != n_srv:
+    if params.decode_width != params.num_servers:
         raise ValueError("decode width must equal N; wrong derived parameters")
-    q = points.field.q
-    kc = params.code_dim
+    for rounds in answers:
+        if len(rounds) != params.code_dim:
+            raise ValueError(f"every server must answer {params.code_dim} rounds")
+        if any((y.rows, y.cols) != (params.rows_a, params.cols_b) for y in rounds):
+            raise ValueError("answer block has wrong shape")
     matrix = build_decoding_matrix(
-        points, tuple(range(1, n_srv + 1)), params.layers, params.decode_width
+        points, tuple(range(1, params.num_servers + 1)), params.layers, params.decode_width
     )
-    m_inv = matrix.matrix().inverse()
-    lam, mu = params.rows_a, params.cols_b
-    # decoded[(l, k)] is the lambda x mu product block for round k, layer l
-    decoded: dict[tuple[int, int], list[list[int]]] = {}
-    inv_diffs = {
-        (l, n): pow(points.diff(l, n), q - 2, q)
-        for l in range(1, params.layers + 1)
-        for n in range(1, n_srv + 1)
-    }
-    for rk in range(1, kc + 1):
-        corrected_rows = []
-        for n in range(1, n_srv + 1):
-            y = answers[n - 1][rk - 1]
-            if (y.rows, y.cols) != (lam, mu):
-                raise ValueError("answer block has wrong shape")
-            offs = [[0] * mu for _ in range(lam)]
-            for l in range(1, params.layers + 1):
-                for k in range(1, rk):
-                    c = pow(inv_diffs[(l, n)], rk - k + 1, q)
-                    prev = decoded[(l, k)]
-                    for i in range(lam):
-                        for j in range(mu):
-                            offs[i][j] = (offs[i][j] + c * prev[i][j]) % q
-            corrected_rows.append(
-                [
-                    [(y.data[i][j] - offs[i][j]) % q for j in range(mu)]
-                    for i in range(lam)
-                ]
-            )
-        for l in range(1, params.layers + 1):
-            decoded[(l, rk)] = [[0] * mu for _ in range(lam)]
-        for i in range(lam):
-            for j in range(mu):
-                coeffs = m_inv.matvec([corrected_rows[n][i][j] for n in range(n_srv)])
-                for l in range(1, params.layers + 1):
-                    decoded[(l, rk)][i][j] = coeffs[l - 1]
+    observations = [[_flat(y) for y in rounds] for rounds in answers]
     return [
-        FieldMatrix(points.field, decoded[(l, k)])
-        for k in range(1, kc + 1)
-        for l in range(1, params.layers + 1)
+        _matrix(points.field, block, params.cols_b)
+        for block in decode_rounds(matrix, observations, 0)
     ]
 
 

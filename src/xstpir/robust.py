@@ -31,7 +31,6 @@ re-encode, accept a candidate agreeing on rows - num_errors rows; kept as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from operator import mul
@@ -41,19 +40,6 @@ from .linalg import DecodingMatrix, FieldMatrix
 
 class DecodingFailure(Exception):
     """No candidate met the agreement threshold: more than B corruptions."""
-
-
-@dataclass(frozen=True)
-class RobustInstance:
-    """A decoding matrix together with the observed per-row values."""
-
-    matrix: DecodingMatrix
-    observed: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "observed", tuple(v % self.matrix.field.q for v in self.observed))
-        if len(self.observed) != self.matrix.rows:
-            raise ValueError("one observation per matrix row required")
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -214,23 +200,3 @@ def decoder_for(matrix: DecodingMatrix) -> RobustDecoder:
     """Memoized decoder lookup; DecodingMatrix is immutable and hashable."""
     return RobustDecoder(matrix)
 
-
-def robust_solve(inst: RobustInstance, num_errors: int) -> list[int]:
-    """Functional form of RobustDecoder.solve."""
-    return decoder_for(inst.matrix).solve(list(inst.observed), num_errors)
-
-
-def erase_and_solve(matrix: DecodingMatrix, observed) -> list[int]:
-    """Exact solve from the first width responsive rows (B = 0 path).
-
-    Erasures are handled upstream by simply not including silent servers among
-    the matrix rows; any width of the remaining rows form a valid system.
-    """
-    observed = list(observed)
-    if len(observed) != matrix.rows:
-        raise ValueError("one observation per matrix row required")
-    if matrix.rows < matrix.width:
-        raise ValueError(
-            f"need at least {matrix.width} responsive rows, have {matrix.rows}"
-        )
-    return decoder_for(matrix).solve(observed, 0)

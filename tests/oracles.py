@@ -66,6 +66,32 @@ def evaluate_coefficients(
     return total
 
 
+def interference_offset(
+    decoded: dict[tuple[int, int], int],
+    points: EvaluationPoints,
+    params: ProtocolParams,
+    round_k: int,
+    server: int,
+) -> int:
+    """Known contribution of rounds < round_k to this server's round-k answer.
+
+    Scalar reference for the offsets of ``protocol.decode_rounds``:
+    sum_l sum_(k<round_k) decoded[(l,k)] / (f_l - a_n)^(round_k-k+1), with
+    each inverse taken afresh; a missing earlier symbol is a ValueError.
+    """
+    q = points.field.q
+    off = 0
+    for l in range(1, params.layers + 1):
+        inv_d = pow(points.diff(l, server), q - 2, q)
+        for k in range(1, round_k):
+            try:
+                sym = decoded[(l, k)]
+            except KeyError:
+                raise ValueError(f"round {round_k} offset needs decoded symbol (l={l}, k={k})")
+            off = (off + sym * pow(inv_d, round_k - k + 1, q)) % q
+    return off
+
+
 def brute_force_inverse(q: int, a: int) -> int:
     """Exhaustive search for the multiplicative inverse."""
     for b in range(1, q):

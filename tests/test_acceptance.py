@@ -15,8 +15,10 @@ import xstpir.psdmm as pm
 from xstpir.audit import AuditConfig, audit_query_privacy, audit_storage_security
 from xstpir.field import PrimeField, is_prime
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
-from xstpir.robust import erase_and_solve
+from xstpir.robust import decoder_for
 from xstpir.sim import AdversaryConfig, params_grid, run_session, sweep
+
+from oracles import interference_offset
 
 
 def report(num: int, passed: bool, detail: str):
@@ -69,7 +71,7 @@ def test_criterion_2_worked_example_n5():
 
     matrix = build_decoding_matrix(pts, (1, 2, 3, 4, 5), p.layers, p.decode_width)
     # round 1 must come out first: its solution is (W_11 Qt, W_21 Qt)
-    round1 = erase_and_solve(matrix, [a.scalars[0] for a in answers])
+    round1 = decoder_for(matrix).solve([a.scalars[0] for a in answers], 0)
     w = {
         (l, k): msgs.layer_vector(l, k)[theta - 1]
         for l in (1, 2)
@@ -81,13 +83,13 @@ def test_criterion_2_worked_example_n5():
     decoded_round1 = {(1, 1): w[(1, 1)], (2, 1): w[(2, 1)]}
     corrected = []
     for n in range(1, 6):
-        off = xp.interference_offset(decoded_round1, pts, p, 2, n)
+        off = interference_offset(decoded_round1, pts, p, 2, n)
         direct = sum(
             w[(l, 1)] * pow(pow(pts.diff(l, n), q - 2, q), 2, q) for l in (1, 2)
         ) % q
         assert off == direct
         corrected.append((answers[n - 1].scalars[1] - off) % q)
-    round2 = erase_and_solve(matrix, corrected)
+    round2 = decoder_for(matrix).solve(corrected, 0)
     assert round2[:2] == [w[(1, 2)], w[(2, 2)]]
 
     # end-to-end: decode agrees and the rate is exactly 2/5

@@ -112,6 +112,8 @@ def test_decoding_matrix_gf5_example():
         [1, 1, 0, 0],
     ]
     assert m.matrix().det() != 0
+    # memoized: an equal (points, servers, L, width) returns the same matrix
+    assert build_decoding_matrix(EvaluationPoints(f, (1,), (2, 3, 4, 0)), (1, 2, 3, 4), 1, 4) is m
 
 
 def test_decoding_matrix_gf7_two_cauchy_columns():

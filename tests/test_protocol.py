@@ -9,7 +9,7 @@ import pytest
 import xstpir as xp
 from xstpir.protocol import InfeasibleParamsError
 
-from oracles import answer_coefficients, evaluate_coefficients
+from oracles import answer_coefficients, evaluate_coefficients, interference_offset
 
 
 def fresh_instance(params, seed, field=None, theta=1):
@@ -323,7 +323,7 @@ def test_answer_linearity_by_superposition():
 def test_offset_round_one_is_zero():
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)
     pts = xp.default_points(p)
-    assert xp.interference_offset({}, pts, p, 1, 1) == 0
+    assert interference_offset({}, pts, p, 1, 1) == 0
 
 
 def test_offset_single_layer_formula():
@@ -335,9 +335,9 @@ def test_offset_single_layer_formula():
     for n in range(1, 5):
         d = pts.diff(1, n)
         want = (3 * pow(pow(d, q - 2, q), 2, q)) % q
-        assert xp.interference_offset({(1, 1): 3}, pts, p, 2, n) == want
+        assert interference_offset({(1, 1): 3}, pts, p, 2, n) == want
     with pytest.raises(ValueError):
-        xp.interference_offset({}, pts, p, 2, 1)  # missing round-1 symbol
+        interference_offset({}, pts, p, 2, 1)  # missing round-1 symbol
 
 
 def test_corrected_answer_has_no_deep_inverse_terms():
@@ -364,7 +364,7 @@ def test_corrected_answer_has_no_deep_inverse_terms():
             if e <= -2:
                 assert c == 0
         for ans in answers:
-            off = xp.interference_offset(decoded, pts, p, rk, ans.server)
+            off = interference_offset(decoded, pts, p, rk, ans.server)
             corrected = (ans.scalars[rk - 1] - off) % q
             assert corrected == evaluate_coefficients(residual, pts, ans.server)
 
@@ -387,6 +387,9 @@ def test_decode_requires_enough_answers():
         xp.decode(answers[:3], pts, p)
     with pytest.raises(ValueError):
         xp.decode(answers + [answers[0]], pts, p)  # duplicate server
+    for scalars in (answers[1].scalars[:1], answers[1].scalars + (0,)):  # != K_c = 2
+        with pytest.raises(ValueError):
+            xp.decode([answers[0], xp.AnswerBundle(2, scalars)] + answers[2:], pts, p)
 
 
 def test_decode_with_byzantine_garbage():

@@ -288,6 +288,11 @@ def test_answer_shape_validation():
     ]
     with pytest.raises(ValueError):
         pm.psdmm_decode(answers[:-1], pts, p)
+    wide = FieldMatrix(field, [row + [0] for row in answers[0][0].data])  # lambda x (mu+1)
+    with pytest.raises(ValueError):
+        pm.psdmm_decode([[wide]] + answers[1:], pts, p)
+    with pytest.raises(ValueError):
+        pm.psdmm_decode([[]] + answers[1:], pts, p)  # server 1 misses its round
 
 
 # --------------------------------------------------------------------- costs

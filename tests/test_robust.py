@@ -10,14 +10,7 @@ from xstpir import sim
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
 from xstpir.protocol import derive_params
-from xstpir.robust import (
-    DecodingFailure,
-    RobustDecoder,
-    RobustInstance,
-    decoder_for,
-    erase_and_solve,
-    robust_solve,
-)
+from xstpir.robust import DecodingFailure, RobustDecoder, decoder_for
 
 
 def tall_matrix(q=13, rows=6, width=4, layers=2, seed=3):
@@ -33,8 +26,7 @@ def test_zero_error_is_plain_solve():
     rng = Random(1)
     x = [rng.randrange(13) for _ in range(4)]
     y = m.matrix().matvec(x)
-    assert robust_solve(RobustInstance(m, tuple(y)), 0) == x
-    assert erase_and_solve(m, y) == x
+    assert decoder_for(m).solve(y, 0) == x
 
 
 def test_single_planted_error_at_every_position():
@@ -45,7 +37,7 @@ def test_single_planted_error_at_every_position():
     for pos in range(6):
         corrupted = y[:]
         corrupted[pos] = (corrupted[pos] + rng.randrange(1, 13)) % 13
-        assert robust_solve(RobustInstance(m, tuple(corrupted)), 1) == x
+        assert decoder_for(m).solve(corrupted, 1) == x
 
 
 def test_two_errors_exceed_budget():
@@ -61,7 +53,7 @@ def test_two_errors_exceed_budget():
         corrupted[i] = (corrupted[i] + rng.randrange(1, 13)) % 13
         corrupted[j] = (corrupted[j] + rng.randrange(1, 13)) % 13
         try:
-            got = robust_solve(RobustInstance(m, tuple(corrupted)), 1)
+            got = decoder_for(m).solve(corrupted, 1)
         except DecodingFailure:
             failures += 1
         else:
@@ -75,17 +67,17 @@ def test_error_bound_vs_rows_guard():
     m = tall_matrix(rows=6, width=4)  # 2B = 2 -> B <= 1
     y = m.matrix().matvec([1, 2, 3, 4])
     with pytest.raises(ValueError):
-        robust_solve(RobustInstance(m, tuple(y)), 2)
+        decoder_for(m).solve(y, 2)
     with pytest.raises(ValueError):
-        robust_solve(RobustInstance(m, tuple(y)), -1)
+        decoder_for(m).solve(y, -1)
 
 
 def test_observed_length_checked():
     m = tall_matrix()
     with pytest.raises(ValueError):
-        RobustInstance(m, (1, 2, 3))
+        decoder_for(m).solve([1, 2, 3], 0)
     with pytest.raises(ValueError):
-        erase_and_solve(m, [1, 2, 3])
+        decoder_for(m).solve([1, 2, 3], 1)
 
 
 def test_exhaustive_subsets_with_random_corruptions():
@@ -101,7 +93,7 @@ def test_exhaustive_subsets_with_random_corruptions():
                 corrupted = y[:]
                 for pos in bad:
                     corrupted[pos] = (corrupted[pos] + rng.randrange(1, q)) % q
-                assert robust_solve(RobustInstance(m, tuple(corrupted)), b) == x
+                assert decoder_for(m).solve(corrupted, b) == x
 
 
 def test_candidate_uniqueness_within_budget():
@@ -128,8 +120,7 @@ def test_b0_equals_erasure_equals_square_solve():
     rng = Random(3)
     x = [rng.randrange(19) for _ in range(5)]
     y = m.matrix().matvec(x)
-    assert robust_solve(RobustInstance(m, tuple(y)), 0) == x
-    assert erase_and_solve(m, y) == x
+    assert decoder_for(m).solve(y, 0) == x
     for subset in combinations(range(7), 5):
         sub = m.matrix().row_submatrix(subset)
         assert sub.solve([y[i] for i in subset]) == x
