@@ -1,7 +1,7 @@
 """Private information retrieval from noise-protected MDS-coded storage.
 
-Core pieces: exact GF(q) arithmetic (``field``), Cauchy-Vandermonde linear
-algebra (``linalg``), the layered retrieval scheme with the coded-share
+Core pieces: the prime field GF(q) and its residue contract (``field``),
+Cauchy-Vandermonde linear algebra (``linalg``), the layered retrieval scheme with the coded-share
 kernel and round decoder shared with PSDMM (``protocol``), Reed-Solomon
 error decoding by Gao's algorithm (``robust``),
 distribution-equality guarantees (``audit``), private secure distributed

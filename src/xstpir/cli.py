@@ -186,12 +186,14 @@ def cmd_audit(args) -> int:
     opts = _merged(
         args,
         {
-            "N": 4, "Kc": 2, "X": 1, "T": 1, "K": 2, "seed": 0, "q": None,
-            "target": "storage", "colluding": "1", "thetas": "1,2",
+            "N": 4, "Kc": 2, "X": 1, "T": 1, "U": 0, "B": 0, "K": 2, "seed": 0,
+            "q": None, "target": "storage", "colluding": "1", "thetas": "1,2",
             "budget": 10**6, "expect_fail": False, "out": None,
         },
     )
-    params = derive_params(opts["N"], opts["Kc"], opts["X"], opts["T"], 0, 0, opts["K"])
+    params = derive_params(
+        opts["N"], opts["Kc"], opts["X"], opts["T"], opts["U"], opts["B"], opts["K"]
+    )
     field = _field_for(params, opts["q"])
     points = default_points(params, field)
     colluding = tuple(_int_list(opts["colluding"]))
@@ -227,12 +229,7 @@ def cmd_psdmm(args) -> int:
         opts["N"], opts["T"], opts["XA"], opts["XB"], opts["M"],
         opts["lam"], opts["chi"], opts["mu"], opts["Kc"],
     )
-    if opts["q"] is None:
-        field = psdmm_mod.default_field(params)
-    else:
-        field = PrimeField(int(opts["q"]))
-        if field.q < params.min_field_size:
-            raise ValueError(f"q = {field.q} < L + N = {params.min_field_size}")
+    field = _field_for(params, opts["q"])
     points = psdmm_mod.default_points(params, field)
     inst = psdmm_mod.PsdmmInstance.random(
         field, params, Random(derive_seed(opts["seed"], "psdmm-instance"))

@@ -1,8 +1,15 @@
-"""Exact arithmetic in a prime finite field GF(q).
+"""The prime field GF(q) and the residue contract of the package.
 
 Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
-and does the scalar arithmetic; the rest of the package works on raw residues
-(and flat int vectors) with an explicit ``PrimeField``.
+and draws uniform random vectors; the rest of the package does its arithmetic
+on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
+
+Residue contract: every kernel returns residues in [0, q) (``coded_share`` and
+everything built from it, the e_theta update of the queries, server answers,
+matrix products and decodes), so nothing downstream reduces them again.
+Caller data is reduced once, where it enters the library: ``MessageSet``,
+``EvaluationPoints``, ``FieldMatrix(...)``, and the answers that
+``protocol.decode_rounds`` receives.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ def smallest_prime_geq(n: int) -> int:
 class PrimeField:
     """GF(q) for a prime modulus q.
 
-    All methods take and return fully reduced residues (ints in [0, q)).
     Instances are immutable, compare by modulus, and are safe to share.
     """
 
@@ -57,40 +63,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.q})"
-
-    def reduce(self, v: int) -> int:
-        return v % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem."""
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with pow(a, 0) == 1 for every a, including a == 0."""
-        if e < 0:
-            raise ValueError("negative exponent; use inv() first")
-        return pow(a, e, self.q)
-
-    def random(self, rng) -> int:
-        """Uniform residue drawn from an explicit rng (random.Random)."""
-        return rng.randrange(self.q)
 
     def random_vector(self, rng, n: int) -> list[int]:
         rr = rng.randrange

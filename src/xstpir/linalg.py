@@ -8,8 +8,10 @@ with the f's and a's drawn from one pool of pairwise distinct field elements.
 Every width-row square submatrix of such a matrix is invertible, which is what
 makes both plain and error-tolerant decoding work.
 
-Gaussian elimination uses first-nonzero pivoting; arithmetic is exact, so
-pivot magnitude is irrelevant.
+``FieldMatrix`` reduces its entries on construction and every product, sum and
+inverse is a residue matrix.  ``FieldMatrix.inverse`` is the package's one
+Gauss-Jordan elimination; it uses first-nonzero pivoting, since arithmetic is
+exact and pivot magnitude is irrelevant.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ class SingularMatrixError(ValueError):
 
 
 class FieldMatrix:
-    """Dense rows x cols matrix of residues sharing one PrimeField."""
+    """Dense rows x cols matrix of residues sharing one PrimeField.
+
+    The constructor reduces every entry mod q: caller data enters here.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -44,13 +49,6 @@ class FieldMatrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [row[:] for row in self.data])
 
     def __eq__(self, other):
         return (
@@ -79,24 +77,6 @@ class FieldMatrix:
             ],
         )
 
-    def sub(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch")
-        q = self.field.q
-        return FieldMatrix(
-            self.field,
-            [
-                [(a - b) % q for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
-    def scale(self, c: int) -> "FieldMatrix":
-        q = self.field.q
-        c %= q
-        return FieldMatrix(self.field, [[(c * v) % q for v in row] for row in self.data])
-
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
         if self.cols != other.rows:
@@ -114,29 +94,6 @@ class FieldMatrix:
             raise ValueError("vector length mismatch")
         q = self.field.q
         return [sum(a * b for a, b in zip(row, vec)) % q for row in self.data]
-
-    def solve(self, rhs: list[int]) -> list[int]:
-        """Solve m @ x = rhs exactly; raises SingularMatrixError if singular."""
-        if self.rows != self.cols:
-            raise ValueError("solve requires a square matrix")
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length mismatch")
-        q = self.field.q
-        n = self.rows
-        a = [row[:] + [rhs[i] % q] for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] % q), None)
-            if piv is None:
-                raise SingularMatrixError("singular system")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-            inv_p = pow(a[col][col], q - 2, q)
-            a[col] = [(v * inv_p) % q for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [(vr - f * vc) % q for vr, vc in zip(a[r], a[col])]
-        return [a[i][n] for i in range(n)]
 
     def inverse(self) -> "FieldMatrix":
         """Gauss-Jordan inverse; raises SingularMatrixError if singular."""
@@ -158,29 +115,6 @@ class FieldMatrix:
                     f = a[r][col]
                     a[r] = [(vr - f * vc) % q for vr, vc in zip(a[r], a[col])]
         return FieldMatrix(self.field, [row[n:] for row in a])
-
-    def det(self) -> int:
-        """Determinant by elimination (exact)."""
-        if self.rows != self.cols:
-            raise ValueError("det requires a square matrix")
-        q = self.field.q
-        n = self.rows
-        a = [row[:] for row in self.data]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] % q), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = (-det) % q
-            det = (det * a[col][col]) % q
-            inv_p = pow(a[col][col], q - 2, q)
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = (a[r][col] * inv_p) % q
-                    a[r] = [(vr - f * vc) % q for vr, vc in zip(a[r], a[col])]
-        return det
 
     def row_submatrix(self, row_indices) -> "FieldMatrix":
         return FieldMatrix(self.field, [self.data[i] for i in row_indices])
@@ -248,9 +182,6 @@ class DecodingMatrix:
 
     def matrix(self) -> FieldMatrix:
         return FieldMatrix(self.points.field, [list(r) for r in self.entries])
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
 
 
 @lru_cache(maxsize=4096)

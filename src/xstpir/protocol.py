@@ -13,6 +13,11 @@ sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share``.  Every
 decode (PIR, and PSDMM with lambda*mu scalars per answer) is ``decode_rounds``:
 the rounds in order, subtracting the already-known contribution of earlier
 rounds before each solve.
+
+Every kernel here returns residues in [0, q) (the contract in ``field``): the
+storage and query bundles hold what ``encode_storage`` and ``gen_queries``
+return, unreduced again, and in this module only ``MessageSet`` and the
+answers entering ``decode_rounds`` reduce caller data.
 """
 
 from __future__ import annotations
@@ -235,37 +240,20 @@ class QueryNoise:
 
 @dataclass(frozen=True)
 class ServerStorage:
-    """The L coded share vectors S_n1..S_nL held by one server."""
+    """The L coded share vectors S_n1..S_nL held by one server, as residues."""
 
     server: int
     shares: tuple[tuple[int, ...], ...]  # [l] -> K-vector
     field: PrimeField
 
-    def __post_init__(self):
-        q = self.field.q
-        object.__setattr__(
-            self, "shares", tuple(tuple(v % q for v in row) for row in self.shares)
-        )
-
 
 @dataclass(frozen=True)
 class QueryBundle:
-    """All K_c rounds of query vectors for one server (sent in one shot)."""
+    """All K_c rounds of query vectors for one server (sent in one shot), as residues."""
 
     server: int
     rounds: tuple[tuple[tuple[int, ...], ...], ...]  # [round][l] -> K-vector
     field: PrimeField
-
-    def __post_init__(self):
-        q = self.field.q
-        object.__setattr__(
-            self,
-            "rounds",
-            tuple(
-                tuple(tuple(v % q for v in vec) for vec in layer)
-                for layer in self.rounds
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -463,10 +451,11 @@ def recover_messages(
 ) -> MessageSet:
     """Rebuild every message from any K_c + X server shares (the MDS property).
 
-    Independent of the retrieval path: per layer it solves the linear system
+    Independent of the retrieval path: per layer it inverts the square system
     whose row for server n is the storage coefficient pattern
     [1/d^K_c, ..., 1/d, 1, d, ..., d^(X-1)] with d = f_l - a_n, the coded
-    share of the unit vectors.
+    share of the unit vectors, and applies the inverse to the K messages'
+    share columns.
     """
     storages = list(storages)
     need = params.code_dim + params.security
@@ -479,12 +468,12 @@ def recover_messages(
     units = FieldMatrix.identity(field, need).data
     symbols = [[0] * params.message_len for _ in range(kk)]
     for l in range(1, params.layers + 1):
-        system = FieldMatrix(
+        inverse = FieldMatrix(
             field,
             [coded_share(points.diff(l, st.server), exponents, units, field.q) for st in storages],
-        )
+        ).inverse()
         for j in range(kk):
-            sol = system.solve([st.shares[l - 1][j] for st in storages])
+            sol = inverse.matvec([st.shares[l - 1][j] for st in storages])
             for k in range(1, kc + 1):
                 symbols[j][params.layers * (k - 1) + l - 1] = sol[k - 1]
     return MessageSet(

@@ -323,8 +323,11 @@ def sweep(
 ) -> SweepSummary:
     """Run sessions over a params grid; per-cell pass/fail counts.
 
-    mode "honest" runs without an adversary; mode "placements" enumerates every
-    disjoint (U, B) placement at the full budget, each policy, `draws` draws.
+    Both modes run one loop over (placement, policy, draws) cells.  Mode
+    "honest" is the single cell where the first U servers stay silent, with no
+    Byzantine server, policy "random" and one draw; mode "placements"
+    enumerates every disjoint (U, B) placement at the full budget, each
+    policy, `draws` draws.
     """
     if mode not in ("honest", "placements"):
         raise ValueError("mode must be 'honest' or 'placements'")
@@ -333,33 +336,24 @@ def sweep(
         theta_list = thetas if thetas is not None else range(1, params.num_messages + 1)
         if mode == "honest":
             # |U| = U is part of the model: the first U servers stay silent
-            adv = AdversaryConfig(tuple(range(1, params.max_unresponsive + 1)))
-            sessions = passes = 0
-            for theta in theta_list:
-                for seed in seeds:
-                    t = run_session(params, adv, theta, seed)
-                    sessions += 1
-                    passes += t.ok
-            cells.append(
-                SweepCell(_params_label(params), "honest", sessions, passes, sessions - passes)
-            )
+            runs = [(tuple(range(1, params.max_unresponsive + 1)), (), "random", 1, "honest")]
         else:
-            for u_set, b_set in placements(params):
-                for policy in policies:
-                    sessions = passes = 0
-                    for draw in range(draws):
-                        adv = AdversaryConfig(u_set, b_set, policy, seed=draw)
-                        for theta in theta_list:
-                            for seed in seeds:
-                                t = run_session(params, adv, theta, seed)
-                                sessions += 1
-                                passes += t.ok
-                    label = f"U={list(u_set)} B={list(b_set)} policy={policy}"
-                    cells.append(
-                        SweepCell(
-                            _params_label(params), label, sessions, passes, sessions - passes
-                        )
-                    )
+            runs = [
+                (u_set, b_set, policy, draws, f"U={list(u_set)} B={list(b_set)} policy={policy}")
+                for u_set, b_set in placements(params)
+                for policy in policies
+            ]
+        for u_set, b_set, policy, run_draws, label in runs:
+            sessions = passes = 0
+            for draw in range(run_draws):
+                adv = AdversaryConfig(u_set, b_set, policy, seed=draw)
+                for theta in theta_list:
+                    for seed in seeds:
+                        sessions += 1
+                        passes += run_session(params, adv, theta, seed).ok
+            cells.append(
+                SweepCell(_params_label(params), label, sessions, passes, sessions - passes)
+            )
     return SweepSummary(tuple(cells))
 
 

@@ -9,12 +9,54 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from xstpir.linalg import DecodingMatrix, EvaluationPoints
+from xstpir.linalg import DecodingMatrix, EvaluationPoints, FieldMatrix
 from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise
 
 
 def _dot(q: int, u, v) -> int:
     return sum(a * b for a, b in zip(u, v)) % q
+
+
+def _eliminate(m: FieldMatrix, rhs=()):
+    """Gauss-Jordan on [m | rhs]: (det m, the solution column or None if singular).
+
+    The test suite's own elimination, independent of ``FieldMatrix.inverse``.
+    """
+    if m.rows != m.cols:
+        raise ValueError("elimination needs a square matrix")
+    q, n = m.field.q, m.rows
+    a = [row + [rhs[i] % q] if rhs else row[:] for i, row in enumerate(m.data)]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det % q
+        det = det * a[col][col] % q
+        inv = pow(a[col][col], q - 2, q)
+        a[col] = [v * inv % q for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(u - f * v) % q for u, v in zip(a[r], a[col])]
+    return det, [row[n] for row in a] if rhs else None
+
+
+def det(m: FieldMatrix) -> int:
+    """Determinant of a square matrix over GF(q)."""
+    return _eliminate(m)[0]
+
+
+def solve(m: FieldMatrix, rhs) -> list[int] | None:
+    """The solution x of m x = rhs, or None when m is singular."""
+    return _eliminate(m, rhs)[1]
+
+
+def scale(m: FieldMatrix, c: int) -> FieldMatrix:
+    """c * m, entrywise."""
+    return FieldMatrix(m.field, [[c * v for v in row] for row in m.data])
 
 
 def answer_coefficients(
@@ -135,7 +177,7 @@ def evaluate_matrix_coefficients(coeffs, points, layer: int, server: int):
     total = None
     for e, m in coeffs.items():
         base = inv_d if e < 0 else d
-        term = m.scale(pow(base, abs(e), q))
+        term = scale(m, pow(base, abs(e), q))
         total = term if total is None else total.add(term)
     return total
 
@@ -149,7 +191,7 @@ def consensus_decode(matrix: DecodingMatrix, observed, b: int):
     """
     full = matrix.matrix()
     for subset in combinations(range(matrix.rows), matrix.width):
-        x = full.row_submatrix(subset).solve([observed[i] for i in subset])
+        x = solve(full.row_submatrix(subset), [observed[i] for i in subset])
         agree = sum(e == y for e, y in zip(full.matvec(x), observed))
         if agree >= matrix.rows - b:
             return x

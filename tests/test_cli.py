@@ -114,6 +114,20 @@ def test_audit_budget_refusal(capsys):
     assert "states" in err and "budget" in err
 
 
+def test_audit_honours_u_and_b(tmp_path, capsys):
+    """B = 1 at N = 5 leaves L = 1 at q = 7: 7 noise values x 2 message sets."""
+    base = ["audit", "--N", "5", "--Kc", "1", "--X", "1", "--T", "1", "--K", "1",
+            "--colluding", "1"]
+    code, out, _ = run(capsys, *base, "--B", "1")
+    assert code == 0
+    assert json.loads(out)["states_enumerated"] == 14
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"U": 0, "B": 1}))
+    code, out, _ = run(capsys, *base, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["states_enumerated"] == 14
+
+
 def test_rates_xstpir_column(capsys):
     code, out, _ = run(
         capsys,
@@ -160,6 +174,17 @@ def test_psdmm_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["upload_cost"] == "6" and doc["download_cost"] == "2"
+
+
+def test_psdmm_q_override_validation(capsys):
+    base = ["psdmm", "--N", "6", "--T", "1", "--XA", "1", "--XB", "1", "--M", "2",
+            "--Kc", "1"]
+    code, _, err = run(capsys, *base, "--q", "6")
+    assert code == 1 and "prime" in err
+    code, _, err = run(capsys, *base, "--q", "7")  # L + N = 3 + 6
+    assert code == 1 and "L + N" in err
+    code, out, _ = run(capsys, *base, "--q", "11")
+    assert code == 0 and json.loads(out)["q"] == 11
 
 
 def test_sweep_subcommand(tmp_path, capsys):

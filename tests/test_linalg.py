@@ -13,11 +13,13 @@ from xstpir.linalg import (
     build_decoding_matrix,
 )
 
+from oracles import det
+
 
 def random_invertible(field, n, rng):
     while True:
         m = FieldMatrix(field, [field.random_vector(rng, n) for _ in range(n)])
-        if m.det() != 0:
+        if det(m) != 0:
             return m
 
 
@@ -25,7 +27,6 @@ def test_identity_inverse():
     f = PrimeField(5)
     eye = FieldMatrix.identity(f, 3)
     assert eye.inverse() == eye
-    assert eye.solve([1, 2, 3]) == [1, 2, 3]
 
 
 def test_singular_rejected():
@@ -33,8 +34,6 @@ def test_singular_rejected():
     zeros = FieldMatrix(f, [[0, 0], [0, 0]])
     with pytest.raises(SingularMatrixError):
         zeros.inverse()
-    with pytest.raises(SingularMatrixError):
-        zeros.solve([1, 2])
 
 
 def test_shape_errors():
@@ -42,8 +41,6 @@ def test_shape_errors():
     m = FieldMatrix(f, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(ValueError):
         m.inverse()
-    with pytest.raises(ValueError):
-        m.solve([1, 2])
     with pytest.raises(ValueError):
         m.matvec([1, 2])
     with pytest.raises(ValueError):
@@ -59,8 +56,9 @@ def test_matmul_and_scale():
     a = FieldMatrix(f, [[1, 2], [3, 4]])
     b = FieldMatrix(f, [[5, 6], [0, 1]])
     assert a.mul(b).to_lists() == [[5, 1], [1, 1]]  # mod 7
-    assert a.scale(3).to_lists() == [[3, 6], [2, 5]]
-    assert a.add(b).sub(b) == a
+    three = FieldMatrix(f, [[3, 0], [0, 3]])
+    assert a.mul(three).to_lists() == [[3, 6], [2, 5]]  # scaling is a product
+    assert a.add(b).to_lists() == [[6, 1], [3, 5]]
 
 
 def test_plant_then_solve():
@@ -69,7 +67,7 @@ def test_plant_then_solve():
     for _ in range(25):
         m = random_invertible(f, 4, rng)
         x = f.random_vector(rng, 4)
-        assert m.solve(m.matvec(x)) == x
+        assert m.inverse().matvec(m.matvec(x)) == x
 
 
 def test_inverse_multiplies_back():
@@ -105,13 +103,13 @@ def test_decoding_matrix_gf5_example():
     m = build_decoding_matrix(pts, (1, 2, 3, 4), 1, 4)
     assert [row[0] for row in m.entries] == [4, 2, 3, 1]
     # Vandermonde block: 1, alpha, alpha^2
-    assert m.to_lists() == [
+    assert [list(row) for row in m.entries] == [
         [4, 1, 2, 4],
         [2, 1, 3, 4],
         [3, 1, 4, 1],
         [1, 1, 0, 0],
     ]
-    assert m.matrix().det() != 0
+    assert det(m.matrix()) != 0
     # memoized: an equal (points, servers, L, width) returns the same matrix
     assert build_decoding_matrix(EvaluationPoints(f, (1,), (2, 3, 4, 0)), (1, 2, 3, 4), 1, 4) is m
 
@@ -122,7 +120,7 @@ def test_decoding_matrix_gf7_two_cauchy_columns():
     pts = EvaluationPoints(f, (1, 2), (3, 4, 5, 6, 0))
     m = build_decoding_matrix(pts, (1, 2, 3, 4, 5), 2, 5)
     fm = m.matrix()
-    assert fm.det() != 0
+    assert det(fm) != 0
     for n, row in zip((1, 2, 3, 4, 5), fm.data):
         a = pts.alpha[n - 1]
         assert row[0] == pow((1 - a) % 7, 5, 7)  # 1/(f1 - a)
@@ -157,7 +155,7 @@ def test_invertibility_500_random_draws():
         pts_pool = rng.sample(range(q), layers + n)
         pts = EvaluationPoints(f, tuple(pts_pool[:layers]), tuple(pts_pool[layers:]))
         m = build_decoding_matrix(pts, tuple(range(1, n + 1)), layers, n)
-        assert m.matrix().det() != 0
+        assert det(m.matrix()) != 0
 
 
 def test_all_row_subsets_of_robust_matrix_invertible():
@@ -170,7 +168,7 @@ def test_all_row_subsets_of_robust_matrix_invertible():
         m = build_decoding_matrix(pts, tuple(range(1, rows + 1)), layers, width)
         fm = m.matrix()
         for subset in combinations(range(rows), width):
-            assert fm.row_submatrix(subset).det() != 0
+            assert det(fm.row_submatrix(subset)) != 0
 
 
 def test_matrix_json_form():

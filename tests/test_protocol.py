@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import xstpir as xp
-from xstpir.protocol import InfeasibleParamsError
+from xstpir.protocol import InfeasibleParamsError, coded_share
 
 from oracles import answer_coefficients, evaluate_coefficients, interference_offset
 
@@ -205,6 +205,75 @@ def test_gen_queries_theta_range():
     for bad in (0, 4):
         with pytest.raises(ValueError):
             xp.gen_queries(bad, qn, pts, p)
+
+
+# ---------------------------------------------------------- residue contract
+
+Q31 = 2**31 - 1
+
+
+def _residues(values, q) -> bool:
+    return all(0 <= v < q for v in values)
+
+
+@pytest.mark.parametrize("q", [2, 5, Q31])
+def test_coded_share_returns_residues(q):
+    """Negative and positive exponents over negative and >= q input vectors."""
+    rng = Random(q)
+    for d in {1, q - 1, rng.randrange(1, q)}:
+        for exponents in ([-2], [3], [-3, -1, 0, 1, 4]):
+            vectors = [
+                [-q - 1, -1, q, 2 * q + 3, rng.randrange(-3 * q, 4 * q)] for _ in exponents
+            ]
+            got = coded_share(d, exponents, vectors, q)
+            assert _residues(got, q)
+            assert got == [
+                sum(pow(d, e, q) * v[j] for e, v in zip(exponents, vectors)) % q
+                for j in range(5)
+            ]
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, 2, 1, 1, 0, 0, 3),  # L + N = q at the smallest q: the last alpha is 0
+        (4, 2, 1, 0, 0, 0, 3),  # T = 0: a query is the bare e_theta slot
+        (7, 1, 1, 1, 1, 1, 2),  # U = B = 1
+    ],
+)
+def test_storage_queries_and_answers_are_residues(shape, smallest_q):
+    """Every entry the kernels return lies in range(q), also from unreduced noise."""
+    p = xp.derive_params(*shape)
+    f = xp.default_field(p) if smallest_q else xp.PrimeField(Q31)
+    q = f.q
+    pts = xp.default_points(p, f)
+    rng = Random(q)
+    msgs = xp.MessageSet.random(f, p, rng)
+
+    def raw():
+        return tuple(rng.randrange(-2 * q, 3 * q) for _ in range(p.num_messages))
+
+    zn = xp.StorageNoise(
+        f, tuple(tuple(raw() for _ in range(p.security)) for _ in range(p.layers))
+    )
+    qn = xp.QueryNoise(
+        f,
+        tuple(
+            tuple(tuple(raw() for _ in range(p.code_dim)) for _ in range(p.privacy))
+            for _ in range(p.layers)
+        ),
+    )
+    storages = xp.encode_storage(msgs, zn, pts, p)
+    assert all(_residues(vec, q) for s in storages for vec in s.shares)
+    for theta in range(1, p.num_messages + 1):
+        queries = xp.gen_queries(theta, qn, pts, p)
+        assert all(_residues(vec, q) for qb in queries for rnd in qb.rounds for vec in rnd)
+        if not p.privacy:  # round K_c holds e_theta at exponent K_c - k = 0 alone
+            assert all(vec[theta - 1] == 1 for qb in queries for vec in qb.rounds[-1])
+        answers = [xp.server_answer(s, qb) for s, qb in zip(storages, queries)]
+        assert all(_residues(a.scalars, q) for a in answers)
+        assert xp.decode(answers, pts, p) == list(msgs.messages[theta - 1])
 
 
 # ------------------------------------------------------------------- answers

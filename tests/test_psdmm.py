@@ -12,7 +12,7 @@ from xstpir.linalg import FieldMatrix
 from xstpir.protocol import InfeasibleParamsError
 import xstpir.psdmm as pm
 
-from oracles import evaluate_matrix_coefficients, share_product_coefficients
+from oracles import evaluate_matrix_coefficients, scale, share_product_coefficients, solve
 
 
 def build_instance(params, seed):
@@ -90,7 +90,7 @@ def test_share_b_single_noise_layer_formula():
     for n in range(1, p.num_servers + 1):
         for l in range(1, p.layers + 1):
             d = pts.diff(l, n)
-            want = b.add(noise.b_noise[l - 1][0].scale(d))
+            want = b.add(scale(noise.b_noise[l - 1][0], d))
             assert shares[n - 1][l - 1] == want
 
 
@@ -103,7 +103,7 @@ def test_share_a_minimal_formula():
     q = field.q
     for n in range(1, p.num_servers + 1):
         d = pts.diff(1, n)
-        want = inst.a_blocks[0].scale(pow(d, q - 2, q)).add(noise.a_noise[0][0])
+        want = scale(inst.a_blocks[0], pow(d, q - 2, q)).add(noise.a_noise[0][0])
         assert shares[n - 1][0] == want
 
 
@@ -129,7 +129,7 @@ def test_share_a_mds_recovery():
             for i in range(p.rows_a):
                 for j in range(p.inner_dim):
                     rhs = [shares[n - 1][l - 1].data[i][j] for n in chosen]
-                    sol = system.solve(rhs)
+                    sol = solve(system, rhs)
                     for k in range(1, kc + 1):
                         assert sol[k - 1] == inst.a_block(p, l, k).data[i][j]
 
@@ -195,9 +195,38 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
         for rk in range(1, p.code_dim + 1):
             for l in range(1, p.layers + 1):
                 d = pts.diff(l, n)
-                assert queries[n - 1][rk - 1][l - 1] == sel.scale(
-                    pow(d, p.code_dim - rk, q)
+                assert queries[n - 1][rk - 1][l - 1] == scale(
+                    sel, pow(d, p.code_dim - rk, q)
                 )
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (4, 1, 1, 0, 2, 2, 2, 2, 1),  # public library: B shares are verbatim
+        (6, 1, 1, 1, 2, 2, 3, 2, 1),
+        (7, 1, 1, 1, 2, 2, 2, 2, 2),  # K_c = 2: selector exponents 1 and 0
+    ],
+)
+def test_shares_and_queries_are_residues(shape, smallest_q):
+    """Every entry of share_a, share_b and psdmm_query lies in range(q)."""
+    p = pm.derive_psdmm_params(*shape)
+    field = pm.default_field(p) if smallest_q else PrimeField(2**31 - 1)
+    q = field.q
+    pts = pm.default_points(p, field)
+    inst = pm.PsdmmInstance.random(field, p, Random(q))
+    noise = pm.PsdmmNoise.random(field, p, Random(q + 1))
+    blocks = [m for per_server in pm.share_a(inst, noise, pts, p) for m in per_server]
+    blocks += [m for per_server in pm.share_b(inst, noise, pts, p) for m in per_server]
+    for theta in range(1, p.library_size + 1):
+        blocks += [
+            m
+            for per_server in pm.psdmm_query(theta, noise, pts, p)
+            for per_round in per_server
+            for m in per_round
+        ]
+    assert all(0 <= v < q for m in blocks for row in m.data for v in row)
 
 
 # ------------------------------------------------------- answers and decode

@@ -149,6 +149,7 @@ def test_sweep_honest_grid():
     grid = params_grid([4, 5], [1, 2], [0, 1], [1], [0, 1], [0], [2])
     s = sweep(grid, "honest", seeds=(0, 1))
     assert s.all_passed and s.total_sessions == len(grid) * 2 * 2
+    assert [c.adversary_label for c in s.cells] == ["honest"] * len(grid)
     csv = s.to_csv()
     assert csv.splitlines()[0] == "params,adversary,sessions,passes,failures"
 

@@ -1,29 +1,40 @@
-"""The traced benchmark patches names in xstpir; they must all still exist.
+"""The benchmark's view of xstpir: every name it patches or calls must still work.
 
-``perfbench/tracing.py`` is imported as it is, without running a benchmark,
-so a rename or deletion it depends on fails here in seconds.
+``perfbench/tracing.py`` and ``perfbench/workloads.py`` are imported as they
+are, without running a benchmark, so a rename or deletion they depend on fails
+here in seconds.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from xstpir import robust
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_is_bound_where_it_is_patched():
-    tracing = _tracing()
+    tracing = _load("tracing")
     targets = [(owners, attr) for _, owners, attr, _ in tracing.TARGETS]
     targets.append(((robust.RobustDecoder,), "candidates"))
     for owners, attr in targets:
         for owner in owners:
             assert attr in owner.__dict__, f"{owner.__name__} no longer binds {attr}"
     assert callable(robust.decoder_for.cache_info)
+
+
+@pytest.mark.parametrize("name", ["bulk", "byzantine", "desk", "psdmm"])
+def test_every_workload_runs_one_checked_op(name):
+    workload = _load("workloads").WORKLOADS[name](seed=1)
+    workload.setup()
+    inp = workload.inputs(0)
+    assert workload.check(inp, workload.op(inp)) is None
