@@ -12,7 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import islice, product
+from math import prod
 import json
 
 from .linalg import EvaluationPoints
@@ -27,6 +29,7 @@ from .protocol import (
     default_points,
     encode_storage,
     gen_queries,
+    nested,
 )
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -85,39 +88,35 @@ class AuditVerdict:
         )
 
 
-def _check_budget(cfg: AuditConfig, free_symbols: int, q: int) -> int:
-    states = q**free_symbols
+def _audit(cfg: AuditConfig, points: EvaluationPoints, shape, views) -> AuditVerdict:
+    """Enumerate every noise tensor of ``shape``; compare the views' distributions.
+
+    Each view maps a noise tensor to the N servers' observations; the colluding
+    servers' joint observation is counted per view, and the audit passes when
+    every view has the same distribution.
+    """
+    q = points.field.q
+    free = prod(shape)
+    states = q**free
     if states > cfg.state_budget:
         raise ValueError(
             f"enumeration needs {states} states, over the budget of {cfg.state_budget}"
         )
-    return states
-
-
-def _storage_distribution(
-    cfg: AuditConfig, msgs: MessageSet, points: EvaluationPoints
-) -> Counter:
-    """Joint distribution of the colluding servers' shares over all storage noise."""
-    p = cfg.params
-    q = points.field.q
-    dist: Counter = Counter()
-    free = p.layers * p.security * p.num_messages
-    for flat in product(range(q), repeat=free):
-        it = iter(flat)
-        noise = StorageNoise(
-            points.field,
-            tuple(
-                tuple(
-                    tuple(next(it) for _ in range(p.num_messages))
-                    for _ in range(p.security)
-                )
-                for _ in range(p.layers)
-            ),
-        )
-        storages = encode_storage(msgs, noise, points, p)
-        obs = tuple(storages[n - 1].shares for n in cfg.colluding)
-        dist[obs] += 1
-    return dist
+    dists = []
+    for view in views:
+        dist: Counter = Counter()
+        for flat in product(range(q), repeat=free):
+            observed = view(nested(shape, partial(islice, iter(flat))))
+            dist[tuple(observed[n - 1] for n in cfg.colluding)] += 1
+        dists.append(dist)
+    return AuditVerdict(
+        target=cfg.target,
+        colluding=cfg.colluding,
+        states_enumerated=len(views) * states,
+        passed=all(d == dists[0] for d in dists),
+        support_size=len(set().union(*dists)),
+        within_budget=cfg.within_budget,
+    )
 
 
 def audit_storage_security(
@@ -134,46 +133,13 @@ def audit_storage_security(
         raise ValueError("no storage secrecy is claimed at X = 0")
     if points is None:
         points = default_points(p)
-    states = _check_budget(cfg, p.layers * p.security * p.num_messages, points.field.q)
-    dist_a = _storage_distribution(cfg, msgs_a, points)
-    dist_b = _storage_distribution(cfg, msgs_b, points)
-    return AuditVerdict(
-        target=cfg.target,
-        colluding=cfg.colluding,
-        states_enumerated=2 * states,
-        passed=dist_a == dist_b,
-        support_size=len(dist_a | dist_b),
-        within_budget=cfg.within_budget,
-    )
-
-
-def _query_distribution(
-    cfg: AuditConfig, theta: int, points: EvaluationPoints
-) -> Counter:
-    """Joint distribution of the colluding servers' queries over all query noise."""
-    p = cfg.params
-    q = points.field.q
-    dist: Counter = Counter()
-    free = p.layers * p.privacy * p.code_dim * p.num_messages
-    for flat in product(range(q), repeat=free):
-        it = iter(flat)
-        noise = QueryNoise(
-            points.field,
-            tuple(
-                tuple(
-                    tuple(
-                        tuple(next(it) for _ in range(p.num_messages))
-                        for _ in range(p.code_dim)
-                    )
-                    for _ in range(p.privacy)
-                )
-                for _ in range(p.layers)
-            ),
-        )
-        queries = gen_queries(theta, noise, points, p)
-        obs = tuple(queries[n - 1].rounds for n in cfg.colluding)
-        dist[obs] += 1
-    return dist
+    views = [
+        lambda z, m=m: [
+            s.shares for s in encode_storage(m, StorageNoise(points.field, z), points, p)
+        ]
+        for m in (msgs_a, msgs_b)
+    ]
+    return _audit(cfg, points, StorageNoise.shape(p), views)
 
 
 def audit_query_privacy(
@@ -185,32 +151,26 @@ def audit_query_privacy(
 
     Storage is generated independently of the desired index and of the query
     noise (the seed split in the simulator keeps the streams separate), so the
-    joint observed-by-colluders test reduces to this query marginal.
+    joint observed-by-colluders test reduces to this query marginal.  Equal
+    indices give one view, enumerated once.
     """
     p = cfg.params
     if cfg.target != "query-privacy":
         raise ValueError("config target is not query-privacy")
     if p.privacy == 0:
         raise ValueError("no query privacy is claimed at T = 0")
-    theta_a, theta_b = theta_pair
-    for th in (theta_a, theta_b):
+    for th in theta_pair:
         if not 1 <= th <= p.num_messages:
             raise ValueError(f"theta must be in 1..{p.num_messages}")
     if points is None:
         points = default_points(p)
-    states = _check_budget(
-        cfg, p.layers * p.privacy * p.code_dim * p.num_messages, points.field.q
-    )
-    dist_a = _query_distribution(cfg, theta_a, points)
-    dist_b = dist_a if theta_a == theta_b else _query_distribution(cfg, theta_b, points)
-    return AuditVerdict(
-        target=cfg.target,
-        colluding=cfg.colluding,
-        states_enumerated=(1 if theta_a == theta_b else 2) * states,
-        passed=dist_a == dist_b,
-        support_size=len(dist_a | dist_b),
-        within_budget=cfg.within_budget,
-    )
+    views = [
+        lambda zp, th=th: [
+            qb.rounds for qb in gen_queries(th, QueryNoise(points.field, zp), points, p)
+        ]
+        for th in dict.fromkeys(theta_pair)
+    ]
+    return _audit(cfg, points, QueryNoise.shape(p), views)
 
 
 @dataclass(frozen=True)

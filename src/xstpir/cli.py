@@ -83,13 +83,10 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _field_for(params, q):
+    """The default field, or GF(q) for a prime override; ``default_points`` checks q >= L + N."""
     if q is None:
         return default_field(params)
-    q = int(q)
-    field = PrimeField(q)  # rejects non-prime q
-    if q < params.min_field_size:
-        raise ValueError(f"q = {q} < L + N = {params.min_field_size}")
-    return field
+    return PrimeField(int(q))  # rejects non-prime q
 
 
 def _write_or_print(text: str, path: str | None):

@@ -8,10 +8,11 @@ with the f's and a's drawn from one pool of pairwise distinct field elements.
 Every width-row square submatrix of such a matrix is invertible, which is what
 makes both plain and error-tolerant decoding work.
 
-``FieldMatrix`` reduces its entries on construction and every product, sum and
-inverse is a residue matrix.  ``FieldMatrix.inverse`` is the package's one
-Gauss-Jordan elimination; it uses first-nonzero pivoting, since arithmetic is
-exact and pivot magnitude is irrelevant.
+``FieldMatrix(...)`` reduces caller entries on construction; every product,
+sum, inverse and submatrix is already a residue matrix and is wrapped as it
+is.  ``FieldMatrix.inverse`` is the package's one Gauss-Jordan elimination; it
+uses first-nonzero pivoting, since arithmetic is exact and pivot magnitude is
+irrelevant.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class FieldMatrix:
     """Dense rows x cols matrix of residues sharing one PrimeField.
 
     The constructor reduces every entry mod q: caller data enters here.
+    Results the package computes as residues skip that through ``_of_residues``.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -45,6 +47,13 @@ class FieldMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.data = rows
+
+    @classmethod
+    def _of_residues(cls, field: PrimeField, rows: list[list[int]]) -> "FieldMatrix":
+        """Wrap non-empty, equal-length row lists that already hold residues, unreduced."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, len(rows), len(rows[0]), rows
+        return m
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
@@ -69,7 +78,7 @@ class FieldMatrix:
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ValueError("shape mismatch")
         q = self.field.q
-        return FieldMatrix(
+        return FieldMatrix._of_residues(
             self.field,
             [
                 [(a + b) % q for a, b in zip(ra, rb)]
@@ -87,7 +96,7 @@ class FieldMatrix:
             [sum(a * b for a, b in zip(row, col)) % q for col in bt]
             for row in self.data
         ]
-        return FieldMatrix(self.field, out)
+        return FieldMatrix._of_residues(self.field, out)
 
     def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
@@ -114,10 +123,10 @@ class FieldMatrix:
                 if r != col and a[r][col]:
                     f = a[r][col]
                     a[r] = [(vr - f * vc) % q for vr, vc in zip(a[r], a[col])]
-        return FieldMatrix(self.field, [row[n:] for row in a])
+        return FieldMatrix._of_residues(self.field, [row[n:] for row in a])
 
     def row_submatrix(self, row_indices) -> "FieldMatrix":
-        return FieldMatrix(self.field, [self.data[i] for i in row_indices])
+        return FieldMatrix._of_residues(self.field, [self.data[i] for i in row_indices])
 
     def to_lists(self) -> list[list[int]]:
         """Nested lists of decimal residues (the JSON form)."""
@@ -181,7 +190,7 @@ class DecodingMatrix:
         return self.points.field
 
     def matrix(self) -> FieldMatrix:
-        return FieldMatrix(self.points.field, [list(r) for r in self.entries])
+        return FieldMatrix._of_residues(self.points.field, [list(r) for r in self.entries])
 
 
 @lru_cache(maxsize=4096)

@@ -22,8 +22,9 @@ answers entering ``decode_rounds`` reduce caller data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import DecodingMatrix, EvaluationPoints, FieldMatrix, build_decoding_matrix
@@ -36,9 +37,11 @@ class InfeasibleParamsError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Validated parameter tuple with the derived layer count and message length.
+    """Validated parameter tuple; the layer count and message length are computed.
 
-    layers = (N - U) - (K_c + X + T + 2B - 1) and message_len = layers * K_c.
+    layers = (N - U) - (K_c + X + T + 2B - 1) and message_len = layers * K_c
+    are set here from the seven inputs and cannot be passed.  L >= 1 with
+    K_c >= 1 also bounds X, T <= N - 1 and U <= N - 1.
     """
 
     num_servers: int        # N
@@ -48,25 +51,19 @@ class ProtocolParams:
     max_unresponsive: int   # U
     max_byzantine: int      # B
     num_messages: int       # K
-    layers: int             # L, derived
-    message_len: int        # ell = L * K_c, derived
+    layers: int = dc_field(init=False)       # L, derived
+    message_len: int = dc_field(init=False)  # ell = L * K_c, derived
 
     def __post_init__(self):
         n, kc, x, t = self.num_servers, self.code_dim, self.security, self.privacy
         u, b, k = self.max_unresponsive, self.max_byzantine, self.num_messages
         if min(n, kc, k) < 1 or min(x, t, u, b) < 0:
             raise ValueError("need N, K_c, K >= 1 and X, T, U, B >= 0")
-        if x > n or t > n:
-            raise ValueError("X and T cannot exceed the server count")
-        if u >= n:
-            raise ValueError("U must leave at least one responsive server")
-        expected = (n - u) - (kc + x + t + 2 * b - 1)
-        if self.layers != expected or self.message_len != self.layers * kc:
-            raise ValueError("derived fields inconsistent; use derive_params()")
-        if self.layers < 1:
-            raise InfeasibleParamsError(
-                f"L = {self.layers} < 1: N-U too small for K_c+X+T+2B-1"
-            )
+        layers = (n - u) - (kc + x + t + 2 * b - 1)
+        if layers < 1:
+            raise InfeasibleParamsError(f"L = {layers} < 1: N-U too small for K_c+X+T+2B-1")
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "message_len", layers * kc)
 
     @property
     def interference_span(self) -> int:
@@ -97,20 +94,9 @@ def derive_params(
     max_byzantine: int = 0,
     num_messages: int = 1,
 ) -> ProtocolParams:
-    """Compute the derived layer count / message length, rejecting L < 1."""
-    layers = (num_servers - max_unresponsive) - (
-        code_dim + security + privacy + 2 * max_byzantine - 1
-    )
+    """The parameter tuple with U, B and K defaulted; rejects L < 1."""
     return ProtocolParams(
-        num_servers=num_servers,
-        code_dim=code_dim,
-        security=security,
-        privacy=privacy,
-        max_unresponsive=max_unresponsive,
-        max_byzantine=max_byzantine,
-        num_messages=num_messages,
-        layers=layers,
-        message_len=layers * code_dim,
+        num_servers, code_dim, security, privacy, max_unresponsive, max_byzantine, num_messages
     )
 
 
@@ -136,6 +122,17 @@ def default_points(params, field: PrimeField | None = None) -> EvaluationPoints:
     if field is None:
         field = default_field(params)
     return EvaluationPoints.default(field, params.layers, params.num_servers)
+
+
+def nested(shape, vector) -> tuple:
+    """Nested tuples over ``shape`` (two axes or more); innermost: ``vector(shape[-1])``.
+
+    The innermost vectors are drawn in row-major order, so a random draw and an
+    audit's enumeration fill one layout the same way.
+    """
+    if len(shape) == 2:  # the innermost level is one loop, not a call per vector
+        return tuple([tuple(vector(shape[1])) for _ in range(shape[0])])
+    return tuple([nested(shape[1:], vector) for _ in range(shape[0])])
 
 
 @dataclass(frozen=True)
@@ -176,15 +173,9 @@ class MessageSet:
 
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "MessageSet":
-        return cls(
-            field,
-            params.layers,
-            params.code_dim,
-            tuple(
-                tuple(field.random_vector(rng, params.message_len))
-                for _ in range(params.num_messages)
-            ),
-        )
+        shape = (params.num_messages, params.message_len)
+        vectors = nested(shape, partial(field.random_vector, rng))
+        return cls(field, params.layers, params.code_dim, vectors)
 
 
 @dataclass(frozen=True)
@@ -194,18 +185,13 @@ class StorageNoise:
     field: PrimeField
     z: tuple[tuple[tuple[int, ...], ...], ...]  # [l][x] -> K-vector
 
+    @staticmethod
+    def shape(params: ProtocolParams) -> tuple[int, int, int]:
+        return (params.layers, params.security, params.num_messages)
+
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "StorageNoise":
-        return cls(
-            field,
-            tuple(
-                tuple(
-                    tuple(field.random_vector(rng, params.num_messages))
-                    for _ in range(params.security)
-                )
-                for _ in range(params.layers)
-            ),
-        )
+        return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
 
     def vector(self, l: int, x: int) -> tuple[int, ...]:
         return self.z[l - 1][x - 1]
@@ -218,21 +204,13 @@ class QueryNoise:
     field: PrimeField
     zp: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] -> K-vector
 
+    @staticmethod
+    def shape(params: ProtocolParams) -> tuple[int, int, int, int]:
+        return (params.layers, params.privacy, params.code_dim, params.num_messages)
+
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "QueryNoise":
-        return cls(
-            field,
-            tuple(
-                tuple(
-                    tuple(
-                        tuple(field.random_vector(rng, params.num_messages))
-                        for _ in range(params.code_dim)
-                    )
-                    for _ in range(params.privacy)
-                )
-                for _ in range(params.layers)
-            ),
-        )
+        return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
 
     def vector(self, l: int, t: int, round_k: int) -> tuple[int, ...]:
         return self.zp[l - 1][t - 1][round_k - 1]

@@ -15,8 +15,9 @@ flattened row-major; they come back as ``FieldMatrix``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import count
 
 from .field import PrimeField
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
@@ -31,7 +32,11 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
 
 @dataclass(frozen=True)
 class PsdmmParams:
-    """Parameter tuple for one multiplication instance, with derived layout."""
+    """Parameter tuple for one multiplication instance; the layout is computed.
+
+    ``layers`` (``_derived_layers``) and block_count = K_c * layers are set
+    here from the nine inputs and cannot be passed.
+    """
 
     num_servers: int    # N
     privacy: int        # T
@@ -42,8 +47,8 @@ class PsdmmParams:
     inner_dim: int      # chi
     cols_b: int         # mu
     code_dim: int       # K_c
-    layers: int         # L, derived
-    block_count: int    # ell = K_c * L, derived
+    layers: int = dc_field(init=False)       # L, derived
+    block_count: int = dc_field(init=False)  # ell = K_c * L, derived
 
     def __post_init__(self):
         if min(self.num_servers, self.library_size, self.code_dim) < 1:
@@ -52,12 +57,13 @@ class PsdmmParams:
             raise ValueError("matrix dimensions must be positive")
         if min(self.privacy, self.security_a, self.security_b) < 0:
             raise ValueError("T, X_A, X_B must be non-negative")
-        if self.layers != _derived_layers(
+        layers = _derived_layers(
             self.num_servers, self.privacy, self.security_a, self.security_b, self.code_dim
-        ) or self.block_count != self.layers * self.code_dim:
-            raise ValueError("derived fields inconsistent; use derive_psdmm_params()")
-        if self.layers < 1:
-            raise InfeasibleParamsError(f"L = {self.layers} < 1: K_c too large for N")
+        )
+        if layers < 1:
+            raise InfeasibleParamsError(f"L = {layers} < 1: K_c too large for N")
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "block_count", layers * self.code_dim)
 
     @property
     def shared_library(self) -> bool:
@@ -90,6 +96,7 @@ class PsdmmParams:
 
 
 def _derived_layers(n: int, t: int, xa: int, xb: int, kc: int) -> int:
+    """L = N - (X_A + X_B + T + 2K_c - 2) with a shared library, else N - (X_A + T + K_c - 1)."""
     if xb > 0:
         return n - (xa + xb + t + 2 * kc - 2)
     return n - (xa + t + kc - 1)
@@ -106,24 +113,15 @@ def derive_psdmm_params(
     cols_b: int,
     code_dim: int,
 ) -> PsdmmParams:
-    layers = _derived_layers(num_servers, privacy, security_a, security_b, code_dim)
+    """The parameter tuple, positionally; rejects L < 1."""
     return PsdmmParams(
-        num_servers=num_servers,
-        privacy=privacy,
-        security_a=security_a,
-        security_b=security_b,
-        library_size=library_size,
-        rows_a=rows_a,
-        inner_dim=inner_dim,
-        cols_b=cols_b,
-        code_dim=code_dim,
-        layers=layers,
-        block_count=layers * code_dim,
+        num_servers, privacy, security_a, security_b, library_size, rows_a, inner_dim, cols_b,
+        code_dim,
     )
 
 
 def _random_matrix(field: PrimeField, rng, rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix(field, [field.random_vector(rng, cols) for _ in range(rows)])
+    return FieldMatrix._of_residues(field, [field.random_vector(rng, cols) for _ in range(rows)])
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ class PsdmmInstance:
             [v for bm in self.b_library for v in bm.data[r]]
             for r in range(self.b_library[0].rows)
         ]
-        return FieldMatrix(self.field, data)
+        return FieldMatrix._of_residues(self.field, data)
 
     def a_block(self, params: PsdmmParams, l: int, k: int) -> FieldMatrix:
         """A_lk = A_(L(k-1)+l), 1-based."""
@@ -206,7 +204,8 @@ def _flat(m: FieldMatrix) -> list[int]:
 
 
 def _matrix(field: PrimeField, flat, cols: int) -> FieldMatrix:
-    return FieldMatrix(field, [flat[i:i + cols] for i in range(0, len(flat), cols)])
+    rows = [list(flat[i:i + cols]) for i in range(0, len(flat), cols)]
+    return FieldMatrix._of_residues(field, rows)
 
 
 def _shares(points: EvaluationPoints, params: PsdmmParams, exponents, terms, cols: int):
@@ -258,7 +257,7 @@ def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int
     base = (theta - 1) * cols_b
     for i in range(cols_b):
         data[base + i][i] = 1
-    return FieldMatrix(field, data)
+    return FieldMatrix._of_residues(field, data)
 
 
 def psdmm_query(
@@ -356,20 +355,16 @@ def prior_download_cost(num_servers: int, code_dim: int) -> Fraction:
 def cost_hull(
     num_servers: int, privacy: int, security_a: int, security_b: int
 ) -> list[CostReport]:
-    """All feasible (upload, download) pairs, one per K_c; infeasible K_c dropped.
+    """All feasible (upload, download) pairs, one per K_c = 1, 2, ... while L >= 1.
 
     When X_A = T = 1 and X_B = 0 each report carries the prior scheme's
     asymptotic download for comparison.
     """
-    if security_b > 0:
-        kc_max = (num_servers + 1 - security_a - security_b - privacy) // 2
-    else:
-        kc_max = num_servers + 1 - security_a - privacy
     reports = []
-    for kc in range(1, max(kc_max, 0) + 1):
+    for kc in count(1):  # L falls as K_c grows: stop at the first L < 1
         layers = _derived_layers(num_servers, privacy, security_a, security_b, kc)
         if layers < 1:
-            continue
+            return reports
         prior = None
         if security_a == 1 and privacy == 1 and security_b == 0:
             prior = prior_download_cost(num_servers, kc)
@@ -382,4 +377,3 @@ def cost_hull(
                 prior_download=prior,
             )
         )
-    return reports

@@ -19,6 +19,7 @@ from random import Random
 from .field import PrimeField
 from .protocol import (
     AnswerBundle,
+    InfeasibleParamsError,
     MessageSet,
     ProtocolParams,
     QueryNoise,
@@ -205,9 +206,7 @@ def run_session(
     adversary.validate(params, strict=strict)
     if field is None:
         field = default_field(params)
-    if field.q < params.min_field_size:
-        raise ValueError(f"field size {field.q} < L + N = {params.min_field_size}")
-    points = default_points(params, field)
+    points = default_points(params, field)  # rejects q < L + N
     role_seeds = {
         role: derive_seed(seed, role)
         for role in ("messages", "storage-noise", "query-noise")
@@ -375,11 +374,11 @@ def params_grid(
                         for b in b_range:
                             if kc == 1 and x == 0 and t == 0 and b == 0:
                                 continue
-                            if u >= n:
-                                continue
-                            layers = (n - u) - (kc + x + t + 2 * b - 1)
-                            if layers < 1:
+                            if u >= n:  # also skips N = 0, which is not a tuple at all
                                 continue
                             for k in k_range:
-                                out.append(derive_params(n, kc, x, t, u, b, k))
+                                try:
+                                    out.append(derive_params(n, kc, x, t, u, b, k))
+                                except InfeasibleParamsError:
+                                    break  # L does not depend on K
     return out

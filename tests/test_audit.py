@@ -75,8 +75,13 @@ def test_query_audit_fails_beyond_budget():
 
 def test_query_audit_same_theta_trivially_passes():
     p = xp.derive_params(3, 1, 1, 1, num_messages=2)
-    v = audit_query_privacy(AuditConfig(p, (2,), "query-privacy"), (2, 2))
+    cfg = AuditConfig(p, (2,), "query-privacy")
+    v = audit_query_privacy(cfg, (2, 2))
     assert v.passed
+    # one distinct index is one view, enumerated once
+    free = p.layers * p.privacy * p.code_dim * p.num_messages
+    assert v.states_enumerated == xp.default_field(p).q ** free
+    assert audit_query_privacy(cfg, (2, 1)).to_json() == audit_query_privacy(cfg, (1, 2)).to_json()
 
 
 def test_query_audit_theta_range_checked():

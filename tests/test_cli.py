@@ -57,6 +57,16 @@ def test_q_override_validation(capsys):
     assert code == 0
 
 
+def test_audit_q_override_validation(capsys):
+    base = ["audit", "--N", "5", "--Kc", "2", "--X", "1", "--T", "1", "--K", "1"]
+    code, _, err = run(capsys, *base, "--q", "6")
+    assert code == 1 and "prime" in err
+    code, _, err = run(capsys, *base, "--q", "5")  # L + N = 2 + 5
+    assert code == 1 and "L + N" in err
+    code, out, _ = run(capsys, *base, "--q", "11")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_retrieve_with_adversary(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -80,6 +80,20 @@ def test_inverse_multiplies_back():
             assert m.inverse().mul(m) == FieldMatrix.identity(f, n)
 
 
+def test_products_sums_and_inverses_are_residues():
+    """mul, add and inverse return row lists of residues, also from unreduced input."""
+    rng = Random(9)
+    for q in (2, 5, 2**31 - 1):
+        f = PrimeField(q)
+        for n in (1, 3, 4):
+            a = random_invertible(f, n, rng)
+            unreduced = [[rng.randrange(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
+            b = FieldMatrix(f, unreduced)
+            for m in (a.mul(b), b.mul(a), a.add(b), b.add(b), a.inverse()):
+                assert all(isinstance(row, list) for row in m.data)
+                assert all(0 <= v < q for row in m.data for v in row)
+
+
 def test_evaluation_points_distinctness():
     f = PrimeField(5)
     with pytest.raises(ValueError):

@@ -48,8 +48,13 @@ def test_derive_params_validation():
         xp.derive_params(4, 1, 5, 1)  # X > N
     with pytest.raises(ValueError):
         xp.derive_params(4, 1, 1, 1, max_unresponsive=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # L and ell are computed, not passed
         xp.ProtocolParams(4, 2, 1, 1, 0, 0, 2, layers=2, message_len=4)
+    # L >= 1 bounds X, T and U below N: larger values are infeasible tuples
+    for args in ((4, 1, 5, 1), (4, 1, 1, 5), (4, 1, 1, 1, 4), (3, 2, 0, 0, 3)):
+        with pytest.raises(InfeasibleParamsError):
+            xp.derive_params(*args)
+    assert xp.ProtocolParams(5, 2, 1, 1, 0, 0, 2) == xp.derive_params(5, 2, 1, 1, 0, 0, 2)
 
 
 def test_rates():

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -57,6 +57,14 @@ def test_params_infeasible_kc_rejected():
         pm.derive_psdmm_params(4, 1, 1, 0, 2, 1, 1, 1, code_dim=3)  # L = 0
     with pytest.raises(ValueError):
         pm.derive_psdmm_params(4, 1, 1, 0, 0, 1, 1, 1, code_dim=1)  # M = 0
+
+
+def test_params_derived_fields_not_settable():
+    with pytest.raises(TypeError):  # L and ell are computed, not passed
+        pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1, layers=3, block_count=3)
+    p = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
+    assert p == pm.derive_psdmm_params(6, 1, 1, 1, 2, 2, 2, 2, 1)
+    assert (p.layers, p.block_count) == (3, 3)
 
 
 def test_kc_range_endpoint_feasible_when_library_shared():
@@ -210,22 +218,22 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
     ],
 )
 def test_shares_and_queries_are_residues(shape, smallest_q):
-    """Every entry of share_a, share_b and psdmm_query lies in range(q)."""
+    """Every entry of the shares, queries, answers and decoded blocks lies in range(q)."""
     p = pm.derive_psdmm_params(*shape)
     field = pm.default_field(p) if smallest_q else PrimeField(2**31 - 1)
     q = field.q
     pts = pm.default_points(p, field)
     inst = pm.PsdmmInstance.random(field, p, Random(q))
     noise = pm.PsdmmNoise.random(field, p, Random(q + 1))
-    blocks = [m for per_server in pm.share_a(inst, noise, pts, p) for m in per_server]
-    blocks += [m for per_server in pm.share_b(inst, noise, pts, p) for m in per_server]
+    a_sh = pm.share_a(inst, noise, pts, p)
+    b_sh = pm.share_b(inst, noise, pts, p)
+    blocks = [m for per_server in a_sh + b_sh for m in per_server]
     for theta in range(1, p.library_size + 1):
-        blocks += [
-            m
-            for per_server in pm.psdmm_query(theta, noise, pts, p)
-            for per_round in per_server
-            for m in per_round
-        ]
+        queries = pm.psdmm_query(theta, noise, pts, p)
+        blocks += [m for per_server in queries for per_round in per_server for m in per_round]
+        answers = [pm.psdmm_answer(*server) for server in zip(a_sh, b_sh, queries)]
+        blocks += [m for rounds in answers for m in rounds]
+        blocks += pm.psdmm_decode(answers, pts, p)
     assert all(0 <= v < q for m in blocks for row in m.data for v in row)
 
 
@@ -371,6 +379,17 @@ def test_cost_hull_drops_infeasible_kc():
     n, xa, t = 5, 1, 1
     hull = pm.cost_hull(n, t, xa, 0)
     assert [r.code_dim for r in hull] == list(range(1, n - xa - t + 1))
+    # every hull lists exactly the K_c in 1..N that the parameter tuple accepts
+    for n in range(1, 12):
+        for t, xa, xb in product(range(3), repeat=3):
+            feasible = []
+            for kc in range(1, n + 1):
+                try:
+                    pm.derive_psdmm_params(n, t, xa, xb, 2, 1, 1, 1, code_dim=kc)
+                except InfeasibleParamsError:
+                    continue
+                feasible.append(kc)
+            assert [r.code_dim for r in pm.cost_hull(n, t, xa, xb)] == feasible
 
 
 def test_end_to_end_grid_both_regimes():

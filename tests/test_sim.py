@@ -1,6 +1,8 @@
 """Simulation harness: determinism, adversaries, sweeps, transcripts."""
 
 import json
+from dataclasses import asdict
+from itertools import product
 
 import pytest
 
@@ -166,6 +168,24 @@ def test_sweep_empty_grid():
     s = sweep([], "honest")
     assert s.cells == () and s.all_passed and s.total_sessions == 0
     assert s.to_csv() == "params,adversary,sessions,passes,failures\n"
+
+
+def test_params_grid_matches_layer_formula():
+    """The grid keeps exactly the tuples with U < N and L >= 1, minus the corner.
+
+    The ranges reach X, T > N, U >= N and N = 0.
+    """
+    ranges = (range(10), range(1, 4), range(12), range(12), range(11), range(3), range(1, 3))
+    want = [
+        (n, kc, x, t, u, b, k, layers, layers * kc)
+        for n, kc, x, t, u, b in product(*ranges[:6])
+        if u < n and not (kc == 1 and x == t == b == 0)
+        for layers in [(n - u) - (kc + x + t + 2 * b - 1)]
+        if layers >= 1
+        for k in ranges[6]
+    ]
+    got = [tuple(asdict(p).values()) for p in params_grid(*ranges)]
+    assert got == want and len(got) == 3032
 
 
 def test_params_grid_skips_infeasible_and_pure_cauchy_corner():

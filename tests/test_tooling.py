@@ -38,3 +38,6 @@ def test_every_workload_runs_one_checked_op(name):
     workload.setup()
     inp = workload.inputs(0)
     assert workload.check(inp, workload.op(inp)) is None
+    if name != "desk":  # the derived layout stays in the provenance; desk's is text
+        derived = {"layers", "block_count" if name == "psdmm" else "message_len"}
+        assert derived <= set(workload.describe()["params"])
