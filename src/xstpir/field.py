@@ -14,6 +14,8 @@ Caller data is reduced once, where it enters the library: ``MessageSet``,
 
 from __future__ import annotations
 
+from itertools import repeat
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; q is desk-scale and fits a machine word."""
@@ -65,7 +67,20 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
     def random_vector(self, rng, n: int) -> list[int]:
-        rr = rng.randrange
+        """n uniform residues: the values, and the rng state after, of n ``rng.randrange(q)``.
+
+        ``randrange(q)`` draws ``getrandbits(q.bit_length())`` until a value is
+        below q.  The first n draws are made at once and the rejected ones
+        dropped; one draw at a time then tops the vector up, so no draw is made
+        that ``randrange`` would not make.
+        """
         q = self.q
-        return [rr(q) for _ in range(n)]
+        k = q.bit_length()
+        draw = rng.getrandbits
+        out = [v for v in map(draw, repeat(k, n)) if v < q]
+        while len(out) < n:
+            v = draw(k)
+            if v < q:
+                out.append(v)
+        return out
 

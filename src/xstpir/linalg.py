@@ -13,12 +13,24 @@ sum, inverse and submatrix is already a residue matrix and is wrapped as it
 is.  ``FieldMatrix.inverse`` is the package's one Gauss-Jordan elimination; it
 uses first-nonzero pivoting, since arithmetic is exact and pivot magnitude is
 irrelevant.
+
+``FieldMatrix.mul`` packs each row of its right operand into one Python int,
+one fixed-width slot per entry.  A slot is the byte length of
+``inner * (q - 1)**2``, the largest sum of ``inner`` products of residues, so
+a row of the left operand times the packed rows, summed, carries out of no
+slot; each output entry is then read back from its slot and reduced mod q
+once.  The width follows q and the inner dimension, so any prime q works.
+The kernel is pure Python on purpose: importing numpy next to the package
+raises a process's peak resident memory from about 20 MB to about 33 MB
+(``ru_maxrss``, Python 3.11, numpy 2.4), half again the peak of a whole
+Byzantine retrieval session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .field import PrimeField
 
@@ -91,18 +103,25 @@ class FieldMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         q = self.field.q
-        bt = list(zip(*other.data))  # columns of other
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % q for col in bt]
-            for row in self.data
+        slot = ((self.cols * (q - 1) ** 2).bit_length() + 7) // 8  # bytes per entry
+        size = slot * other.cols
+        from_bytes = int.from_bytes
+        packed = [
+            from_bytes(b"".join([v.to_bytes(slot, "little") for v in row]), "little")
+            for row in other.data
         ]
+        starts = range(0, size, slot)
+        out = []
+        for row in self.data:
+            sums = sum(map(mul, row, packed)).to_bytes(size, "little")
+            out.append([from_bytes(sums[i:i + slot], "little") % q for i in starts])
         return FieldMatrix._of_residues(self.field, out)
 
     def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         q = self.field.q
-        return [sum(a * b for a, b in zip(row, vec)) % q for row in self.data]
+        return [sum(map(mul, row, vec)) % q for row in self.data]
 
     def inverse(self) -> "FieldMatrix":
         """Gauss-Jordan inverse; raises SingularMatrixError if singular."""

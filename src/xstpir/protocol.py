@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import DecodingMatrix, EvaluationPoints, FieldMatrix, build_decoding_matrix
@@ -352,7 +353,7 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
         for s, qv in zip(storage.shares, per_layer):
             if len(s) != len(qv):
                 raise ValueError("share and query vector lengths differ")
-            acc += sum(a * b for a, b in zip(s, qv))
+            acc += sum(map(mul, s, qv))
         scalars.append(acc % q)
     return AnswerBundle(storage.server, tuple(scalars))
 

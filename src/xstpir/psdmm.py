@@ -124,6 +124,12 @@ def _random_matrix(field: PrimeField, rng, rows: int, cols: int) -> FieldMatrix:
     return FieldMatrix._of_residues(field, [field.random_vector(rng, cols) for _ in range(rows)])
 
 
+def _side_by_side(blocks) -> FieldMatrix:
+    """[M_1 M_2 ...]: matrices of equal height joined column-wise."""
+    rows = zip(*(m.data for m in blocks))
+    return FieldMatrix._of_residues(blocks[0].field, [[v for row in r for v in row] for r in rows])
+
+
 @dataclass(frozen=True)
 class PsdmmInstance:
     """The ell confidential blocks, the library, and its concatenation."""
@@ -135,11 +141,7 @@ class PsdmmInstance:
     @property
     def b_concat(self) -> FieldMatrix:
         """[B_1 B_2 ... B_M], chi x M*mu."""
-        data = [
-            [v for bm in self.b_library for v in bm.data[r]]
-            for r in range(self.b_library[0].rows)
-        ]
-        return FieldMatrix._of_residues(self.field, data)
+        return _side_by_side(self.b_library)
 
     def a_block(self, params: PsdmmParams, l: int, k: int) -> FieldMatrix:
         """A_lk = A_(L(k-1)+l), 1-based."""
@@ -284,19 +286,31 @@ def psdmm_answer(
     b_share_n: list[FieldMatrix],
     queries_n: list[list[FieldMatrix]],
 ) -> list[FieldMatrix]:
-    """One server's K_c answers: Y_nk = sum_l A~_nl (B~_nl Q_nlk), each lambda x mu."""
+    """One server's K_c answers: Y_nk = sum_l A~_nl (B~_nl Q_nlk), each lambda x mu.
+
+    Two products: per layer, B~_nl [Q_nl1 ... Q_nlK_c] takes every round at
+    once; then [A~_n1 ... A~_nL] times those results stacked sums over the
+    layers, and its columns split into the K_c answers.
+    """
     if len(a_share_n) != len(b_share_n):
         raise ValueError("share layer counts differ")
-    out = []
-    for per_layer in queries_n:
-        if len(per_layer) != len(a_share_n):
-            raise ValueError("query layer count mismatch")
-        acc = None
-        for a_m, b_m, q_m in zip(a_share_n, b_share_n, per_layer):
-            term = a_m.mul(b_m.mul(q_m))
-            acc = term if acc is None else acc.add(term)
-        out.append(acc)
-    return out
+    if any(len(per_layer) != len(a_share_n) for per_layer in queries_n):
+        raise ValueError("query layer count mismatch")
+    queries = [m for per_layer in queries_n for m in per_layer]
+    for blocks in (a_share_n, b_share_n, queries):
+        if len({(m.field, m.rows, m.cols) for m in blocks}) != 1:
+            raise ValueError("the shares of every layer, and all queries, must share one shape")
+    stacked = [
+        row
+        for l, b_m in enumerate(b_share_n)
+        for row in b_m.mul(_side_by_side([per_layer[l] for per_layer in queries_n])).data
+    ]
+    y = _side_by_side(a_share_n).mul(FieldMatrix._of_residues(b_share_n[0].field, stacked))
+    mu = queries[0].cols
+    return [
+        FieldMatrix._of_residues(y.field, [row[i:i + mu] for row in y.data])
+        for i in range(0, y.cols, mu)
+    ]
 
 
 def psdmm_decode(

@@ -17,6 +17,14 @@ def _dot(q: int, u, v) -> int:
     return sum(a * b for a, b in zip(u, v)) % q
 
 
+def matmul(a, b, q: int) -> list[list[int]]:
+    """Row lists of a*b mod q by the plain triple loop, independent of ``FieldMatrix.mul``."""
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) % q for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
 def _eliminate(m: FieldMatrix, rhs=()):
     """Gauss-Jordan on [m | rhs]: (det m, the solution column or None if singular).
 
@@ -146,8 +154,9 @@ def share_product_coefficients(inst, noise, params, layer: int):
     """Exponent -> matrix coefficients of the share product A~_nl B~_nl.
 
     Expands term by term from the raw blocks and noise matrices, never through
-    the share construction: A-share components carry exponents -(K_c-k+1) and
-    x-1, B-share components 0 and K_c+x'-1; the product collects all pairs.
+    the share construction or ``FieldMatrix.mul``: A-share components carry
+    exponents -(K_c-k+1) and x-1, B-share components 0 and K_c+x'-1; the
+    product collects all pairs.
     """
     kc = params.code_dim
     a_terms = [
@@ -164,7 +173,7 @@ def share_product_coefficients(inst, noise, params, layer: int):
     for e1, ma in a_terms:
         for e2, mb in b_terms:
             e = e1 + e2
-            term = ma.mul(mb)
+            term = FieldMatrix(ma.field, matmul(ma.data, mb.data, ma.field.q))
             coeffs[e] = coeffs[e].add(term) if e in coeffs else term
     return coeffs
 

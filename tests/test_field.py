@@ -1,5 +1,7 @@
 """The prime field: modulus checks, primality helpers, random vectors, inverses."""
 
+from random import Random
+
 import pytest
 
 from xstpir.field import PrimeField, is_prime, smallest_prime_geq
@@ -46,7 +48,16 @@ def test_fields_compare_by_modulus():
 
 
 def test_random_vector_is_seed_deterministic():
-    from random import Random
-
     f = PrimeField(11)
     assert f.random_vector(Random(3), 6) == f.random_vector(Random(3), 6)
+
+
+@pytest.mark.parametrize("q", [2, 5, 7, 11, 2**31 - 1])
+def test_random_vector_is_the_randrange_stream(q):
+    """Same values as n calls of randrange(q), and the generator left in the same state."""
+    f = PrimeField(q)
+    for n in (0, 1, 2, 3, 17):
+        for seed in range(50):
+            rng, ref = Random(seed), Random(seed)
+            assert f.random_vector(rng, n) == [ref.randrange(q) for _ in range(n)]
+            assert rng.random() == ref.random()

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from xstpir.field import PrimeField, is_prime
+from xstpir.field import PrimeField, is_prime, smallest_prime_geq
 from xstpir.linalg import (
     EvaluationPoints,
     FieldMatrix,
@@ -13,7 +13,7 @@ from xstpir.linalg import (
     build_decoding_matrix,
 )
 
-from oracles import det
+from oracles import det, matmul
 
 
 def random_invertible(field, n, rng):
@@ -92,6 +92,26 @@ def test_products_sums_and_inverses_are_residues():
             for m in (a.mul(b), b.mul(a), a.add(b), b.add(b), a.inverse()):
                 assert all(isinstance(row, list) for row in m.data)
                 assert all(0 <= v < q for row in m.data for v in row)
+
+
+@pytest.mark.parametrize("q", [2, 5, 2**31 - 1, smallest_prime_geq(2**40)])
+def test_mul_matches_oracle_at_worst_case_carries(q):
+    """Packed products equal the triple loop, with every entry q-1 and at random.
+
+    All-(q-1) operands make every output sum inner*(q-1)^2, the most a slot
+    must hold; inner dimensions 255..257 and 300 cross a byte of slot width
+    at q = 2.
+    """
+    f = PrimeField(q)
+    rng = Random(q)
+    shapes = [(1, 1, 1), (2, 1, 3), (17, 1, 17), (3, 4, 2)]
+    shapes += [(1, n, 1) for n in (2, 17, 255, 256, 257, 300)]
+    shapes += [(3, n, 4) for n in (64, 255, 256, 300)]
+    for rows, inner, cols in shapes:
+        for entry in (lambda: q - 1, lambda: rng.randrange(q)):
+            a = [[entry() for _ in range(inner)] for _ in range(rows)]
+            b = [[entry() for _ in range(cols)] for _ in range(inner)]
+            assert FieldMatrix(f, a).mul(FieldMatrix(f, b)).data == matmul(a, b, q)
 
 
 def test_evaluation_points_distinctness():

@@ -12,7 +12,13 @@ from xstpir.linalg import FieldMatrix
 from xstpir.protocol import InfeasibleParamsError
 import xstpir.psdmm as pm
 
-from oracles import evaluate_matrix_coefficients, scale, share_product_coefficients, solve
+from oracles import (
+    evaluate_matrix_coefficients,
+    matmul,
+    scale,
+    share_product_coefficients,
+    solve,
+)
 
 
 def build_instance(params, seed):
@@ -250,6 +256,31 @@ def test_answer_minimal_triple_product():
     y = pm.psdmm_answer(a_sh[0], b_sh[0], queries[0])
     assert len(y) == 1
     assert y[0] == a_sh[0][0].mul(b_sh[0][0].mul(queries[0][0][0]))
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+@pytest.mark.parametrize("security_b", [0, 1])
+@pytest.mark.parametrize("kc", [1, 2, 3])
+def test_answer_is_sum_of_triple_products(kc, security_b, smallest_q):
+    """Every server's round-k answer is sum_l A~_nl (B~_nl Q_nlk), by the triple loop."""
+    p = pm.derive_psdmm_params(8, 1, 1, security_b, 2, 2, 3, 2, code_dim=kc)
+    field = pm.default_field(p) if smallest_q else PrimeField(2**31 - 1)
+    q = field.q
+    pts = pm.default_points(p, field)
+    inst = pm.PsdmmInstance.random(field, p, Random(kc))
+    noise = pm.PsdmmNoise.random(field, p, Random(kc + 1))
+    a_sh = pm.share_a(inst, noise, pts, p)
+    b_sh = pm.share_b(inst, noise, pts, p)
+    queries = pm.psdmm_query(2, noise, pts, p)
+    for a_n, b_n, q_n in zip(a_sh, b_sh, queries):
+        answers = pm.psdmm_answer(a_n, b_n, q_n)
+        assert len(answers) == kc
+        for y, per_layer in zip(answers, q_n):
+            expected = [[0] * p.cols_b for _ in range(p.rows_a)]
+            for a_m, b_m, q_m in zip(a_n, b_n, per_layer):
+                term = matmul(a_m.data, matmul(b_m.data, q_m.data, q), q)
+                expected = [[(u + v) % q for u, v in zip(r, t)] for r, t in zip(expected, term)]
+            assert y.data == expected
 
 
 def test_share_product_matches_expansion_oracle():
