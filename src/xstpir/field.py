@@ -4,9 +4,11 @@ Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
 and draws uniform random vectors; the rest of the package does its arithmetic
 on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
 
-Residue contract: every kernel returns residues in [0, q) (``coded_share`` and
-everything built from it, the e_theta update of the queries, server answers,
-matrix products and decodes), so nothing downstream reduces them again.
+Residue contract: q < 2^64, so every residue fits one 64-bit word (the slots
+of ``protocol.coded_share``), and every kernel returns residues in [0, q)
+(``coded_share`` and everything built from it, the e_theta update of the
+queries, server answers, matrix products and decodes), so nothing downstream
+reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,
 ``EvaluationPoints``, ``FieldMatrix(...)``, and the answers that
 ``protocol.decode_rounds`` receives.
@@ -17,19 +19,35 @@ from __future__ import annotations
 from itertools import repeat
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; q is desk-scale and fits a machine word."""
+    """Miller-Rabin with the first 12 primes as bases.
+
+    These bases decide every n < 3.18 * 10^23 exactly, which covers every
+    modulus that ``PrimeField`` accepts (q < 2^64); above that a composite
+    could pass.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -50,6 +68,8 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
+        if q >= 1 << 64:  # the residue contract above
+            raise ValueError(f"field modulus must be below 2^64, got {q}")
         if not is_prime(q):
             raise ValueError(f"field modulus must be prime, got {q}")
         object.__setattr__(self, "q", q)

@@ -9,9 +9,9 @@ Every width-row square submatrix of such a matrix is invertible, which is what
 makes both plain and error-tolerant decoding work.
 
 ``FieldMatrix(...)`` reduces caller entries on construction; every product,
-sum, inverse and submatrix is already a residue matrix and is wrapped as it
-is.  ``FieldMatrix.inverse`` is the package's one Gauss-Jordan elimination; it
-uses first-nonzero pivoting, since arithmetic is exact and pivot magnitude is
+inverse and submatrix is already a residue matrix and is wrapped as it is.
+``FieldMatrix.inverse`` is the package's one Gauss-Jordan elimination; it uses
+first-nonzero pivoting, since arithmetic is exact and pivot magnitude is
 irrelevant.
 
 ``FieldMatrix.mul`` packs each row of its right operand into one Python int,
@@ -84,19 +84,6 @@ class FieldMatrix:
     def _check_same_field(self, other: "FieldMatrix"):
         if other.field != self.field:
             raise ValueError("matrices live in different fields")
-
-    def add(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch")
-        q = self.field.q
-        return FieldMatrix._of_residues(
-            self.field,
-            [
-                [(a + b) % q for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
 
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)

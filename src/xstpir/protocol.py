@@ -9,10 +9,25 @@ expose exactly the L desired symbols (W_lk e_theta) on the terms
 
 Every coded object (storage shares, queries, the MDS recovery rows, the PSDMM
 shares and queries, the interference offsets) is one sum
-sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share``.  Every
-decode (PIR, and PSDMM with lambda*mu scalars per answer) is ``decode_rounds``:
-the rounds in order, subtracting the already-known contribution of earlier
-rounds before each solve.
+sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share`` for every
+d that shares the same term vectors (one layer, all servers) in one call.
+
+``coded_share`` packs each term vector once into one Python int, one slot of
+whole 64-bit words per entry, and for each d forms x = sum_e c_e packed_e
+with c_e = d^e mod q: one big-int-by-small-int product per term.  Every slot
+of x is below 2^top with top = bit_length(terms * (q-1)^2), and one
+round-up Barrett step reduces all of them at once:
+r = x - (((x * m) >> s) & mask) * q with s = top + bit_length(q) and
+m = ceil(2^s / q).  For 0 <= x < 2^top, floor(x * m / 2^s) = floor(x / q)
+exactly, because the error term x * (m - 2^s/q) / 2^s is below
+2^-bit_length(q) < 1/q; the mask keeps those top - bit_length(q) + 1
+quotient bits of each slot.  A slot holds 2 * top + 2 bits rounded up to
+whole words, so x * m carries out of no slot.  Residues fit one word, so
+q < 2^64 (``PrimeField`` enforces it).
+
+Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
+``decode_rounds``: the rounds in order, subtracting the already-known
+contribution of earlier rounds before each solve.
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
@@ -22,14 +37,18 @@ answers entering ``decode_rounds`` reduce caller data.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import DecodingMatrix, EvaluationPoints, FieldMatrix, build_decoding_matrix
 from .robust import decoder_for
+
+_ORDER = sys.byteorder  # the byte order of ``array`` words
 
 
 class InfeasibleParamsError(ValueError):
@@ -243,21 +262,54 @@ class AnswerBundle:
     scalars: tuple[int, ...]
 
 
-def coded_share(d: int, exponents, vectors, q: int) -> list[int]:
-    """sum_e d^e v_e mod q, elementwise over equal-length int vectors.
+@lru_cache(maxsize=256)
+def _packing(q: int, terms: int, length: int):
+    """The packing constants of ``coded_share``: (words, lo, s, m, mask, zero).
 
-    ``exponents`` and ``vectors`` pair up and must be non-empty; every negative
-    exponent is a power of the one inverse of d.
+    A sum of ``terms`` products of residues is below 2^top; each entry gets
+    a slot of ``words`` 64-bit words, the low one at word ``lo`` of the slot,
+    and m = ceil(2^s / q) with s = top + bit_length(q).  ``mask`` keeps the
+    low top - bit_length(q) + 1 bits of every slot, and ``zero`` is an empty
+    packed vector to copy.
     """
-    inv = pow(d, q - 2, q) if min(exponents) < 0 else 1
-    acc = None
+    top = (terms * (q - 1) ** 2).bit_length()
+    b = q.bit_length()
+    s = top + b
+    words = -(-(2 * top + 2) // 64)
+    slot_mask = ((1 << (top - b + 1)) - 1).to_bytes(8 * words, _ORDER)
+    return (
+        words,
+        0 if _ORDER == "little" else words - 1,
+        s,
+        -(-(1 << s) // q),
+        int.from_bytes(slot_mask * length, _ORDER),
+        array("Q", bytes(8 * words * length)),
+    )
+
+
+def coded_share(ds, exponents, vectors, q: int) -> list[list[int]]:
+    """[sum_e d^e v_e mod q for d in ds], elementwise over equal-length int vectors.
+
+    ``exponents`` and ``vectors`` pair up and must be non-empty; a negative
+    exponent is a power of the inverse of d, so d must then be nonzero mod q.
+    The vectors are reduced and packed once for all of ``ds``.
+    """
+    length = len(vectors[0])
+    words, lo, s, m, mask, zero = _packing(q, len(vectors), length)
+    terms = []
     for e, vec in zip(exponents, vectors):
-        c = pow(d, e, q) if e >= 0 else pow(inv, -e, q)
-        if acc is None:
-            acc = [c * v for v in vec]
-        else:
-            acc = [a + c * v for a, v in zip(acc, vec)]
-    return [a % q for a in acc]
+        slots = zero[:]
+        slots[lo::words] = array("Q", [v % q for v in vec])
+        terms.append((e, int.from_bytes(slots, _ORDER)))
+    size = 8 * words * length
+    out = []
+    for d in ds:
+        x = 0
+        for e, packed in terms:
+            x += pow(d, e, q) * packed
+        x -= (((x * m) >> s) & mask) * q
+        out.append(memoryview(x.to_bytes(size, _ORDER)).cast("Q")[lo::words].tolist())
+    return out
 
 
 def encode_storage(
@@ -278,21 +330,20 @@ def encode_storage(
     q = field.q
     kc = params.code_dim
     exponents = range(-kc, params.security)
-    terms = [
-        [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1])
+    servers = range(1, params.num_servers + 1)
+    per_layer = [  # [layer][server] -> share vector
+        [
+            tuple(share)
+            for share in coded_share(
+                [points.diff(l, n) for n in servers],
+                exponents,
+                [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1]),
+                q,
+            )
+        ]
         for l in range(1, params.layers + 1)
     ]
-    return [
-        ServerStorage(
-            n,
-            tuple(
-                tuple(coded_share(points.diff(l, n), exponents, terms[l - 1], q))
-                for l in range(1, params.layers + 1)
-            ),
-            field,
-        )
-        for n in range(1, params.num_servers + 1)
-    ]
+    return [ServerStorage(n, shares, field) for n, shares in zip(servers, zip(*per_layer))]
 
 
 def gen_queries(
@@ -316,24 +367,25 @@ def gen_queries(
     q = field.q
     kc, tt = params.code_dim, params.privacy
     exponents = range(kc, kc + tt)
-    out = []
-    for n in range(1, params.num_servers + 1):
-        rounds = []
-        for rk in range(1, kc + 1):
-            per_layer = []
-            for l in range(1, params.layers + 1):
-                d = points.diff(l, n)
-                if tt:
-                    zl = noise.zp[l - 1]
-                    vec = coded_share(d, exponents, [zt[rk - 1] for zt in zl], q)
-                else:
-                    vec = [0] * params.num_messages
+    servers = range(1, params.num_servers + 1)
+    j = theta - 1
+    per_round = []  # [round] -> per server, its L query vectors
+    for rk in range(1, kc + 1):
+        per_layer = []  # [layer][server] -> query vector
+        for l in range(1, params.layers + 1):
+            ds = [points.diff(l, n) for n in servers]
+            if tt:
+                vecs = coded_share(ds, exponents, [zt[rk - 1] for zt in noise.zp[l - 1]], q)
+            else:
+                vecs = [[0] * params.num_messages for _ in ds]
+            column = []
+            for d, vec in zip(ds, vecs):
                 # e_theta touches one entry: add it there, not as a dense term
-                vec[theta - 1] = (vec[theta - 1] + pow(d, kc - rk, q)) % q
-                per_layer.append(tuple(vec))
-            rounds.append(tuple(per_layer))
-        out.append(QueryBundle(n, tuple(rounds), field))
-    return out
+                vec[j] = (vec[j] + pow(d, kc - rk, q)) % q
+                column.append(tuple(vec))
+            per_layer.append(column)
+        per_round.append(zip(*per_layer))
+    return [QueryBundle(n, rounds, field) for n, rounds in zip(servers, zip(*per_round))]
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
@@ -385,17 +437,16 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
     q = matrix.field.q
     layers = matrix.cauchy_cols
     decoder = decoder_for(matrix)
+    cauchy = list(zip(*matrix.entries))[:layers]  # [l] -> 1/(f_l - a_n) of every row
     decoded: list[tuple[int, ...]] = []  # [layers*j + l]: round j+1, layer l+1
     for rk in range(len(observations[0])):
-        corrected = []
-        for row, obs in zip(matrix.entries, observations):
-            y = obs[rk]
-            if rk:  # round 1 has no earlier contribution
-                exponents = range(rk + 1, 1, -1)
-                for l in range(layers):
-                    off = coded_share(row[l], exponents, decoded[l::layers], q)
-                    y = [a - b for a, b in zip(y, off)]
-            corrected.append([v % q for v in y])
+        ys = [obs[rk] for obs in observations]
+        if rk:  # round 1 has no earlier contribution
+            exponents = range(rk + 1, 1, -1)
+            for l in range(layers):
+                offsets = coded_share(cauchy[l], exponents, decoded[l::layers], q)
+                ys = [[a - b for a, b in zip(y, off)] for y, off in zip(ys, offsets)]
+        corrected = [[v % q for v in y] for y in ys]
         solved = [decoder.solve(stream, num_errors) for stream in zip(*corrected)]
         decoded += list(zip(*solved))[:layers]
     return decoded
@@ -449,7 +500,7 @@ def recover_messages(
     for l in range(1, params.layers + 1):
         inverse = FieldMatrix(
             field,
-            [coded_share(points.diff(l, st.server), exponents, units, field.q) for st in storages],
+            coded_share([points.diff(l, st.server) for st in storages], exponents, units, field.q),
         ).inverse()
         for j in range(kk):
             sol = inverse.matvec([st.shares[l - 1][j] for st in storages])

@@ -213,13 +213,17 @@ def _matrix(field: PrimeField, flat, cols: int) -> FieldMatrix:
 def _shares(points: EvaluationPoints, params: PsdmmParams, exponents, terms, cols: int):
     """[server][layer] matrices: the coded share of layer l's flattened terms."""
     field = points.field
-    return [
+    servers = range(1, params.num_servers + 1)
+    per_layer = [  # [layer][server]
         [
-            _matrix(field, coded_share(points.diff(l, n), exponents, terms[l - 1], field.q), cols)
-            for l in range(1, params.layers + 1)
+            _matrix(field, flat, cols)
+            for flat in coded_share(
+                [points.diff(l, n) for n in servers], exponents, terms[l - 1], field.q
+            )
         ]
-        for n in range(1, params.num_servers + 1)
+        for l in range(1, params.layers + 1)
     ]
+    return [list(shares) for shares in zip(*per_layer)]
 
 
 def share_a(

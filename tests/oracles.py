@@ -25,6 +25,19 @@ def matmul(a, b, q: int) -> list[list[int]]:
     ]
 
 
+def matadd(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
+    """a + b entrywise, by the plain double loop."""
+    rows = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)]
+    return FieldMatrix(a.field, rows)
+
+
+def coded_share(d: int, exponents, vectors, q: int) -> list[int]:
+    """sum_e d^e v_e mod q for one d, entry by entry: the reference of ``protocol.coded_share``."""
+    inv = pow(d, q - 2, q) if min(exponents) < 0 else 1
+    coeffs = [pow(d, e, q) if e >= 0 else pow(inv, -e, q) for e in exponents]
+    return [sum(c * v for c, v in zip(coeffs, entry)) % q for entry in zip(*vectors)]
+
+
 def _eliminate(m: FieldMatrix, rhs=()):
     """Gauss-Jordan on [m | rhs]: (det m, the solution column or None if singular).
 
@@ -174,7 +187,7 @@ def share_product_coefficients(inst, noise, params, layer: int):
         for e2, mb in b_terms:
             e = e1 + e2
             term = FieldMatrix(ma.field, matmul(ma.data, mb.data, ma.field.q))
-            coeffs[e] = coeffs[e].add(term) if e in coeffs else term
+            coeffs[e] = matadd(coeffs[e], term) if e in coeffs else term
     return coeffs
 
 
@@ -187,7 +200,7 @@ def evaluate_matrix_coefficients(coeffs, points, layer: int, server: int):
     for e, m in coeffs.items():
         base = inv_d if e < 0 else d
         term = scale(m, pow(base, abs(e), q))
-        total = term if total is None else total.add(term)
+        total = term if total is None else matadd(total, term)
     return total
 
 

@@ -57,6 +57,12 @@ def test_q_override_validation(capsys):
     assert code == 0
 
 
+def test_q_override_above_word_size(capsys):
+    base = ["retrieve", "--N", "4", "--Kc", "2", "--X", "1", "--T", "1", "--K", "2"]
+    code, _, err = run(capsys, *base, "--q", "18446744073709551629")  # 2^64 + 13, prime
+    assert code == 1 and "2^64" in err
+
+
 def test_audit_q_override_validation(capsys):
     base = ["audit", "--N", "5", "--Kc", "2", "--X", "1", "--T", "1", "--K", "1"]
     code, _, err = run(capsys, *base, "--q", "6")

@@ -20,6 +20,31 @@ def test_primality():
         assert is_prime(n) == sieve_prime(n)
 
 
+def test_primality_matches_a_sieve_below_20000():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [is_prime(n) for n in range(limit)] == sieve
+
+
+def test_primality_of_pseudoprimes_and_word_sized_primes():
+    # strong pseudoprimes to the bases 2..7 and 2..31 (only the twelfth base,
+    # 37, exposes the second), and a Carmichael number
+    for n in (3215031751, 3825123056546413051, 561):
+        assert not is_prime(n)
+    for n in (2**61 - 1, 2**64 - 59):
+        assert is_prime(n)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_modulus_must_fit_a_word():
+    assert PrimeField(2**64 - 59).q == 2**64 - 59
+    with pytest.raises(ValueError, match="2\\^64"):
+        PrimeField(2**64 + 13)  # prime, but above the bound
+
+
 def test_nonprime_modulus_rejected():
     for q in (0, 1, 4, 6, 9, 15):
         with pytest.raises(ValueError):
@@ -38,7 +63,7 @@ def test_smallest_prime_geq():
 def test_inv_matches_brute_force(q):
     """The kernel's negative exponent d^-1 is the exhaustive-search inverse."""
     for a in range(1, q):
-        assert coded_share(a, [-1], [[1]], q) == [brute_force_inverse(q, a)]
+        assert coded_share([a], [-1], [[1]], q)[0] == [brute_force_inverse(q, a)]
 
 
 def test_fields_compare_by_modulus():

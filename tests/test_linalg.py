@@ -46,8 +46,6 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         m.mul(m)
     with pytest.raises(ValueError):
-        m.add(FieldMatrix(f, [[1, 2], [3, 4]]))
-    with pytest.raises(ValueError):
         m.mul(FieldMatrix(PrimeField(7), [[1], [2], [3]]))
 
 
@@ -58,7 +56,6 @@ def test_matmul_and_scale():
     assert a.mul(b).to_lists() == [[5, 1], [1, 1]]  # mod 7
     three = FieldMatrix(f, [[3, 0], [0, 3]])
     assert a.mul(three).to_lists() == [[3, 6], [2, 5]]  # scaling is a product
-    assert a.add(b).to_lists() == [[6, 1], [3, 5]]
 
 
 def test_plant_then_solve():
@@ -81,7 +78,7 @@ def test_inverse_multiplies_back():
 
 
 def test_products_sums_and_inverses_are_residues():
-    """mul, add and inverse return row lists of residues, also from unreduced input."""
+    """mul and inverse return row lists of residues, also from unreduced input."""
     rng = Random(9)
     for q in (2, 5, 2**31 - 1):
         f = PrimeField(q)
@@ -89,7 +86,7 @@ def test_products_sums_and_inverses_are_residues():
             a = random_invertible(f, n, rng)
             unreduced = [[rng.randrange(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
             b = FieldMatrix(f, unreduced)
-            for m in (a.mul(b), b.mul(a), a.add(b), b.add(b), a.inverse()):
+            for m in (a.mul(b), b.mul(a), a.inverse()):
                 assert all(isinstance(row, list) for row in m.data)
                 assert all(0 <= v < q for row in m.data for v in row)
 

@@ -7,8 +7,10 @@ from random import Random
 import pytest
 
 import xstpir as xp
+from xstpir.field import smallest_prime_geq
 from xstpir.protocol import InfeasibleParamsError, coded_share
 
+import oracles
 from oracles import answer_coefficients, evaluate_coefficients, interference_offset
 
 
@@ -230,12 +232,31 @@ def test_coded_share_returns_residues(q):
             vectors = [
                 [-q - 1, -1, q, 2 * q + 3, rng.randrange(-3 * q, 4 * q)] for _ in exponents
             ]
-            got = coded_share(d, exponents, vectors, q)
+            got = coded_share([d], exponents, vectors, q)[0]
             assert _residues(got, q)
             assert got == [
                 sum(pow(d, e, q) * v[j] for e, v in zip(exponents, vectors)) % q
                 for j in range(5)
             ]
+
+
+@pytest.mark.parametrize("q", [2, 5, Q31, smallest_prime_geq(2**40), 2**64 - 59])
+def test_coded_share_matches_oracle_at_worst_case_carries(q):
+    """The packed kernel equals the per-entry sum, with every entry and d at q-1.
+
+    With d = q-1 every odd exponent's coefficient is q-1, so the all-odd
+    exponent lists reach the largest sum, terms * (q-1)^2, in every slot.
+    """
+    rng = Random(q)
+    exponent_lists = ([-1], [-1, 1], [-3, -1, 1], [-3, -1, 1, 3], [-2, 0, 3], [-1, 2, 0, 4])
+    for length in (1, 2, 17, 2048):
+        for exponents in exponent_lists:
+            ds = [q - 1, 1, rng.randrange(1, q), q - 1]
+            worst = [[q - 1] * length for _ in exponents]
+            mixed = [[rng.randrange(q) for _ in range(length)] for _ in exponents]
+            for vectors in (worst, mixed):
+                want = [oracles.coded_share(d, exponents, vectors, q) for d in ds]
+                assert coded_share(ds, exponents, vectors, q) == want
 
 
 @pytest.mark.parametrize("smallest_q", [True, False])

@@ -14,6 +14,7 @@ import xstpir.psdmm as pm
 
 from oracles import (
     evaluate_matrix_coefficients,
+    matadd,
     matmul,
     scale,
     share_product_coefficients,
@@ -104,7 +105,7 @@ def test_share_b_single_noise_layer_formula():
     for n in range(1, p.num_servers + 1):
         for l in range(1, p.layers + 1):
             d = pts.diff(l, n)
-            want = b.add(scale(noise.b_noise[l - 1][0], d))
+            want = matadd(b, scale(noise.b_noise[l - 1][0], d))
             assert shares[n - 1][l - 1] == want
 
 
@@ -117,7 +118,7 @@ def test_share_a_minimal_formula():
     q = field.q
     for n in range(1, p.num_servers + 1):
         d = pts.diff(1, n)
-        want = scale(inst.a_blocks[0], pow(d, q - 2, q)).add(noise.a_noise[0][0])
+        want = matadd(scale(inst.a_blocks[0], pow(d, q - 2, q)), noise.a_noise[0][0])
         assert shares[n - 1][0] == want
 
 
