@@ -185,7 +185,7 @@ def cmd_audit(args) -> int:
         {
             "N": 4, "Kc": 2, "X": 1, "T": 1, "U": 0, "B": 0, "K": 2, "seed": 0,
             "q": None, "target": "storage", "colluding": "1", "thetas": "1,2",
-            "budget": 10**6, "expect_fail": False, "out": None,
+            "expect_fail": False, "out": None,
         },
     )
     params = derive_params(
@@ -195,12 +195,12 @@ def cmd_audit(args) -> int:
     points = default_points(params, field)
     colluding = tuple(_int_list(opts["colluding"]))
     if opts["target"] in ("storage", "storage-security"):
-        cfg = AuditConfig(params, colluding, "storage-security", int(opts["budget"]))
+        cfg = AuditConfig(params, colluding, "storage-security")
         msgs_a = MessageSet.random(field, params, Random(derive_seed(opts["seed"], "audit-a")))
         msgs_b = MessageSet.random(field, params, Random(derive_seed(opts["seed"], "audit-b")))
         verdict = audit_storage_security(cfg, msgs_a, msgs_b, points)
     elif opts["target"] in ("privacy", "query-privacy"):
-        cfg = AuditConfig(params, colluding, "query-privacy", int(opts["budget"]))
+        cfg = AuditConfig(params, colluding, "query-privacy")
         pair = _int_list(opts["thetas"])
         if len(pair) != 2:
             raise ValueError("--thetas must name exactly two indices")
@@ -344,7 +344,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", choices=("storage", "privacy"))
     sp.add_argument("--colluding", help="comma list of colluding server indices")
     sp.add_argument("--thetas", help="two candidate indices for the privacy audit")
-    sp.add_argument("--budget", type=int, help="max joint noise states to enumerate")
     sp.add_argument(
         "--expect-fail", dest="expect_fail", action="store_const", const=True,
         help="exit 0 even on a FAIL verdict (tightness demonstrations)",

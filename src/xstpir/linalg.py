@@ -10,9 +10,9 @@ makes both plain and error-tolerant decoding work.
 
 ``FieldMatrix(...)`` reduces caller entries on construction; every product,
 inverse and submatrix is already a residue matrix and is wrapped as it is.
-``FieldMatrix.inverse`` is the package's one Gauss-Jordan elimination; it uses
-first-nonzero pivoting, since arithmetic is exact and pivot magnitude is
-irrelevant.
+``row_reduce`` is the package's one Gauss-Jordan elimination, behind both
+``FieldMatrix.inverse`` and the audits' ranks; it uses first-nonzero
+pivoting, since arithmetic is exact and pivot magnitude is irrelevant.
 
 ``FieldMatrix.mul`` packs each row of its right operand into one Python int,
 one fixed-width slot per entry.  A slot is the byte length of
@@ -114,22 +114,12 @@ class FieldMatrix:
         """Gauss-Jordan inverse; raises SingularMatrixError if singular."""
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        q = self.field.q
         n = self.rows
-        a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] % q), None)
-            if piv is None:
-                raise SingularMatrixError("singular matrix")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-            inv_p = pow(a[col][col], q - 2, q)
-            a[col] = [(v * inv_p) % q for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [(vr - f * vc) % q for vr, vc in zip(a[r], a[col])]
-        return FieldMatrix._of_residues(self.field, [row[n:] for row in a])
+        a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
+        reduced, pivots = row_reduce(a, self.field.q)
+        if pivots[-1] != n - 1:  # [A | I] has rank n; A is invertible iff A holds every pivot
+            raise SingularMatrixError("singular matrix")
+        return FieldMatrix._of_residues(self.field, [row[n:] for row in reduced])
 
     def row_submatrix(self, row_indices) -> "FieldMatrix":
         return FieldMatrix._of_residues(self.field, [self.data[i] for i in row_indices])
@@ -137,6 +127,30 @@ class FieldMatrix:
     def to_lists(self) -> list[list[int]]:
         """Nested lists of decimal residues (the JSON form)."""
         return [row[:] for row in self.data]
+
+
+def row_reduce(rows, q: int) -> tuple[list, list[int]]:
+    """Reduced row echelon form of residue ``rows`` over GF(q), and its pivot columns.
+
+    The pivots are the leftmost maximal independent set of columns, so those in
+    a leading block of columns count that block's rank.  ``rows`` is not modified.
+    """
+    a = list(rows)
+    pivots: list[int] = []
+    for col in range(len(a[0])):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = pow(a[top][col], q - 2, q)
+        head = a[top] = [v * inv % q for v in a[top]]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f and r != top:
+                a[r] = [(u - f * v) % q for u, v in zip(row, head)]
+        pivots.append(col)
+    return a, pivots
 
 
 @dataclass(frozen=True)

@@ -213,9 +213,6 @@ class StorageNoise:
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "StorageNoise":
         return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
 
-    def vector(self, l: int, x: int) -> tuple[int, ...]:
-        return self.z[l - 1][x - 1]
-
 
 @dataclass(frozen=True)
 class QueryNoise:
@@ -231,9 +228,6 @@ class QueryNoise:
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "QueryNoise":
         return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
-
-    def vector(self, l: int, t: int, round_k: int) -> tuple[int, ...]:
-        return self.zp[l - 1][t - 1][round_k - 1]
 
 
 @dataclass(frozen=True)
@@ -502,10 +496,10 @@ def recover_messages(
             field,
             coded_share([points.diff(l, st.server) for st in storages], exponents, units, field.q),
         ).inverse()
-        for j in range(kk):
-            sol = inverse.matvec([st.shares[l - 1][j] for st in storages])
-            for k in range(1, kc + 1):
-                symbols[j][params.layers * (k - 1) + l - 1] = sol[k - 1]
+        shares = FieldMatrix(field, [st.shares[l - 1] for st in storages])
+        for k, row in enumerate(inverse.row_submatrix(range(kc)).mul(shares).data):
+            for j, v in enumerate(row):  # symbol (l, k+1) of message j
+                symbols[j][params.layers * k + l - 1] = v
     return MessageSet(
         field, params.layers, params.code_dim, tuple(tuple(m) for m in symbols)
     )

@@ -113,14 +113,6 @@ class SessionTranscript:
     failure: str | None
     rates: RateReport | None
 
-    @property
-    def downloaded_symbols(self) -> int:
-        return self.params.responsive_count * self.params.code_dim
-
-    @property
-    def retrieved_symbols(self) -> int:
-        return self.params.message_len
-
     def to_dict(self) -> dict:
         p = self.params
         return {

@@ -7,10 +7,14 @@ directly from the raw message and noise vectors, and evaluated numerically.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from functools import partial
+from itertools import combinations, islice, product
+from math import prod
 
+from xstpir.audit import AuditVerdict
 from xstpir.linalg import DecodingMatrix, EvaluationPoints, FieldMatrix
-from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise
+from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise, nested
 
 
 def _dot(q: int, u, v) -> int:
@@ -103,10 +107,10 @@ def answer_coefficients(
         storage_terms = [
             (-(kc - k + 1), messages.layer_vector(l, k)) for k in range(1, kc + 1)
         ] + [
-            (x - 1, storage_noise.vector(l, x)) for x in range(1, params.security + 1)
+            (x - 1, storage_noise.z[l - 1][x - 1]) for x in range(1, params.security + 1)
         ]
         query_terms = [(kc - round_k, e_theta)] + [
-            (kc + t - 1, query_noise.vector(l, t, round_k))
+            (kc + t - 1, query_noise.zp[l - 1][t - 1][round_k - 1])
             for t in range(1, params.privacy + 1)
         ]
         for e1, v1 in storage_terms:
@@ -218,3 +222,30 @@ def consensus_decode(matrix: DecodingMatrix, observed, b: int):
         if agree >= matrix.rows - b:
             return x
     return None
+
+
+def enumerate_audit(cfg, points: EvaluationPoints, shape, views) -> AuditVerdict:
+    """Enumerate every noise tensor of ``shape``; compare the views' distributions.
+
+    The reference of ``audit._audit``, with its signature: each view maps a
+    noise tensor to the N servers' observations, the colluding servers' joint
+    observation is counted per view, and the audit passes when every view has
+    the same distribution.  It takes q^free view calls per view.
+    """
+    q = points.field.q
+    free = prod(shape)
+    dists = []
+    for view in views:
+        dist: Counter = Counter()
+        for flat in product(range(q), repeat=free):
+            observed = view(nested(shape, partial(islice, iter(flat))))
+            dist[tuple(observed[n - 1] for n in cfg.colluding)] += 1
+        dists.append(dist)
+    return AuditVerdict(
+        target=cfg.target,
+        colluding=cfg.colluding,
+        states_enumerated=len(views) * q**free,
+        passed=all(d == dists[0] for d in dists),
+        support_size=len(set().union(*dists)),
+        within_budget=cfg.within_budget,
+    )

@@ -1,14 +1,22 @@
 """Distribution-equality audits and rate accounting."""
 
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
+from math import prod
 from random import Random
 
 import pytest
 
 import xstpir as xp
+from oracles import enumerate_audit
+from xstpir import audit as audit_module
 from xstpir.audit import (
     AuditConfig,
+    AuditVerdict,
     audit_query_privacy,
     audit_storage_security,
     rate_report,
@@ -90,15 +98,6 @@ def test_query_audit_theta_range_checked():
         audit_query_privacy(AuditConfig(p, (1,), "query-privacy"), (1, 3))
 
 
-def test_enumeration_budget_refusal():
-    p = xp.derive_params(4, 2, 1, 1, num_messages=2)
-    cfg = AuditConfig(p, (1,), "storage-security", state_budget=10)
-    f = xp.PrimeField(5)
-    msgs = xp.MessageSet.random(f, p, Random(0))
-    with pytest.raises(ValueError, match="25 states"):
-        audit_storage_security(cfg, msgs, msgs, xp.default_points(p, f))
-
-
 def test_config_validation():
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)
     with pytest.raises(ValueError):
@@ -120,13 +119,15 @@ def test_verdict_json_keys():
     doc = json.loads(v.to_json())
     assert set(doc) >= {"target", "colluding_set", "states_enumerated", "pass"}
     assert doc["pass"] is True and doc["colluding_set"] == [2]
+    # counts past the interpreter's int-to-str digit limit are written exactly
+    limit = sys.get_int_max_str_digits()
+    big = AuditVerdict("query-privacy", (1,), 2 * 7**6000, True, 7**6000, True)
+    doc = json.loads(big.to_json(), parse_int=Decimal)
+    assert doc["support_size"] == Decimal(7**6000) and sys.get_int_max_str_digits() == limit
 
 
-def test_audits_pass_across_tiny_feasible_configs():
-    """Every within-budget colluding set passes, over all tiny schemes q <= 7."""
-    from itertools import combinations
-
-    checked = 0
+def tiny_schemes():
+    """Every feasible scheme with N 2..5, K_c 1..2, X and T 0..2, K = 2 and L + N <= 7."""
     for n in range(2, 6):
         for kc in (1, 2):
             for x in (0, 1, 2):
@@ -138,23 +139,73 @@ def test_audits_pass_across_tiny_feasible_configs():
                         continue
                     p = xp.derive_params(n, kc, x, t, num_messages=2)
                     f = xp.default_field(p)
-                    pts = xp.default_points(p, f)
-                    q = f.q
-                    if x >= 1 and q ** (layers * x * 2) <= 10**4:
-                        ma = xp.MessageSet.random(f, p, Random(checked))
-                        mb = xp.MessageSet.random(f, p, Random(checked + 1))
-                        for size in range(1, x + 1):
-                            for group in combinations(range(1, n + 1), size):
-                                cfg = AuditConfig(p, group, "storage-security")
-                                assert audit_storage_security(cfg, ma, mb, pts).passed
-                                checked += 1
-                    if t >= 1 and q ** (layers * t * kc * 2) <= 10**4:
-                        for size in range(1, t + 1):
-                            for group in combinations(range(1, n + 1), size):
-                                cfg = AuditConfig(p, group, "query-privacy")
-                                assert audit_query_privacy(cfg, (1, 2), pts).passed
-                                checked += 1
+                    yield p, f, xp.default_points(p, f)
+
+
+def test_audits_pass_across_tiny_feasible_configs():
+    """Every within-budget colluding set passes, over all tiny schemes q <= 7."""
+    checked = 0
+    for p, f, pts in tiny_schemes():
+        n, kc, x, t, layers, q = p.num_servers, p.code_dim, p.security, p.privacy, p.layers, f.q
+        if x >= 1 and q ** (layers * x * 2) <= 10**4:
+            ma = xp.MessageSet.random(f, p, Random(checked))
+            mb = xp.MessageSet.random(f, p, Random(checked + 1))
+            for size in range(1, x + 1):
+                for group in combinations(range(1, n + 1), size):
+                    cfg = AuditConfig(p, group, "storage-security")
+                    assert audit_storage_security(cfg, ma, mb, pts).passed
+                    checked += 1
+        if t >= 1 and q ** (layers * t * kc * 2) <= 10**4:
+            for size in range(1, t + 1):
+                for group in combinations(range(1, n + 1), size):
+                    cfg = AuditConfig(p, group, "query-privacy")
+                    assert audit_query_privacy(cfg, (1, 2), pts).passed
+                    checked += 1
     assert checked > 40
+
+
+def test_rank_audit_matches_enumeration(monkeypatch):
+    """Rank verdicts equal the enumeration's, JSON for JSON, on every colluding set.
+
+    Covers the tiny schemes with q^free <= 10^3, both targets and every
+    colluding-set size from 1 to N, so within- and over-budget sets alike.
+    """
+    verdicts = []
+    for k, (p, f, pts) in enumerate(tiny_schemes()):
+        runs = []
+        if p.security and f.q ** prod(xp.StorageNoise.shape(p)) <= 10**3:
+            ma = xp.MessageSet.random(f, p, Random(2 * k))
+            mb = xp.MessageSet.random(f, p, Random(2 * k + 1))
+            runs.append(("storage-security", partial(audit_storage_security, msgs_a=ma, msgs_b=mb)))
+        if p.privacy and f.q ** prod(xp.QueryNoise.shape(p)) <= 10**3:
+            runs.append(("query-privacy", partial(audit_query_privacy, theta_pair=(1, 2))))
+        for target, run in runs:
+            for size in range(1, p.num_servers + 1):
+                for group in combinations(range(1, p.num_servers + 1), size):
+                    cfg = AuditConfig(p, group, target)
+                    rank = run(cfg, points=pts)
+                    with monkeypatch.context() as m:
+                        m.setattr(audit_module, "_audit", enumerate_audit)
+                        assert run(cfg, points=pts).to_json() == rank.to_json()
+                    verdicts.append(rank.passed)
+    assert len(verdicts) == 198 and min(verdicts.count(True), verdicts.count(False)) >= 90
+
+
+def test_rank_audit_matches_enumeration_on_unequal_noise_spans():
+    """Views whose noise spans differ in rank or direction, which the scheme's views never do."""
+    p = xp.derive_params(3, 1, 1, 1, num_messages=2)
+    cfg = AuditConfig(p, (1,), "query-privacy")
+    pts = xp.default_points(p, xp.PrimeField(5))
+    views = [
+        lambda z: [(z[0][0], 0)],
+        lambda z: [(0, z[0][0])],
+        lambda z: [(z[0][0], z[0][1])],
+        lambda z: [(1, 2)],
+        lambda z: [((z[0][0] + 1) % 5, 2 * z[0][0] % 5)],
+    ]
+    for pair in combinations(views, 2):
+        rank = audit_module._audit(cfg, pts, (1, 2), list(pair))
+        assert rank.to_json() == enumerate_audit(cfg, pts, (1, 2), list(pair)).to_json()
 
 
 def test_rate_report_worked_examples():

@@ -120,14 +120,15 @@ def test_audit_over_budget_fail_modes(capsys):
     assert code == 2 and "mismatch" in err
 
 
-def test_audit_budget_refusal(capsys):
-    code, _, err = run(
-        capsys,
-        "audit", "--target", "storage", "--N", "4", "--Kc", "2", "--X", "1",
-        "--T", "1", "--K", "2", "--colluding", "1", "--budget", "3",
-    )
-    assert code == 1
-    assert "states" in err and "budget" in err
+@pytest.mark.parametrize("target", ["storage", "privacy"])
+def test_audit_at_a_31_bit_field(capsys, target):
+    """N = 10 at q = 2^31 - 1: one colluder passes, three (past X = T = 1) fail."""
+    base = ["audit", "--target", target, "--N", "10", "--Kc", "2", "--X", "1", "--T", "1",
+            "--K", "4", "--q", "2147483647"]
+    code, out, _ = run(capsys, *base, "--colluding", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run(capsys, *base, "--colluding", "1,2,3", "--expect-fail")
+    assert code == 0 and json.loads(out)["pass"] is False
 
 
 def test_audit_honours_u_and_b(tmp_path, capsys):

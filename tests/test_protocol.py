@@ -331,8 +331,8 @@ def test_answer_four_term_decomposition():
     )
     q = f.q
     w11, w12 = msgs.layer_vector(1, 1), msgs.layer_vector(1, 2)
-    z11 = zn.vector(1, 1)
-    zq1 = qn.vector(1, 1, 1)
+    z11 = zn.z[0][0]
+    zq1 = qn.zp[0][0][0]
     e_t = [1 if j == theta - 1 else 0 for j in range(3)]
     dot = lambda u, v: sum(a * b for a, b in zip(u, v)) % q
     i1 = (dot(w11, zq1) + dot(w12, e_t)) % q

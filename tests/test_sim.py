@@ -31,7 +31,7 @@ def test_session_outcome_and_rates():
     p = xp.derive_params(4, 2, 1, 1, num_messages=3)
     t = run_session(p, HONEST, theta=1, seed=0)
     assert t.ok and t.decoded == t.messages[0]
-    assert t.downloaded_symbols == 8 and t.retrieved_symbols == 2
+    assert t.rates.downloaded_symbols == 8 and t.rates.retrieved_symbols == 2
     assert str(t.rates.realized_rate) == "1/4" and t.rates.matches_achievable
 
 

@@ -37,13 +37,17 @@ def test_every_traced_name_is_bound_where_it_is_patched():
 
 @pytest.mark.parametrize("name", ["bulk", "byzantine", "desk", "psdmm"])
 def test_every_workload_runs_one_checked_op(name):
-    workload = _load("workloads").WORKLOADS[name](seed=1)
+    workloads = _load("workloads")
+    workload = workloads.WORKLOADS[name](seed=1)
     workload.setup()
     inp = workload.inputs(0)
     assert workload.check(inp, workload.op(inp)) is None
     if name != "desk":  # the derived layout stays in the provenance; desk's is text
         derived = {"layers", "block_count" if name == "psdmm" else "message_len"}
         assert derived <= set(workload.describe()["params"])
+    else:  # desk also runs the audit battery, and counts a wrong verdict as a failed op
+        for k in range(len(workloads.AUDIT_BATTERY)):
+            assert workload.audit_problem(k, workload.audit(k)) is None
 
 
 def test_package_does_not_import_numpy():
