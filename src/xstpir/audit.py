@@ -20,7 +20,6 @@ import sys
 
 from .linalg import EvaluationPoints, row_reduce
 from .protocol import (
-    InfeasibleParamsError,
     MessageSet,
     ProtocolParams,
     QueryNoise,
@@ -215,8 +214,6 @@ def rate_report(
     params: ProtocolParams, downloaded_symbols: int, retrieved_symbols: int
 ) -> RateReport:
     """Realized rate of a transcript, against the exact formula rates."""
-    if params.layers < 1:
-        raise InfeasibleParamsError("rate undefined for an infeasible instance")
     if downloaded_symbols <= 0:
         raise ValueError("transcript downloaded no symbols")
     return RateReport(

@@ -295,7 +295,7 @@ def cmd_rates(args) -> int:
                     n, int(opts["Kc"]), int(opts["X"]), int(opts["T"]),
                     int(opts["U"]), int(opts["B"]), 1,
                 )
-            except (InfeasibleParamsError, ValueError):
+            except InfeasibleParamsError:
                 continue
             lines.append(
                 f"{n},{p.code_dim},{p.security},{p.privacy},{p.max_unresponsive},"

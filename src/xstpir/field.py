@@ -6,7 +6,7 @@ on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
 
 Residue contract: q < 2^64, so every residue fits one 64-bit word (the slots
 of ``protocol.coded_share``), and every kernel returns residues in [0, q)
-(``coded_share`` and everything built from it, the e_theta update of the
+(``coded_share`` and everything built from it, the selector update of the
 queries, server answers, matrix products and decodes), so nothing downstream
 reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,

@@ -11,6 +11,10 @@ Every coded object (storage shares, queries, the MDS recovery rows, the PSDMM
 shares and queries, the interference offsets) is one sum
 sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share`` for every
 d that shares the same term vectors (one layer, all servers) in one call.
+``code_layers`` is the one layer coder of the storage, the queries and both
+PSDMM shares and queries: per layer it codes the term vectors for every
+server, and it adds a 0/1 selector (e_theta, or the PSDMM Q_theta) as d^e at
+its few nonzero positions rather than as a dense term.
 
 ``coded_share`` packs each term vector once into one Python int, one slot of
 whole 64-bit words per entry, and for each d forms x = sum_e c_e packed_e
@@ -99,11 +103,6 @@ class ProtocolParams:
     def responsive_count(self) -> int:
         return self.num_servers - self.max_unresponsive
 
-    @property
-    def min_field_size(self) -> int:
-        """Distinct evaluation points require q >= L + N."""
-        return self.layers + self.num_servers
-
 
 def derive_params(
     num_servers: int,
@@ -134,7 +133,7 @@ def comparison_rate_prior(params: ProtocolParams) -> Fraction:
 
 def default_field(params) -> PrimeField:
     """Smallest prime field satisfying q >= L + N (ProtocolParams or PsdmmParams)."""
-    return PrimeField(smallest_prime_geq(params.min_field_size))
+    return PrimeField(smallest_prime_geq(params.layers + params.num_servers))
 
 
 def default_points(params, field: PrimeField | None = None) -> EvaluationPoints:
@@ -306,6 +305,35 @@ def coded_share(ds, exponents, vectors, q: int) -> list[list[int]]:
     return out
 
 
+def code_layers(points: EvaluationPoints, exponents, terms, length: int, wrap=tuple, selector=None):
+    """[server][layer]: ``wrap`` of sum_e d^e v_e mod q, d = f_l - a_n, over layer l's terms.
+
+    ``terms`` yields each layer's term vectors of ``length`` entries, paired
+    with ``exponents``; a layer with none codes to zero vectors.
+    ``selector = (e, positions)`` stands for a 0/1 vector (e_theta, or Q_theta
+    flattened) on the term d^e: d^e is added at its few nonzero positions
+    instead of coding it as a dense term.  Each layer is wrapped as soon as it
+    is coded.
+    """
+    q = points.field.q
+    servers = range(1, len(points.alpha) + 1)
+    per_layer = []  # [layer][server]
+    for l, vectors in enumerate(terms, 1):
+        ds = [points.diff(l, n) for n in servers]
+        if vectors:
+            shares = coded_share(ds, exponents, vectors, q)
+        else:
+            shares = [[0] * length for _ in ds]
+        if selector is not None:
+            e, positions = selector
+            for d, share in zip(ds, shares):
+                c = pow(d, e, q)
+                for j in positions:
+                    share[j] = (share[j] + c) % q
+        per_layer.append([wrap(share) for share in shares])
+    return list(zip(*per_layer))
+
+
 def encode_storage(
     messages: MessageSet,
     noise: StorageNoise,
@@ -320,24 +348,13 @@ def encode_storage(
     _check_dims(messages, params, points)
     if len(noise.z) != params.layers or any(len(zl) != params.security for zl in noise.z):
         raise ValueError("storage noise must be L x X vectors")
-    field = points.field
-    q = field.q
     kc = params.code_dim
-    exponents = range(-kc, params.security)
-    servers = range(1, params.num_servers + 1)
-    per_layer = [  # [layer][server] -> share vector
-        [
-            tuple(share)
-            for share in coded_share(
-                [points.diff(l, n) for n in servers],
-                exponents,
-                [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1]),
-                q,
-            )
-        ]
+    terms = (
+        [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1])
         for l in range(1, params.layers + 1)
-    ]
-    return [ServerStorage(n, shares, field) for n, shares in zip(servers, zip(*per_layer))]
+    )
+    shares = code_layers(points, range(-kc, params.security), terms, params.num_messages)
+    return [ServerStorage(n, s, points.field) for n, s in enumerate(shares, 1)]
 
 
 def gen_queries(
@@ -357,29 +374,19 @@ def gen_queries(
         for zl in noise.zp
     ):
         raise ValueError("query noise must be L x T x K_c vectors")
-    field = points.field
-    q = field.q
-    kc, tt = params.code_dim, params.privacy
-    exponents = range(kc, kc + tt)
-    servers = range(1, params.num_servers + 1)
-    j = theta - 1
-    per_round = []  # [round] -> per server, its L query vectors
-    for rk in range(1, kc + 1):
-        per_layer = []  # [layer][server] -> query vector
-        for l in range(1, params.layers + 1):
-            ds = [points.diff(l, n) for n in servers]
-            if tt:
-                vecs = coded_share(ds, exponents, [zt[rk - 1] for zt in noise.zp[l - 1]], q)
-            else:
-                vecs = [[0] * params.num_messages for _ in ds]
-            column = []
-            for d, vec in zip(ds, vecs):
-                # e_theta touches one entry: add it there, not as a dense term
-                vec[j] = (vec[j] + pow(d, kc - rk, q)) % q
-                column.append(tuple(vec))
-            per_layer.append(column)
-        per_round.append(zip(*per_layer))
-    return [QueryBundle(n, rounds, field) for n, rounds in zip(servers, zip(*per_round))]
+    kc = params.code_dim
+    exponents = range(kc, kc + params.privacy)
+    per_round = [  # [round][server][layer]
+        code_layers(
+            points,
+            exponents,
+            ([zt[rk - 1] for zt in zl] for zl in noise.zp),
+            params.num_messages,
+            selector=(kc - rk, (theta - 1,)),
+        )
+        for rk in range(1, kc + 1)
+    ]
+    return [QueryBundle(n, rounds, points.field) for n, rounds in enumerate(zip(*per_round), 1)]
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:

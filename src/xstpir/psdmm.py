@@ -9,24 +9,30 @@ sum_l A~_nl B~_nl Q_nl per round.  The share product has the storage shape
 the library is public), so its lambda*mu entries decode as lambda*mu scalar
 streams of the retrieval round decoder ``protocol.decode_rounds``.
 
-Shares and queries are ``protocol.coded_share`` sums over the matrices
-flattened row-major; they come back as ``FieldMatrix``.
+Shares and queries come from ``protocol.code_layers``, the layer coder of the
+storage and the retrieval queries, over the matrices flattened row-major: the
+A-shares are coded like storage, the B-shares like the query noise, and
+Q_theta is added like e_theta, as d^(K_c-k) at its mu ones.  The noise is
+drawn flat through ``protocol.nested``; shares and queries come back as
+``FieldMatrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 from .field import PrimeField
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
 from .protocol import (  # noqa: F401  (default_field/default_points re-exported)
     InfeasibleParamsError,
-    coded_share,
+    code_layers,
     decode_rounds,
     default_field,
     default_points,
+    nested,
 )
 
 
@@ -79,10 +85,6 @@ class PsdmmParams:
     @property
     def decode_width(self) -> int:
         return self.layers + self.code_dim + self.effective_security + self.privacy - 1
-
-    @property
-    def min_field_size(self) -> int:
-        return self.layers + self.num_servers
 
     @property
     def upload_cost(self) -> Fraction:
@@ -164,40 +166,20 @@ class PsdmmInstance:
 
 @dataclass(frozen=True)
 class PsdmmNoise:
-    """All noise matrices: A-share, B-share, and query layers."""
+    """All noise matrices, flattened row-major: A-share, B-share, and query layers."""
 
-    a_noise: tuple[tuple[FieldMatrix, ...], ...]      # [l][x] lambda x chi
-    b_noise: tuple[tuple[FieldMatrix, ...], ...]      # [l][x'] chi x M*mu
-    query_noise: tuple[tuple[tuple[FieldMatrix, ...], ...], ...]  # [l][t][round] M*mu x mu
+    a_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x] lambda x chi
+    b_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x'] chi x M*mu
+    query_noise: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] M*mu x mu
 
     @classmethod
     def random(cls, field: PrimeField, params: PsdmmParams, rng) -> "PsdmmNoise":
-        wide = params.library_size * params.cols_b
+        draw = partial(field.random_vector, rng)
+        layers, wide = params.layers, params.library_size * params.cols_b
         return cls(
-            tuple(
-                tuple(
-                    _random_matrix(field, rng, params.rows_a, params.inner_dim)
-                    for _ in range(params.security_a)
-                )
-                for _ in range(params.layers)
-            ),
-            tuple(
-                tuple(
-                    _random_matrix(field, rng, params.inner_dim, wide)
-                    for _ in range(params.security_b)
-                )
-                for _ in range(params.layers)
-            ),
-            tuple(
-                tuple(
-                    tuple(
-                        _random_matrix(field, rng, wide, params.cols_b)
-                        for _ in range(params.code_dim)
-                    )
-                    for _ in range(params.privacy)
-                )
-                for _ in range(params.layers)
-            ),
+            nested((layers, params.security_a, params.rows_a * params.inner_dim), draw),
+            nested((layers, params.security_b, params.inner_dim * wide), draw),
+            nested((layers, params.privacy, params.code_dim, wide * params.cols_b), draw),
         )
 
 
@@ -210,85 +192,71 @@ def _matrix(field: PrimeField, flat, cols: int) -> FieldMatrix:
     return FieldMatrix._of_residues(field, rows)
 
 
-def _shares(points: EvaluationPoints, params: PsdmmParams, exponents, terms, cols: int):
-    """[server][layer] matrices: the coded share of layer l's flattened terms."""
-    field = points.field
-    servers = range(1, params.num_servers + 1)
-    per_layer = [  # [layer][server]
-        [
-            _matrix(field, flat, cols)
-            for flat in coded_share(
-                [points.diff(l, n) for n in servers], exponents, terms[l - 1], field.q
-            )
-        ]
-        for l in range(1, params.layers + 1)
-    ]
-    return [list(shares) for shares in zip(*per_layer)]
-
-
 def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
-) -> list[list[FieldMatrix]]:
+) -> list[tuple[FieldMatrix, ...]]:
     """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx."""
     kc = params.code_dim
-    terms = [
-        [_flat(inst.a_block(params, l, k)) for k in range(1, kc + 1)]
-        + [_flat(z) for z in noise.a_noise[l - 1]]
+    terms = (
+        [_flat(inst.a_block(params, l, k)) for k in range(1, kc + 1)] + list(noise.a_noise[l - 1])
         for l in range(1, params.layers + 1)
-    ]
-    return _shares(points, params, range(-kc, params.security_a), terms, params.inner_dim)
+    )
+    return code_layers(
+        points, range(-kc, params.security_a), terms, params.rows_a * params.inner_dim,
+        partial(_matrix, points.field, cols=params.inner_dim),
+    )
 
 
 def share_b(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
-) -> list[list[FieldMatrix]]:
+) -> list[tuple[FieldMatrix, ...]]:
     """Per-server library shares: B~_nl = B + sum_x' d^(K_c+x'-1) Z'_lx'.
 
     With X_B = 0 every share is the plain concatenated library.
     """
     b = inst.b_concat
     if not params.shared_library:
-        return [[b for _ in range(params.layers)] for _ in range(params.num_servers)]
-    kc = params.code_dim
-    terms = [[_flat(b)] + [_flat(z) for z in zl] for zl in noise.b_noise]
-    return _shares(points, params, [0, *range(kc, kc + params.security_b)], terms, b.cols)
-
-
-def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int) -> FieldMatrix:
-    """Q_theta: M*mu x mu block column holding the identity at block theta."""
-    if not 1 <= theta <= library_size:
-        raise ValueError(f"theta must be in 1..{library_size}")
-    wide = library_size * cols_b
-    data = [[0] * cols_b for _ in range(wide)]
-    base = (theta - 1) * cols_b
-    for i in range(cols_b):
-        data[base + i][i] = 1
-    return FieldMatrix._of_residues(field, data)
+        return [(b,) * params.layers for _ in range(params.num_servers)]
+    kc, flat_b = params.code_dim, _flat(b)
+    return code_layers(
+        points,
+        [0, *range(kc, kc + params.security_b)],
+        ([flat_b, *zl] for zl in noise.b_noise),
+        len(flat_b),
+        partial(_matrix, points.field, cols=b.cols),
+    )
 
 
 def psdmm_query(
     theta: int, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
-) -> list[list[list[FieldMatrix]]]:
-    """Per-server block queries Q_nl = d^(K_c-k) Q_theta + sum_t d^(K_c+t-1) Z''_lt."""
-    kc = params.code_dim
-    selector = _flat(block_selector(points.field, params.library_size, params.cols_b, theta))
+) -> list[tuple[tuple[FieldMatrix, ...], ...]]:
+    """Per-server block queries Q_nl = d^(K_c-k) Q_theta + sum_t d^(K_c+t-1) Z''_lt.
+
+    Q_theta is the M*mu x mu block column holding the identity at block theta;
+    its mu ones sit at the row-major positions ((theta-1)mu + i)mu + i.
+    """
+    if not 1 <= theta <= params.library_size:
+        raise ValueError(f"theta must be in 1..{params.library_size}")
+    kc, mu = params.code_dim, params.cols_b
+    ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
     per_round = [  # [round][server][layer]
-        _shares(
+        code_layers(
             points,
-            params,
-            [kc - rk, *range(kc, kc + params.privacy)],
-            [[selector] + [_flat(zt[rk - 1]) for zt in zl] for zl in noise.query_noise],
-            params.cols_b,
+            range(kc, kc + params.privacy),
+            ([zt[rk - 1] for zt in zl] for zl in noise.query_noise),
+            params.library_size * mu * mu,
+            partial(_matrix, points.field, cols=mu),
+            (kc - rk, ones),
         )
         for rk in range(1, kc + 1)
     ]
-    return [list(rounds) for rounds in zip(*per_round)]
+    return list(zip(*per_round))
 
 
 def psdmm_answer(
-    a_share_n: list[FieldMatrix],
-    b_share_n: list[FieldMatrix],
-    queries_n: list[list[FieldMatrix]],
+    a_share_n: tuple[FieldMatrix, ...],
+    b_share_n: tuple[FieldMatrix, ...],
+    queries_n: tuple[tuple[FieldMatrix, ...], ...],
 ) -> list[FieldMatrix]:
     """One server's K_c answers: Y_nk = sum_l A~_nl (B~_nl Q_nlk), each lambda x mu.
 
@@ -327,8 +295,6 @@ def psdmm_decode(
     """
     if len(answers) != params.num_servers:
         raise ValueError("answers from all servers are required")
-    if params.decode_width != params.num_servers:
-        raise ValueError("decode width must equal N; wrong derived parameters")
     for rounds in answers:
         if len(rounds) != params.code_dim:
             raise ValueError(f"every server must answer {params.code_dim} rounds")
@@ -353,12 +319,6 @@ class CostReport:
     download: Fraction
     shared_library: bool
     prior_download: Fraction | None = None
-
-    @property
-    def improves_on_prior(self) -> bool | None:
-        if self.prior_download is None:
-            return None
-        return self.download < self.prior_download
 
 
 def prior_download_cost(num_servers: int, code_dim: int) -> Fraction:

@@ -228,11 +228,8 @@ def run_session(
         ok = False
         failure = f"decoding failure: {exc}"
 
-    rates = rate_report(
-        params,
-        params.responsive_count * params.code_dim,
-        params.message_len,
-    )
+    downloaded = sum(len(ab.scalars) for ab in delivered.values())
+    rates = rate_report(params, downloaded, params.message_len)
     return SessionTranscript(
         params=params,
         q=field.q,

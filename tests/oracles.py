@@ -13,6 +13,7 @@ from itertools import combinations, islice, product
 from math import prod
 
 from xstpir.audit import AuditVerdict
+from xstpir.field import PrimeField
 from xstpir.linalg import DecodingMatrix, EvaluationPoints, FieldMatrix
 from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise, nested
 
@@ -167,6 +168,23 @@ def brute_force_inverse(q: int, a: int) -> int:
     raise AssertionError(f"{a} has no inverse mod {q}")
 
 
+def reshape(field, flat, cols: int) -> FieldMatrix:
+    """The matrix with ``cols`` columns whose row-major entries are ``flat``."""
+    return FieldMatrix(field, [flat[i:i + cols] for i in range(0, len(flat), cols)])
+
+
+def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int) -> FieldMatrix:
+    """Q_theta: M*mu x mu block column holding the identity at block theta."""
+    if not 1 <= theta <= library_size:
+        raise ValueError(f"theta must be in 1..{library_size}")
+    wide = library_size * cols_b
+    data = [[0] * cols_b for _ in range(wide)]
+    base = (theta - 1) * cols_b
+    for i in range(cols_b):
+        data[base + i][i] = 1
+    return FieldMatrix._of_residues(field, data)
+
+
 def share_product_coefficients(inst, noise, params, layer: int):
     """Exponent -> matrix coefficients of the share product A~_nl B~_nl.
 
@@ -179,11 +197,11 @@ def share_product_coefficients(inst, noise, params, layer: int):
     a_terms = [
         (-(kc - k + 1), inst.a_block(params, layer, k)) for k in range(1, kc + 1)
     ] + [
-        (x - 1, noise.a_noise[layer - 1][x - 1])
+        (x - 1, reshape(inst.field, noise.a_noise[layer - 1][x - 1], params.inner_dim))
         for x in range(1, params.security_a + 1)
     ]
     b_terms = [(0, inst.b_concat)] + [
-        (kc + x - 1, noise.b_noise[layer - 1][x - 1])
+        (kc + x - 1, reshape(inst.field, noise.b_noise[layer - 1][x - 1], inst.b_concat.cols))
         for x in range(1, params.security_b + 1)
     ]
     coeffs = {}

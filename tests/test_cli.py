@@ -180,6 +180,17 @@ def test_rates_empty_range(capsys):
     assert out.strip() == "N,Kc,X,T,U,B,rate,prior_rate"
 
 
+def test_rates_xstpir_skips_infeasible_and_rejects_invalid(capsys):
+    code, out, _ = run(
+        capsys, "rates", "--scheme", "xstpir", "--N", "2..5", "--Kc", "2", "--X", "1", "--T", "1"
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["4", "5"]
+    for flag, value in (("--Kc", "0"), ("--X", "-1")):
+        code, out, err = run(capsys, "rates", "--scheme", "xstpir", "--N", "4..6", flag, value)
+        assert code == 1 and out == "" and err
+
+
 def test_psdmm_subcommand(tmp_path, capsys):
     out = tmp_path / "p.json"
     code, _, err = run(

@@ -12,10 +12,13 @@ from xstpir.linalg import FieldMatrix
 from xstpir.protocol import InfeasibleParamsError
 import xstpir.psdmm as pm
 
+import oracles
 from oracles import (
+    block_selector,
     evaluate_matrix_coefficients,
     matadd,
     matmul,
+    reshape,
     scale,
     share_product_coefficients,
     solve,
@@ -105,7 +108,7 @@ def test_share_b_single_noise_layer_formula():
     for n in range(1, p.num_servers + 1):
         for l in range(1, p.layers + 1):
             d = pts.diff(l, n)
-            want = matadd(b, scale(noise.b_noise[l - 1][0], d))
+            want = matadd(b, scale(reshape(field, noise.b_noise[l - 1][0], b.cols), d))
             assert shares[n - 1][l - 1] == want
 
 
@@ -118,7 +121,10 @@ def test_share_a_minimal_formula():
     q = field.q
     for n in range(1, p.num_servers + 1):
         d = pts.diff(1, n)
-        want = matadd(scale(inst.a_blocks[0], pow(d, q - 2, q)), noise.a_noise[0][0])
+        want = matadd(
+            scale(inst.a_blocks[0], pow(d, q - 2, q)),
+            reshape(field, noise.a_noise[0][0], p.inner_dim),
+        )
         assert shares[n - 1][0] == want
 
 
@@ -182,19 +188,19 @@ def test_share_secrecy_by_enumeration():
 
 def test_block_selector_placement():
     f = PrimeField(7)
-    sel = pm.block_selector(f, 2, 1, theta=2)
+    sel = block_selector(f, 2, 1, theta=2)
     assert sel.to_lists() == [[0], [1]]
-    sel2 = pm.block_selector(f, 3, 2, theta=1)
+    sel2 = block_selector(f, 3, 2, theta=1)
     assert sel2.to_lists() == [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]]
     with pytest.raises(ValueError):
-        pm.block_selector(f, 2, 1, theta=3)
+        block_selector(f, 2, 1, theta=3)
 
 
 def test_selector_picks_the_requested_library_block():
     p = pm.derive_psdmm_params(4, 1, 1, 0, 3, 2, 2, 2, code_dim=1)
     field, pts, inst, _ = build_instance(p, seed=4)
     for theta in range(1, 4):
-        sel = pm.block_selector(field, p.library_size, p.cols_b, theta)
+        sel = block_selector(field, p.library_size, p.cols_b, theta)
         assert inst.b_concat.mul(sel) == inst.b_library[theta - 1]
 
 
@@ -204,7 +210,7 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
     pts = pm.default_points(p, field)
     noise = pm.PsdmmNoise.random(field, p, Random(5))
     queries = pm.psdmm_query(2, noise, pts, p)
-    sel = pm.block_selector(field, 2, 1, 2)
+    sel = block_selector(field, 2, 1, 2)
     q = field.q
     for n in range(1, p.num_servers + 1):
         for rk in range(1, p.code_dim + 1):
@@ -213,6 +219,64 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
                 assert queries[n - 1][rk - 1][l - 1] == scale(
                     sel, pow(d, p.code_dim - rk, q)
                 )
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+@pytest.mark.parametrize("kc", [1, 2, 3])
+def test_query_matches_dense_selector_oracle(kc, smallest_q):
+    """Every server's query equals the coded share of Q_theta, flattened, plus the noise."""
+    for t, xb in product(range(3), (0, 1)):
+        p = pm.derive_psdmm_params(9, t, 1, xb, 3, 1, 1, 2, code_dim=kc)
+        field = pm.default_field(p) if smallest_q else PrimeField(2**31 - 1)
+        q = field.q
+        pts = pm.default_points(p, field)
+        noise = pm.PsdmmNoise.random(field, p, Random(10 * kc + t))
+        for theta in range(1, p.library_size + 1):
+            sel = block_selector(field, p.library_size, p.cols_b, theta)
+            selector = [v for row in sel.data for v in row]
+            queries = pm.psdmm_query(theta, noise, pts, p)
+            for n, rk, l in product(
+                range(1, p.num_servers + 1), range(1, kc + 1), range(1, p.layers + 1)
+            ):
+                flat = oracles.coded_share(
+                    pts.diff(l, n),
+                    [kc - rk, *range(kc, kc + t)],
+                    [selector] + [zt[rk - 1] for zt in noise.query_noise[l - 1]],
+                    q,
+                )
+                assert queries[n - 1][rk - 1][l - 1] == reshape(field, flat, p.cols_b)
+        for theta in (0, p.library_size + 1):
+            with pytest.raises(ValueError):
+                pm.psdmm_query(theta, noise, pts, p)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (6, 1, 1, 1, 2, 2, 2, 2, 1),
+        (4, 1, 1, 0, 3, 2, 3, 2, 2),  # X_B = 0: no B-share noise
+        (7, 0, 1, 1, 2, 2, 3, 2, 2),  # T = 0: no query noise
+    ],
+)
+def test_noise_is_the_row_by_row_draw_stream(shape):
+    """The flat noise holds the row-by-row randrange draws, in order, and leaves rng alike."""
+    p = pm.derive_psdmm_params(*shape)
+    field = pm.default_field(p)
+    rng, ref = Random(17), Random(17)
+    noise = pm.PsdmmNoise.random(field, p, rng)
+    wide = p.library_size * p.cols_b
+    matrices = (
+        [(p.rows_a, p.inner_dim)] * (p.layers * p.security_a)
+        + [(p.inner_dim, wide)] * (p.layers * p.security_b)
+        + [(wide, p.cols_b)] * (p.layers * p.privacy * p.code_dim)
+    )
+    want = [
+        ref.randrange(field.q) for rows, cols in matrices for _ in range(rows) for _ in range(cols)
+    ]
+    parts = (noise.a_noise, noise.b_noise, [zt for zl in noise.query_noise for zt in zl])
+    got = [v for part in parts for zl in part for z in zl for v in z]
+    assert got == want
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("smallest_q", [True, False])
@@ -382,7 +446,7 @@ def test_cost_hull_public_library():
         (2, Fraction(2, 1), Fraction(4, 1)),
     ]
     assert hull[0].prior_download == Fraction(4, 1)
-    assert all(r.improves_on_prior for r in hull)
+    assert all(r.download < r.prior_download for r in hull)
 
 
 def test_cost_hull_strictly_improves_for_all_feasible_kc():
@@ -417,9 +481,10 @@ def test_cost_hull_drops_infeasible_kc():
             feasible = []
             for kc in range(1, n + 1):
                 try:
-                    pm.derive_psdmm_params(n, t, xa, xb, 2, 1, 1, 1, code_dim=kc)
+                    p = pm.derive_psdmm_params(n, t, xa, xb, 2, 1, 1, 1, code_dim=kc)
                 except InfeasibleParamsError:
                     continue
+                assert p.decode_width == p.num_servers
                 feasible.append(kc)
             assert [r.code_dim for r in pm.cost_hull(n, t, xa, xb)] == feasible
 

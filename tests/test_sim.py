@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,6 +34,16 @@ def test_session_outcome_and_rates():
     assert t.ok and t.decoded == t.messages[0]
     assert t.rates.downloaded_symbols == 8 and t.rates.retrieved_symbols == 2
     assert str(t.rates.realized_rate) == "1/4" and t.rates.matches_achievable
+
+
+def test_realized_rate_counts_delivered_symbols():
+    """Every server answers though U = 1 is allowed: 6 symbols, not (N-U)*K_c = 5."""
+    p = xp.derive_params(6, 1, 1, 1, max_unresponsive=1)
+    t = run_session(p, HONEST, theta=1, seed=0, strict=False)
+    assert t.ok and all(a is not None for a in t.answers)
+    assert t.rates.downloaded_symbols == 6 and t.rates.retrieved_symbols == p.message_len == 3
+    assert t.rates.realized_rate == Fraction(1, 2) != t.rates.achievable_rate
+    assert not t.rates.matches_achievable
 
 
 def test_role_seeds_are_split_and_stable():
