@@ -50,13 +50,14 @@ from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import DecodingMatrix, EvaluationPoints, FieldMatrix, build_decoding_matrix
-from .robust import decoder_for
+from .robust import DecodingFailure, decoder_for
 
 _ORDER = sys.byteorder  # the byte order of ``array`` words
 
 
 class InfeasibleParamsError(ValueError):
-    """Parameter tuple leaves no room for a data layer (L < 1)."""
+    """Parameter tuple leaves no room for a data layer (L < 1), or no session
+    could decode it (K_c = 1, X = T = B = 0)."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,9 @@ class ProtocolParams:
 
     layers = (N - U) - (K_c + X + T + 2B - 1) and message_len = layers * K_c
     are set here from the seven inputs and cannot be passed.  L >= 1 with
-    K_c >= 1 also bounds X, T <= N - 1 and U <= N - 1.
+    K_c >= 1 also bounds X, T <= N - 1 and U <= N - 1.  K_c = 1 with
+    X = T = B = 0 is rejected too: its decoding matrix would be square
+    pure-Cauchy, which ``build_decoding_matrix`` refuses.
     """
 
     num_servers: int        # N
@@ -86,6 +89,10 @@ class ProtocolParams:
         layers = (n - u) - (kc + x + t + 2 * b - 1)
         if layers < 1:
             raise InfeasibleParamsError(f"L = {layers} < 1: N-U too small for K_c+X+T+2B-1")
+        if kc == 1 and x == t == b == 0:
+            raise InfeasibleParamsError(
+                "K_c = 1 with X = T = B = 0: the decoding matrix would be square pure-Cauchy"
+            )
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "message_len", layers * kc)
 
@@ -454,24 +461,24 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
 
 
 def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[int]:
-    """Recover all ell desired symbols from >= N-U answer bundles.
+    """Recover all ell desired symbols from >= N-U well-formed answer bundles.
 
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    Exactly N-U bundles are consumed (the lowest responsive server indices).
+    A bundle without exactly K_c scalars is an erasure; of the rest, exactly
+    N-U are consumed (the lowest server indices), and DecodingFailure is
+    raised when fewer remain.
     """
-    by_server = _normalize_answers(answers)
-    need = params.responsive_count
-    if len(by_server) < need:
-        raise ValueError(
-            f"decoding needs answers from {need} servers, got {len(by_server)}"
-        )
-    chosen = sorted(by_server)[:need]
     kc = params.code_dim
-    for n in chosen:
-        if len(by_server[n].scalars) != kc:
-            raise ValueError(f"server {n} answer must hold {kc} scalars")
+    by_server = _normalize_answers(answers)
+    well_formed = sorted(n for n, ab in by_server.items() if len(ab.scalars) == kc)
+    need = params.responsive_count
+    if len(well_formed) < need:
+        raise DecodingFailure(
+            f"decoding needs well-formed answers from {need} servers, got {len(well_formed)}"
+        )
+    chosen = well_formed[:need]
     matrix = build_decoding_matrix(points, tuple(chosen), params.layers, params.decode_width)
     observations = [[(v,) for v in by_server[n].scalars] for n in chosen]
     return [s[0] for s in decode_rounds(matrix, observations, params.max_byzantine)]

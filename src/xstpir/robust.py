@@ -11,35 +11,38 @@ polynomials of degree < width.  So for observations y the scaled values
 z_n = P(a_n) y_n are, up to the corruptions, the evaluations of one polynomial
 g(x) = sum_l c_l prod_{l' != l}(f_l' - x) + P(x) V(x) of degree < width.
 
-With errors allowed, decoding is Gao's algorithm (S. Gao, "A new algorithm for
-decoding Reed-Solomon codes", 2003): interpolate g0 through the z_n, run the
-extended Euclidean algorithm on (G, g0) with G(x) = prod_n (x - a_n) until the
-remainder r has degree < (rows + width)/2, and take g = r / v, which must
-divide exactly with degree < width.  The solution is read off g: each
-c_l = g(f_l) / prod_{l' != l}(f_l' - f_l), and the Vandermonde coefficients
-are those of the exact quotient (g - sum_l c_l prod_{l' != l}(f_l' - x)) / P(x).
-This is the cross-subspace-alignment view of Jia and Jafar (CSA codes).
+With errors allowed, Gao's algorithm (S. Gao, "A new algorithm for decoding
+Reed-Solomon codes", 2003) corrects the observations: interpolate g0 through
+the z_n, run the extended Euclidean algorithm on (G, g0) with
+G(x) = prod_n (x - a_n) until the remainder r has degree < (rows + width)/2,
+and take g = r / v, which must divide exactly with degree < width.  The
+corrected codeword is y'_n = g(a_n) / P(a_n).  The solution is the square
+solve of the first width rows on its first width entries (on the observations
+themselves when no errors are allowed).  This is the cross-subspace-alignment
+view of Jia and Jafar (CSA codes).
 
-A result must finally agree with at least rows - num_errors observations, or
-DecodingFailure is raised.  Any such vector is the unique codeword within
-distance num_errors of the observations (by the minimum distance), and Gao's
-algorithm finds every codeword within (rows - width)/2 >= num_errors, so the
-output equals that of subset consensus (solve every width-row square system,
-re-encode, accept a candidate agreeing on rows - num_errors rows; kept as
-``RobustDecoder.candidates``) on every input, in polynomial time.
+The corrected codeword must agree with at least rows - num_errors
+observations, or DecodingFailure is raised.  Any such codeword is the unique
+one within distance num_errors of the observations (by the minimum distance),
+and Gao's algorithm finds every codeword within (rows - width)/2 >= num_errors,
+so the output equals that of subset consensus (solve every width-row square
+system, re-encode, accept a candidate agreeing on rows - num_errors rows; kept
+as ``RobustDecoder.candidates``) on every input, in polynomial time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, zip_longest
-from operator import mul
+from math import prod
+from operator import eq, mul
 
-from .linalg import DecodingMatrix, FieldMatrix
+from .linalg import DecodingMatrix
 
 
-class DecodingFailure(Exception):
-    """No candidate met the agreement threshold: more than B corruptions."""
+class DecodingFailure(ValueError):
+    """More than B corruptions (no codeword met the agreement threshold), or
+    fewer well-formed answers than the decoder needs."""
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -97,33 +100,28 @@ class RobustDecoder:
     def __init__(self, matrix: DecodingMatrix):
         self.matrix = matrix
         self._full = matrix.matrix()
-        self._square_inv: FieldMatrix | None = None
+        self._inverse = self._full.row_submatrix(range(matrix.width)).inverse()
         if matrix.rows > matrix.width:  # a square matrix corrects no errors
             self._init_gao()
 
     def _init_gao(self):
         m = self.matrix
         q = m.field.q
-        fs = m.points.f
         alphas = [m.points.alpha[n - 1] for n in m.row_servers]
         self._locator = _product([(-a, 1) for a in alphas], q)  # G(x)
         # g0 = sum_n y_n P(a_n) w_n G(x)/(x - a_n) with Lagrange weight
         # w_n = 1/prod_{m != n}(a_n - a_m): one row per coefficient of g0.
+        # Row n of the codeword table evaluates g at a_n and divides by P(a_n).
         columns = []
-        for n, a in enumerate(alphas):
+        self._codeword = []
+        for a in alphas:
             basis, _ = _divmod(self._locator, [-a % q, 1], q)
-            c = pow(_evaluate(basis, a, q), q - 2, q)
-            for f in fs:
-                c = c * (f - a) % q
+            p_a = prod(f - a for f in m.points.f) % q
+            c = pow(_evaluate(basis, a, q), q - 2, q) * p_a % q
             columns.append([c * v % q for v in basis])
+            inv_p = pow(p_a, q - 2, q)
+            self._codeword.append([pow(a, j, q) * inv_p % q for j in range(m.width)])
         self._interp = list(zip(*columns))
-        # P(x) = prod_l (f_l - x); per layer, f_l, the inverse of
-        # prod_{l' != l}(f_l' - f_l) and the Cauchy basis prod_{l' != l}(f_l' - x).
-        self._p = _product([(f, -1) for f in fs], q)
-        self._cauchy = []
-        for l, f in enumerate(fs):
-            basis = _product([(g, -1) for g in fs[:l] + fs[l + 1:]], q)
-            self._cauchy.append((f, pow(_evaluate(basis, f, q), q - 2, q), basis))
 
     def candidates(self, observed):
         """Yield (subset, solution, agreement count) for every width-subset.
@@ -155,23 +153,12 @@ class RobustDecoder:
             raise ValueError(
                 f"{m.rows} rows at width {m.width} cannot correct {num_errors} errors"
             )
-        if num_errors == 0:
-            if self._square_inv is None:
-                self._square_inv = self._full.row_submatrix(range(m.width)).inverse()
-            return self._square_inv.matvec([observed[i] for i in range(m.width)])
-        threshold = m.rows - num_errors
-        x = self._gao(observed)
-        if x is not None:
-            agree = sum(e == y for e, y in zip(self._full.matvec(x), observed))
-            if agree >= threshold:
-                return x
-        raise DecodingFailure(
-            f"no candidate agreed on >= {threshold} of {m.rows} rows; "
-            f"more than {num_errors} corrupted answers"
-        )
+        if num_errors:
+            observed = self._correct(observed, num_errors)
+        return self._inverse.matvec(observed[:m.width])
 
-    def _gao(self, observed) -> list[int] | None:
-        """Coefficients of the codeword Gao's algorithm finds near the observations, or None."""
+    def _correct(self, observed, num_errors: int) -> list[int]:
+        """The codeword Gao's algorithm finds within num_errors of the observations."""
         m = self.matrix
         q = m.field.q
         r0, r1 = self._locator, _trim(
@@ -183,16 +170,15 @@ class RobustDecoder:
             r0, r1 = r1, rem
             v0, v1 = v1, _sub(v0, _mul(quot, v1, q), q)
         g, rem = _divmod(r1, v1, q)
-        if rem or len(g) > m.width:
-            return None
-        coeffs = []
-        for f, inv, basis in self._cauchy:
-            c = _evaluate(g, f, q) * inv % q
-            coeffs.append(c)
-            g = _sub(g, [c * b % q for b in basis], q)
-        # g now vanishes at every f_l, so P divides it exactly.
-        vander, _ = _divmod(g, self._p, q)
-        return coeffs + vander + [0] * (m.width - len(coeffs) - len(vander))
+        threshold = m.rows - num_errors
+        if not rem and len(g) <= m.width:
+            codeword = [sum(map(mul, row, g)) % q for row in self._codeword]
+            if sum(map(eq, codeword, observed)) >= threshold:
+                return codeword
+        raise DecodingFailure(
+            f"no candidate agreed on >= {threshold} of {m.rows} rows; "
+            f"more than {num_errors} corrupted answers"
+        )
 
 
 @lru_cache(maxsize=4096)

@@ -193,7 +193,8 @@ def run_session(
 
     Returns a transcript with ok=True and decoded == W_theta, or a structured
     failure when the adversary exceeded the (U, B) budget (reachable only with
-    strict=False; strict mode rejects over-budget configs up front).
+    strict=False; strict mode rejects over-budget configs up front).  ``rates``
+    is None when no server answered.
     """
     adversary.validate(params, strict=strict)
     if field is None:
@@ -229,7 +230,7 @@ def run_session(
         failure = f"decoding failure: {exc}"
 
     downloaded = sum(len(ab.scalars) for ab in delivered.values())
-    rates = rate_report(params, downloaded, params.message_len)
+    rates = rate_report(params, downloaded, params.message_len) if delivered else None
     return SessionTranscript(
         params=params,
         q=field.q,
@@ -348,12 +349,7 @@ def sweep(
 def params_grid(
     n_range, kc_range, x_range, t_range, u_range, b_range, k_range
 ):
-    """All feasible parameter tuples in the given ranges.
-
-    Skips infeasible tuples (L < 1) and the one corner (K_c=1, X=0, T=0, B=0)
-    where the decoding matrix would be square pure-Cauchy, outside the
-    guaranteed-invertibility domain 1 <= L <= rows-1.
-    """
+    """All feasible parameter tuples in the given ranges."""
     out = []
     for n in n_range:
         for kc in kc_range:
@@ -361,8 +357,6 @@ def params_grid(
                 for t in t_range:
                     for u in u_range:
                         for b in b_range:
-                            if kc == 1 and x == 0 and t == 0 and b == 0:
-                                continue
                             if u >= n:  # also skips N = 0, which is not a tuple at all
                                 continue
                             for k in k_range:

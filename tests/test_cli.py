@@ -186,6 +186,10 @@ def test_rates_xstpir_skips_infeasible_and_rejects_invalid(capsys):
     )
     assert code == 0
     assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["4", "5"]
+    code, out, _ = run(  # the square pure-Cauchy corner at every N
+        capsys, "rates", "--scheme", "xstpir", "--N", "3..5", "--Kc", "1", "--X", "0", "--T", "0"
+    )
+    assert code == 0 and out.strip().splitlines() == ["N,Kc,X,T,U,B,rate,prior_rate"]
     for flag, value in (("--Kc", "0"), ("--X", "-1")):
         code, out, err = run(capsys, "rates", "--scheme", "xstpir", "--N", "4..6", flag, value)
         assert code == 1 and out == "" and err

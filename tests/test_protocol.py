@@ -9,6 +9,7 @@ import pytest
 import xstpir as xp
 from xstpir.field import smallest_prime_geq
 from xstpir.protocol import InfeasibleParamsError, coded_share
+from xstpir.robust import DecodingFailure
 
 import oracles
 from oracles import answer_coefficients, evaluate_coefficients, interference_offset
@@ -39,6 +40,8 @@ def test_derive_params_worked_examples():
     assert (p.layers, p.message_len) == (2, 4)
     with pytest.raises(InfeasibleParamsError):
         xp.derive_params(4, 2, 1, 2, 0, 0, 2)  # L = 0
+    with pytest.raises(InfeasibleParamsError, match="square pure-Cauchy"):
+        xp.derive_params(4, 1, 0, 0)  # width = L = rows, no Vandermonde column
 
 
 def test_derive_params_validation():
@@ -485,6 +488,17 @@ def test_decode_requires_enough_answers():
     for scalars in (answers[1].scalars[:1], answers[1].scalars + (0,)):  # != K_c = 2
         with pytest.raises(ValueError):
             xp.decode([answers[0], xp.AnswerBundle(2, scalars)] + answers[2:], pts, p)
+
+
+def test_decode_treats_malformed_bundle_as_erasure():
+    """U = 1 and all six answer: server 3's K_c + 1 scalars are the erasure."""
+    p = xp.derive_params(6, 2, 1, 1, max_unresponsive=1, num_messages=2)
+    _, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
+    answers[2] = xp.AnswerBundle(3, answers[2].scalars + (1,))
+    assert xp.decode(answers, pts, p) == list(msgs.messages[1])
+    answers[4] = xp.AnswerBundle(5, answers[4].scalars[:1])
+    with pytest.raises(DecodingFailure):  # two erasures at U = 1
+        xp.decode(answers, pts, p)
 
 
 def test_decode_with_byzantine_garbage():

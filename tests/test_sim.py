@@ -46,6 +46,17 @@ def test_realized_rate_counts_delivered_symbols():
     assert not t.rates.matches_achievable
 
 
+def test_over_budget_silence_gives_failure_transcript():
+    """More than U silent servers is a decoding failure, not an exception."""
+    p = xp.derive_params(6, 1, 1, 1, max_unresponsive=1)
+    for silent in ((1, 2), tuple(range(1, 7))):
+        t = run_session(p, AdversaryConfig(silent), theta=1, seed=0, strict=False)
+        assert not t.ok and t.decoded is None
+        assert t.failure.startswith("decoding failure")
+        assert json.loads(t.to_json())["ok"] is False
+    assert t.rates is None  # nobody answered: no realized rate
+
+
 def test_role_seeds_are_split_and_stable():
     assert derive_seed(7, "messages") == derive_seed(7, "messages")
     assert derive_seed(7, "messages") != derive_seed(7, "storage-noise")
