@@ -1,12 +1,13 @@
 """Private information retrieval from noise-protected MDS-coded storage.
 
 Core pieces: the prime field GF(q) and its residue contract (``field``),
-Cauchy-Vandermonde linear algebra (``linalg``), the layered retrieval scheme with the coded-share
-kernel and round decoder shared with PSDMM (``protocol``), Reed-Solomon
+Cauchy-Vandermonde linear algebra (``linalg``), the layered retrieval scheme
+with its layout rule, storage and query coders, coded-share kernel and round
+decoder, all shared with PSDMM (``protocol``), Reed-Solomon
 error decoding by Gao's algorithm (``robust``),
 distribution-equality guarantees (``audit``), private secure distributed
-matrix multiplication (``psdmm``), the simulation harness (``sim``), and a
-command-line frontend (``cli``).
+matrix multiplication as the retrieval code at X = X_eff (``psdmm``), the
+simulation harness (``sim``), and a command-line frontend (``cli``).
 """
 
 from .field import PrimeField, is_prime, smallest_prime_geq
@@ -34,7 +35,6 @@ from .protocol import (
     derive_params,
     encode_storage,
     gen_queries,
-    recover_messages,
     server_answer,
 )
 from .robust import DecodingFailure, RobustDecoder
@@ -66,7 +66,6 @@ __all__ = [
     "encode_storage",
     "gen_queries",
     "is_prime",
-    "recover_messages",
     "server_answer",
     "smallest_prime_geq",
 ]

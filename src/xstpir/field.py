@@ -10,8 +10,9 @@ of ``protocol.coded_share``), and every kernel returns residues in [0, q)
 queries, server answers, matrix products and decodes), so nothing downstream
 reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,
-``EvaluationPoints``, ``FieldMatrix(...)``, and the answers that
-``protocol.decode_rounds`` receives.
+``EvaluationPoints`` and ``FieldMatrix(...)``.  Caller answers are checked,
+not reduced: ``protocol.decode`` erases every bundle holding anything but
+residues.
 """
 
 from __future__ import annotations

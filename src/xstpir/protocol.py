@@ -7,14 +7,15 @@ expose exactly the L desired symbols (W_lk e_theta) on the terms
 1/(f_l - a_n), with every remaining product collapsing onto the shared span
 1, a_n, ..., a_n^(K_c+X+T-2).
 
-Every coded object (storage shares, queries, the MDS recovery rows, the PSDMM
-shares and queries, the interference offsets) is one sum
-sum_e d^e v_e mod q with d = f_l - a_n, computed by ``coded_share`` for every
-d that shares the same term vectors (one layer, all servers) in one call.
-``code_layers`` is the one layer coder of the storage, the queries and both
-PSDMM shares and queries: per layer it codes the term vectors for every
-server, and it adds a 0/1 selector (e_theta, or the PSDMM Q_theta) as d^e at
-its few nonzero positions rather than as a dense term.
+Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n,
+computed by ``coded_share`` for every d that shares the same term vectors
+(one layer, all servers) in one call; ``code_layers`` codes every layer for
+every server, adding a 0/1 selector as d^e at its few nonzero positions.
+This module owns the code layout: ``layer_count`` is the one layout rule,
+``code_storage`` the one storage coder (data on d^(-K_c..-1), X noise layers
+on d^(0..X-1)) and ``code_queries`` the one query coder (the selector on
+d^(K_c-k), T noise layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
+this code at X = X_eff and U = B = 0.
 
 ``coded_share`` packs each term vector once into one Python int, one slot of
 whole 64-bit words per entry, and for each d forms x = sum_e c_e packed_e
@@ -35,8 +36,9 @@ contribution of earlier rounds before each solve.
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
-return, unreduced again, and in this module only ``MessageSet`` and the
-answers entering ``decode_rounds`` reduce caller data.
+return, unreduced again.  In this module only ``MessageSet`` reduces caller
+data; ``decode`` checks the answers instead and erases every bundle that
+holds anything but K_c residues.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import lru_cache, partial
 from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
-from .linalg import DecodingMatrix, EvaluationPoints, FieldMatrix, build_decoding_matrix
+from .linalg import DecodingMatrix, EvaluationPoints, build_decoding_matrix
 from .robust import DecodingFailure, decoder_for
 
 _ORDER = sys.byteorder  # the byte order of ``array`` words
@@ -60,24 +62,39 @@ class InfeasibleParamsError(ValueError):
     could decode it (K_c = 1, X = T = B = 0)."""
 
 
+def layer_count(n: int, kc: int, x: int, t: int, u: int, b: int) -> int:
+    """The layout rule L = (N - U) - (K_c + X + T + 2B - 1), at (N, K_c, X, T, U, B).
+
+    Raises ``InfeasibleParamsError`` when L < 1, and at K_c = 1 with
+    X = T = B = 0, whose decoding matrix would be square pure-Cauchy, which
+    ``build_decoding_matrix`` refuses.
+    """
+    layers = (n - u) - (kc + x + t + 2 * b - 1)
+    if layers < 1:
+        raise InfeasibleParamsError(f"L = {layers} < 1: N-U too small for K_c+X+T+2B-1")
+    if kc == 1 and x == t == b == 0:
+        raise InfeasibleParamsError(
+            "K_c = 1 with X = T = B = 0: the decoding matrix would be square pure-Cauchy"
+        )
+    return layers
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated parameter tuple; the layer count and message length are computed.
 
-    layers = (N - U) - (K_c + X + T + 2B - 1) and message_len = layers * K_c
-    are set here from the seven inputs and cannot be passed.  L >= 1 with
-    K_c >= 1 also bounds X, T <= N - 1 and U <= N - 1.  K_c = 1 with
-    X = T = B = 0 is rejected too: its decoding matrix would be square
-    pure-Cauchy, which ``build_decoding_matrix`` refuses.
+    layers (``layer_count``) and message_len = layers * K_c are set here from
+    the seven inputs and cannot be passed.  L >= 1 with K_c >= 1 also bounds
+    X, T <= N - 1 and U <= N - 1.
     """
 
-    num_servers: int        # N
-    code_dim: int           # K_c, MDS storage code dimension
-    security: int           # X, colluding-server bound for storage secrecy
-    privacy: int            # T, colluding-server bound for query privacy
-    max_unresponsive: int   # U
-    max_byzantine: int      # B
-    num_messages: int       # K
+    num_servers: int            # N
+    code_dim: int               # K_c, MDS storage code dimension
+    security: int               # X, colluding-server bound for storage secrecy
+    privacy: int                # T, colluding-server bound for query privacy
+    max_unresponsive: int = 0   # U
+    max_byzantine: int = 0      # B
+    num_messages: int = 1       # K
     layers: int = dc_field(init=False)       # L, derived
     message_len: int = dc_field(init=False)  # ell = L * K_c, derived
 
@@ -86,13 +103,7 @@ class ProtocolParams:
         u, b, k = self.max_unresponsive, self.max_byzantine, self.num_messages
         if min(n, kc, k) < 1 or min(x, t, u, b) < 0:
             raise ValueError("need N, K_c, K >= 1 and X, T, U, B >= 0")
-        layers = (n - u) - (kc + x + t + 2 * b - 1)
-        if layers < 1:
-            raise InfeasibleParamsError(f"L = {layers} < 1: N-U too small for K_c+X+T+2B-1")
-        if kc == 1 and x == t == b == 0:
-            raise InfeasibleParamsError(
-                "K_c = 1 with X = T = B = 0: the decoding matrix would be square pure-Cauchy"
-            )
+        layers = layer_count(n, kc, x, t, u, b)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "message_len", layers * kc)
 
@@ -111,19 +122,7 @@ class ProtocolParams:
         return self.num_servers - self.max_unresponsive
 
 
-def derive_params(
-    num_servers: int,
-    code_dim: int,
-    security: int,
-    privacy: int,
-    max_unresponsive: int = 0,
-    max_byzantine: int = 0,
-    num_messages: int = 1,
-) -> ProtocolParams:
-    """The parameter tuple with U, B and K defaulted; rejects L < 1."""
-    return ProtocolParams(
-        num_servers, code_dim, security, privacy, max_unresponsive, max_byzantine, num_messages
-    )
+derive_params = ProtocolParams  # the constructor under its older name
 
 
 def achievable_rate(params: ProtocolParams) -> Fraction:
@@ -341,6 +340,55 @@ def code_layers(points: EvaluationPoints, exponents, terms, length: int, wrap=tu
     return list(zip(*per_layer))
 
 
+def check_noise(noise, shape, message: str) -> None:
+    """Raise ``ValueError(message)`` unless the nested ``noise`` has ``shape``."""
+    level = [noise]
+    for depth, size in enumerate(shape):
+        if depth:
+            level = [v for t in level for v in t]
+        if any(len(t) != size for t in level):  # the coders would drop unmatched terms silently
+            raise ValueError(message)
+
+
+def query_noise_exponents(code_dim: int, count: int) -> range:
+    """d^(K_c..K_c+count-1), above every storage term: query noise, and PSDMM's library noise."""
+    return range(code_dim, code_dim + count)
+
+
+def code_storage(points, code_dim: int, security: int, column, noise, length: int, wrap=tuple):
+    """The storage coder, [server][layer]: sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
+
+    For the L = len(points.f) layers, ``column(l, k)`` is C_lk and the L x X
+    noise holds Z_lx, all vectors of ``length`` entries.
+    """
+    layers = len(points.f)
+    check_noise(noise, (layers, security), "storage noise must be L x X vectors")
+    terms = (
+        [column(l, k) for k in range(1, code_dim + 1)] + list(noise[l - 1])
+        for l in range(1, layers + 1)
+    )
+    return code_layers(points, range(-code_dim, security), terms, length, wrap)
+
+
+def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int, wrap=tuple):
+    """The query coder, [server][round][layer]: d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
+
+    E is the 0/1 selector with ones at ``positions``; the L x T x K_c noise
+    holds Z'_ltk, vectors of ``length`` entries.
+    """
+    shape = (len(points.f), privacy, code_dim)
+    check_noise(noise, shape, "query noise must be L x T x K_c vectors")
+    exponents = query_noise_exponents(code_dim, privacy)
+    per_round = [  # [round][server][layer]
+        code_layers(
+            points, exponents, ([zt[rk - 1] for zt in zl] for zl in noise), length, wrap,
+            (code_dim - rk, positions),
+        )
+        for rk in range(1, code_dim + 1)
+    ]
+    return list(zip(*per_round))
+
+
 def encode_storage(
     messages: MessageSet,
     noise: StorageNoise,
@@ -353,14 +401,8 @@ def encode_storage(
                          + sum_x (f_l - a_n)^(x-1) Z_lx.
     """
     _check_dims(messages, params, points)
-    if len(noise.z) != params.layers or any(len(zl) != params.security for zl in noise.z):
-        raise ValueError("storage noise must be L x X vectors")
-    kc = params.code_dim
-    terms = (
-        [messages.layer_vector(l, k) for k in range(1, kc + 1)] + list(noise.z[l - 1])
-        for l in range(1, params.layers + 1)
-    )
-    shares = code_layers(points, range(-kc, params.security), terms, params.num_messages)
+    kc, x, k = params.code_dim, params.security, params.num_messages
+    shares = code_storage(points, kc, x, messages.layer_vector, noise.z, k)
     return [ServerStorage(n, s, points.field) for n, s in enumerate(shares, 1)]
 
 
@@ -376,24 +418,10 @@ def gen_queries(
     """
     if not 1 <= theta <= params.num_messages:
         raise ValueError(f"theta must be in 1..{params.num_messages}")
-    if len(noise.zp) != params.layers or any(
-        len(zl) != params.privacy or any(len(zt) != params.code_dim for zt in zl)
-        for zl in noise.zp
-    ):
-        raise ValueError("query noise must be L x T x K_c vectors")
-    kc = params.code_dim
-    exponents = range(kc, kc + params.privacy)
-    per_round = [  # [round][server][layer]
-        code_layers(
-            points,
-            exponents,
-            ([zt[rk - 1] for zt in zl] for zl in noise.zp),
-            params.num_messages,
-            selector=(kc - rk, (theta - 1,)),
-        )
-        for rk in range(1, kc + 1)
-    ]
-    return [QueryBundle(n, rounds, points.field) for n, rounds in enumerate(zip(*per_round), 1)]
+    queries = code_queries(
+        points, params.code_dim, params.privacy, (theta - 1,), noise.zp, params.num_messages
+    )
+    return [QueryBundle(n, rounds, points.field) for n, rounds in enumerate(queries, 1)]
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
@@ -466,13 +494,17 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle without exactly K_c scalars is an erasure; of the rest, exactly
-    N-U are consumed (the lowest server indices), and DecodingFailure is
-    raised when fewer remain.
+    A bundle is an erasure unless it holds exactly K_c ints in [0, q); of
+    the rest, exactly N-U are consumed (the lowest server indices), and
+    DecodingFailure is raised when fewer remain.
     """
-    kc = params.code_dim
+    kc, q = params.code_dim, points.field.q
     by_server = _normalize_answers(answers)
-    well_formed = sorted(n for n, ab in by_server.items() if len(ab.scalars) == kc)
+    well_formed = sorted(
+        n
+        for n, ab in by_server.items()
+        if len(ab.scalars) == kc and all(isinstance(v, int) and 0 <= v < q for v in ab.scalars)
+    )
     need = params.responsive_count
     if len(well_formed) < need:
         raise DecodingFailure(
@@ -482,41 +514,6 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     matrix = build_decoding_matrix(points, tuple(chosen), params.layers, params.decode_width)
     observations = [[(v,) for v in by_server[n].scalars] for n in chosen]
     return [s[0] for s in decode_rounds(matrix, observations, params.max_byzantine)]
-
-
-def recover_messages(
-    storages, points: EvaluationPoints, params: ProtocolParams
-) -> MessageSet:
-    """Rebuild every message from any K_c + X server shares (the MDS property).
-
-    Independent of the retrieval path: per layer it inverts the square system
-    whose row for server n is the storage coefficient pattern
-    [1/d^K_c, ..., 1/d, 1, d, ..., d^(X-1)] with d = f_l - a_n, the coded
-    share of the unit vectors, and applies the inverse to the K messages'
-    share columns.
-    """
-    storages = list(storages)
-    need = params.code_dim + params.security
-    if len(storages) < need:
-        raise ValueError(f"message recovery needs {need} shares, got {len(storages)}")
-    storages = storages[:need]
-    field = points.field
-    kc, kk = params.code_dim, params.num_messages
-    exponents = range(-kc, params.security)
-    units = FieldMatrix.identity(field, need).data
-    symbols = [[0] * params.message_len for _ in range(kk)]
-    for l in range(1, params.layers + 1):
-        inverse = FieldMatrix(
-            field,
-            coded_share([points.diff(l, st.server) for st in storages], exponents, units, field.q),
-        ).inverse()
-        shares = FieldMatrix(field, [st.shares[l - 1] for st in storages])
-        for k, row in enumerate(inverse.row_submatrix(range(kc)).mul(shares).data):
-            for j, v in enumerate(row):  # symbol (l, k+1) of message j
-                symbols[j][params.layers * k + l - 1] = v
-    return MessageSet(
-        field, params.layers, params.code_dim, tuple(tuple(m) for m in symbols)
-    )
 
 
 def _check_dims(messages: MessageSet, params: ProtocolParams, points: EvaluationPoints):

@@ -1,19 +1,18 @@
-"""Private secure distributed matrix multiplication built on the retrieval scheme.
+"""Private secure distributed matrix multiplication: the retrieval code at X = X_eff.
 
 The confidential blocks A_1..A_ell are secret-shared exactly like message
 columns (Cauchy terms plus X_A noise layers), the library matrices B_1..B_M
-are optionally shared with X_B noise on the interference span, and the block
-selector Q_theta is hidden like a query.  Each server returns
-sum_l A~_nl B~_nl Q_nl per round.  The share product has the storage shape
-(Cauchy terms plus an effective noise span of K_c + X_A + X_B - 1, or X_A when
-the library is public), so its lambda*mu entries decode as lambda*mu scalar
-streams of the retrieval round decoder ``protocol.decode_rounds``.
+are optionally shared with X_B noise on the query-noise exponents, and the
+block selector Q_theta is hidden like a query.  Each server returns
+sum_l A~_nl B~_nl Q_nl per round.  The share product is storage with the
+noise span X_eff = K_c + X_A + X_B - 1 (X_A when the library is public), so
+the layout is ``protocol.layer_count`` at X = X_eff and U = B = 0, and its
+lambda*mu entries decode as scalar streams of ``protocol.decode_rounds``.
 
-Shares and queries come from ``protocol.code_layers``, the layer coder of the
-storage and the retrieval queries, over the matrices flattened row-major: the
-A-shares are coded like storage, the B-shares like the query noise, and
-Q_theta is added like e_theta, as d^(K_c-k) at its mu ones.  The noise is
-drawn flat through ``protocol.nested``; shares and queries come back as
+Over the matrices flattened row-major, the A-shares come from the storage
+coder ``protocol.code_storage`` and the queries from the query coder
+``protocol.code_queries``, with Q_theta's mu ones as the selector.  The noise
+is drawn flat through ``protocol.nested``; shares and queries come back as
 ``FieldMatrix``.
 """
 
@@ -22,17 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
-from itertools import count
 
 from .field import PrimeField
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
 from .protocol import (  # noqa: F401  (default_field/default_points re-exported)
     InfeasibleParamsError,
+    check_noise,
     code_layers,
+    code_queries,
+    code_storage,
     decode_rounds,
     default_field,
     default_points,
+    layer_count,
     nested,
+    query_noise_exponents,
 )
 
 
@@ -40,8 +43,9 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
 class PsdmmParams:
     """Parameter tuple for one multiplication instance; the layout is computed.
 
-    ``layers`` (``_derived_layers``) and block_count = K_c * layers are set
-    here from the nine inputs and cannot be passed.
+    ``layers`` (``protocol.layer_count`` at X = X_eff, U = B = 0) and
+    block_count = K_c * layers are set here from the nine inputs and cannot
+    be passed.
     """
 
     num_servers: int    # N
@@ -63,11 +67,9 @@ class PsdmmParams:
             raise ValueError("matrix dimensions must be positive")
         if min(self.privacy, self.security_a, self.security_b) < 0:
             raise ValueError("T, X_A, X_B must be non-negative")
-        layers = _derived_layers(
-            self.num_servers, self.privacy, self.security_a, self.security_b, self.code_dim
+        layers = layer_count(
+            self.num_servers, self.code_dim, self.effective_security, self.privacy, 0, 0
         )
-        if layers < 1:
-            raise InfeasibleParamsError(f"L = {layers} < 1: K_c too large for N")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "block_count", layers * self.code_dim)
 
@@ -97,29 +99,7 @@ class PsdmmParams:
         return Fraction(self.num_servers, self.layers)
 
 
-def _derived_layers(n: int, t: int, xa: int, xb: int, kc: int) -> int:
-    """L = N - (X_A + X_B + T + 2K_c - 2) with a shared library, else N - (X_A + T + K_c - 1)."""
-    if xb > 0:
-        return n - (xa + xb + t + 2 * kc - 2)
-    return n - (xa + t + kc - 1)
-
-
-def derive_psdmm_params(
-    num_servers: int,
-    privacy: int,
-    security_a: int,
-    security_b: int,
-    library_size: int,
-    rows_a: int,
-    inner_dim: int,
-    cols_b: int,
-    code_dim: int,
-) -> PsdmmParams:
-    """The parameter tuple, positionally; rejects L < 1."""
-    return PsdmmParams(
-        num_servers, privacy, security_a, security_b, library_size, rows_a, inner_dim, cols_b,
-        code_dim,
-    )
+derive_psdmm_params = PsdmmParams  # the constructor under its older name
 
 
 def _random_matrix(field: PrimeField, rng, rows: int, cols: int) -> FieldMatrix:
@@ -196,13 +176,9 @@ def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[tuple[FieldMatrix, ...]]:
     """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx."""
-    kc = params.code_dim
-    terms = (
-        [_flat(inst.a_block(params, l, k)) for k in range(1, kc + 1)] + list(noise.a_noise[l - 1])
-        for l in range(1, params.layers + 1)
-    )
-    return code_layers(
-        points, range(-kc, params.security_a), terms, params.rows_a * params.inner_dim,
+    return code_storage(
+        points, params.code_dim, params.security_a, lambda l, k: _flat(inst.a_block(params, l, k)),
+        noise.a_noise, params.rows_a * params.inner_dim,
         partial(_matrix, points.field, cols=params.inner_dim),
     )
 
@@ -214,13 +190,14 @@ def share_b(
 
     With X_B = 0 every share is the plain concatenated library.
     """
-    b = inst.b_concat
+    b, xb = inst.b_concat, params.security_b
+    check_noise(noise.b_noise, (params.layers, xb), "library noise must be L x X_B matrices")
     if not params.shared_library:
         return [(b,) * params.layers for _ in range(params.num_servers)]
-    kc, flat_b = params.code_dim, _flat(b)
+    flat_b = _flat(b)
     return code_layers(
         points,
-        [0, *range(kc, kc + params.security_b)],
+        [0, *query_noise_exponents(params.code_dim, xb)],
         ([flat_b, *zl] for zl in noise.b_noise),
         len(flat_b),
         partial(_matrix, points.field, cols=b.cols),
@@ -237,20 +214,12 @@ def psdmm_query(
     """
     if not 1 <= theta <= params.library_size:
         raise ValueError(f"theta must be in 1..{params.library_size}")
-    kc, mu = params.code_dim, params.cols_b
+    mu = params.cols_b
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
-    per_round = [  # [round][server][layer]
-        code_layers(
-            points,
-            range(kc, kc + params.privacy),
-            ([zt[rk - 1] for zt in zl] for zl in noise.query_noise),
-            params.library_size * mu * mu,
-            partial(_matrix, points.field, cols=mu),
-            (kc - rk, ones),
-        )
-        for rk in range(1, kc + 1)
-    ]
-    return list(zip(*per_round))
+    return code_queries(
+        points, params.code_dim, params.privacy, ones, noise.query_noise,
+        params.library_size * mu * mu, partial(_matrix, points.field, cols=mu),
+    )
 
 
 def psdmm_answer(
@@ -333,25 +302,19 @@ def prior_download_cost(num_servers: int, code_dim: int) -> Fraction:
 def cost_hull(
     num_servers: int, privacy: int, security_a: int, security_b: int
 ) -> list[CostReport]:
-    """All feasible (upload, download) pairs, one per K_c = 1, 2, ... while L >= 1.
+    """All feasible (upload, download) pairs: one per K_c in 1..N that the layout accepts.
 
     When X_A = T = 1 and X_B = 0 each report carries the prior scheme's
     asymptotic download for comparison.
     """
     reports = []
-    for kc in count(1):  # L falls as K_c grows: stop at the first L < 1
-        layers = _derived_layers(num_servers, privacy, security_a, security_b, kc)
-        if layers < 1:
-            return reports
+    for kc in range(1, num_servers + 1):
+        try:
+            p = PsdmmParams(num_servers, privacy, security_a, security_b, 1, 1, 1, 1, kc)
+        except InfeasibleParamsError:
+            continue
         prior = None
         if security_a == 1 and privacy == 1 and security_b == 0:
             prior = prior_download_cost(num_servers, kc)
-        reports.append(
-            CostReport(
-                code_dim=kc,
-                upload=Fraction(num_servers, kc),
-                download=Fraction(num_servers, layers),
-                shared_library=security_b > 0,
-                prior_download=prior,
-            )
-        )
+        reports.append(CostReport(kc, p.upload_cost, p.download_cost, p.shared_library, prior))
+    return reports

@@ -80,6 +80,35 @@ def solve(m: FieldMatrix, rhs) -> list[int] | None:
     return _eliminate(m, rhs)[1]
 
 
+def recover_messages(storages, points: EvaluationPoints, params: ProtocolParams) -> MessageSet:
+    """Rebuild every message from any K_c + X server shares (the MDS property).
+
+    Per layer l, server n's share entry of message j is the storage
+    coefficient row [1/d^K_c, ..., 1/d, 1, d, ..., d^(X-1)] (d = f_l - a_n,
+    the ``coded_share`` here of the unit vectors) times the unknowns
+    (W_l1, ..., W_lK_c, Z_l1, ..., Z_lX) of message j; the first K_c entries
+    of each solution are its layer-l symbols.  Fewer shares are a ValueError.
+    """
+    storages = list(storages)
+    kc, x, layers = params.code_dim, params.security, params.layers
+    need = kc + x
+    if len(storages) < need:
+        raise ValueError(f"message recovery needs {need} shares, got {len(storages)}")
+    storages = storages[:need]
+    field, q = points.field, points.field.q
+    exponents = [-(kc - k + 1) for k in range(1, kc + 1)] + [e - 1 for e in range(1, x + 1)]
+    units = [[int(i == j) for j in range(need)] for i in range(need)]
+    symbols = [[0] * params.message_len for _ in range(params.num_messages)]
+    for l in range(1, layers + 1):
+        rows = [coded_share(points.diff(l, st.server), exponents, units, q) for st in storages]
+        for j, message in enumerate(symbols):
+            unknowns = solve(FieldMatrix(field, rows), [st.shares[l - 1][j] for st in storages])
+            assert unknowns is not None, "the storage coefficient rows are singular"
+            for k in range(kc):
+                message[layers * k + l - 1] = unknowns[k]
+    return MessageSet(field, layers, kc, tuple(map(tuple, symbols)))
+
+
 def scale(m: FieldMatrix, c: int) -> FieldMatrix:
     """c * m, entrywise."""
     return FieldMatrix(m.field, [[c * v for v in row] for row in m.data])

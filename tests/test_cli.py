@@ -206,6 +206,12 @@ def test_psdmm_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["upload_cost"] == "6" and doc["download_cost"] == "2"
+    code, _, err = run(
+        capsys,
+        "psdmm", "--N", "3", "--T", "0", "--XA", "0", "--XB", "0", "--Kc", "1", "--M", "1",
+        "--lam", "1", "--chi", "1", "--mu", "1",
+    )
+    assert code == 1 and "square pure-Cauchy" in err
 
 
 def test_psdmm_q_override_validation(capsys):

@@ -42,7 +42,11 @@ def test_decode_recovers_within_budget(session, seed):
     if silent < p.max_unresponsive and rng.random() < 0.5:
         n = servers[silent]
         scalars = answers[n].scalars
-        answers[n] = xp.AnswerBundle(n, scalars + (1,) if rng.random() < 0.5 else scalars[1:])
+        malformed = (  # the wrong length, a scalar >= q, or a negative one
+            scalars + (1,), scalars[1:],
+            (q + rng.randrange(q), *scalars[1:]), (-1 - rng.randrange(q), *scalars[1:]),
+        )
+        answers[n] = xp.AnswerBundle(n, rng.choice(malformed))
         silent += 1
     for n in servers[silent:silent + rng.randrange(p.max_byzantine + 1)]:
         answers[n] = xp.AnswerBundle(

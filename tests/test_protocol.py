@@ -12,7 +12,12 @@ from xstpir.protocol import InfeasibleParamsError, coded_share
 from xstpir.robust import DecodingFailure
 
 import oracles
-from oracles import answer_coefficients, evaluate_coefficients, interference_offset
+from oracles import (
+    answer_coefficients,
+    evaluate_coefficients,
+    interference_offset,
+    recover_messages,
+)
 
 
 def fresh_instance(params, seed, field=None, theta=1):
@@ -151,10 +156,10 @@ def test_mds_recovery_from_any_subset():
     _, pts, msgs, _, _, storages, _, _ = fresh_instance(p, seed=5)
     need = p.code_dim + p.security
     for sub in combinations(storages, need):
-        rec = xp.recover_messages(sub, pts, p)
+        rec = recover_messages(sub, pts, p)
         assert rec.messages == msgs.messages
     with pytest.raises(ValueError):
-        xp.recover_messages(storages[: need - 1], pts, p)
+        recover_messages(storages[: need - 1], pts, p)
 
 
 def test_encode_storage_dimension_checks():
@@ -491,11 +496,16 @@ def test_decode_requires_enough_answers():
 
 
 def test_decode_treats_malformed_bundle_as_erasure():
-    """U = 1 and all six answer: server 3's K_c + 1 scalars are the erasure."""
+    """U = 1 and all six answer: server 3's malformed bundle is the erasure.
+
+    Malformed: K_c + 1 scalars, or a scalar that is not an int in [0, q).
+    """
     p = xp.derive_params(6, 2, 1, 1, max_unresponsive=1, num_messages=2)
-    _, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
-    answers[2] = xp.AnswerBundle(3, answers[2].scalars + (1,))
-    assert xp.decode(answers, pts, p) == list(msgs.messages[1])
+    f, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
+    good = answers[2].scalars
+    for scalars in (good + (1,), (f.q, good[1]), (good[0], -1), (good[0], None)):
+        answers[2] = xp.AnswerBundle(3, scalars)
+        assert xp.decode(answers, pts, p) == list(msgs.messages[1])
     answers[4] = xp.AnswerBundle(5, answers[4].scalars[:1])
     with pytest.raises(DecodingFailure):  # two erasures at U = 1
         xp.decode(answers, pts, p)

@@ -1,6 +1,7 @@
 """Private secure distributed matrix multiplication: shares, queries, decode, costs."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -9,7 +10,7 @@ import pytest
 
 from xstpir.field import PrimeField
 from xstpir.linalg import FieldMatrix
-from xstpir.protocol import InfeasibleParamsError
+from xstpir.protocol import InfeasibleParamsError, ProtocolParams
 import xstpir.psdmm as pm
 
 import oracles
@@ -65,8 +66,29 @@ def test_params_infeasible_kc_rejected():
         pm.derive_psdmm_params(4, 1, 1, 1, 2, 1, 1, 1, code_dim=2)  # L = -1
     with pytest.raises(InfeasibleParamsError):
         pm.derive_psdmm_params(4, 1, 1, 0, 2, 1, 1, 1, code_dim=3)  # L = 0
+    with pytest.raises(InfeasibleParamsError, match="square pure-Cauchy"):
+        pm.PsdmmParams(3, 0, 0, 0, 1, 1, 1, 1, 1)  # K_c = 1, T = X_A = X_B = 0
     with pytest.raises(ValueError):
         pm.derive_psdmm_params(4, 1, 1, 0, 0, 1, 1, 1, code_dim=1)  # M = 0
+
+
+def test_params_follow_the_retrieval_layout_at_effective_security():
+    """PsdmmParams is the layout rule at X = X_eff, U = B = 0: same verdict, L and width."""
+    for n, kc, t, xa, xb in product(range(1, 13), range(1, 13), range(3), range(3), range(3)):
+        if kc > n:
+            continue
+        x_eff = kc + xa + xb - 1 if xb else xa
+        try:
+            want = ProtocolParams(n, kc, x_eff, t)
+        except InfeasibleParamsError:
+            want = None
+        try:
+            got = pm.PsdmmParams(n, t, xa, xb, 2, 1, 1, 1, kc)
+        except InfeasibleParamsError:
+            got = None
+        assert (got is None) == (want is None), (n, kc, t, xa, xb)
+        if got is not None:
+            assert (got.layers, got.decode_width) == (want.layers, want.decode_width)
 
 
 def test_params_derived_fields_not_settable():
@@ -110,6 +132,25 @@ def test_share_b_single_noise_layer_formula():
             d = pts.diff(l, n)
             want = matadd(b, scale(reshape(field, noise.b_noise[l - 1][0], b.cols), d))
             assert shares[n - 1][l - 1] == want
+
+
+def test_shares_and_queries_reject_misshapen_noise():
+    """Noise of another shape raises rather than losing terms (X_A = X_B = T = 1, L = 3)."""
+    p = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
+    field, pts, inst, noise = build_instance(p, seed=3)
+    other = pm.PsdmmNoise.random(field, pm.PsdmmParams(6, 1, 0, 1, 2, 2, 2, 2, 1), Random(0))
+    assert other.a_noise and len(other.a_noise) != p.layers  # drawn at X_A = 0: L = 4
+    builds = {
+        "a_noise": lambda z: pm.share_a(inst, z, pts, p),
+        "b_noise": lambda z: pm.share_b(inst, z, pts, p),
+        "query_noise": lambda z: pm.psdmm_query(1, z, pts, p),
+    }
+    for name, build in builds.items():
+        drawn = getattr(noise, name)
+        for bad in (tuple(() for _ in drawn), tuple(zl + zl for zl in drawn), getattr(other, name)):
+            with pytest.raises(ValueError, match="noise must be"):
+                build(replace(noise, **{name: bad}))
+        build(noise)
 
 
 def test_share_a_minimal_formula():
@@ -475,6 +516,8 @@ def test_cost_hull_drops_infeasible_kc():
     n, xa, t = 5, 1, 1
     hull = pm.cost_hull(n, t, xa, 0)
     assert [r.code_dim for r in hull] == list(range(1, n - xa - t + 1))
+    # K_c = 1 at T = X_A = X_B = 0 is the square pure-Cauchy corner
+    assert [r.code_dim for r in pm.cost_hull(3, 0, 0, 0)] == [2, 3]
     # every hull lists exactly the K_c in 1..N that the parameter tuple accepts
     for n in range(1, 12):
         for t, xa, xb in product(range(3), repeat=3):

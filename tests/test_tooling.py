@@ -35,6 +35,10 @@ def test_every_traced_name_is_bound_where_it_is_patched():
     assert callable(robust.decoder_for.cache_info)
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in xstpir.__all__ if not hasattr(xstpir, name)] == []
+
+
 @pytest.mark.parametrize("name", ["bulk", "byzantine", "desk", "psdmm"])
 def test_every_workload_runs_one_checked_op(name):
     workloads = _load("workloads")
