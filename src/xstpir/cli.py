@@ -1,7 +1,10 @@
 """Command-line frontend: retrieve, sweep, audit, psdmm, rates.
 
-Flags mirror a JSON config file (keys named like the flags, without dashes);
-explicit flags override file values.  Exit codes: 0 success or expected-fail
+Every key of a JSON config file (``--config``) is a flag, named without its
+dashes (``expect_fail`` is ``--expect-fail``), with the flag's type, choices
+and default; an unknown key exits 1, as a bad flag does.  ``true`` is the
+bare flag, ``false`` and ``null`` leave it out, and flags given on the
+command line override the file.  Exit codes: 0 success or expected-fail
 mode, 1 constraint violation, 2 decoding/guarantee failure, 3 I/O error.
 """
 
@@ -17,11 +20,11 @@ from .field import PrimeField
 from .protocol import (
     InfeasibleParamsError,
     MessageSet,
+    ProtocolParams,
     achievable_rate,
     comparison_rate_prior,
     default_field,
     default_points,
-    derive_params,
 )
 from . import psdmm as psdmm_mod
 from .robust import DecodingFailure
@@ -39,9 +42,22 @@ EXIT_CONSTRAINT = 1
 EXIT_DECODING = 2
 EXIT_IO = 3
 
+_HELP = {
+    "N": "server count", "Kc": "MDS storage code dimension", "X": "storage-security level",
+    "T": "query-privacy level", "U": "unresponsive server count",
+    "B": "Byzantine server bound", "K": "message count",
+    "theta": "desired message (or library block) index, 1-based", "seed": "master seed",
+    "q": "prime field size override (q >= L+N)", "XA": "security level of the A shares",
+    "XB": "security level of the B library (0: public)", "M": "library size",
+    "lam": "rows of each A block", "chi": "columns of A, rows of B", "mu": "columns of B",
+}
+
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the constraint-violation status."""
+    """argparse that shows every default and exits with the constraint-violation status."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_CONSTRAINT, f"{self.prog}: error: {message}\n")
@@ -50,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 def _int_list(text: str) -> list[int]:
     """Comma list and/or 'a..b' ranges: '4,6..8' -> [4, 6, 7, 8]."""
     out: list[int] = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
@@ -62,31 +78,31 @@ def _int_list(text: str) -> list[int]:
     return out
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Config-file values fill unset flags; hard defaults fill the rest."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-    merged = {}
-    for key, hard in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in cfg:
-            merged[key] = cfg[key]
-        else:
-            merged[key] = hard
-    return merged
+def _config_flags(path: str) -> list[str]:
+    """The config file's keys as flags: ``true`` bare, ``false``/``null`` left out."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not None and value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _field_for(params, q):
     """The default field, or GF(q) for a prime override; ``default_points`` checks q >= L + N."""
     if q is None:
         return default_field(params)
-    return PrimeField(int(q))  # rejects non-prime q
+    return PrimeField(q)  # rejects non-prime q
+
+
+def _protocol_params(args) -> ProtocolParams:
+    return ProtocolParams(args.N, args.Kc, args.X, args.T, args.U, args.B, args.K)
 
 
 def _write_or_print(text: str, path: str | None):
@@ -97,43 +113,17 @@ def _write_or_print(text: str, path: str | None):
         print(text)
 
 
-def _add_xstpir_flags(sp, with_theta: bool = True):
-    sp.add_argument("--N", type=int, help="server count")
-    sp.add_argument("--Kc", type=int, help="MDS storage code dimension")
-    sp.add_argument("--X", type=int, help="storage-security level")
-    sp.add_argument("--T", type=int, help="query-privacy level")
-    sp.add_argument("--U", type=int, help="unresponsive server count")
-    sp.add_argument("--B", type=int, help="Byzantine server bound")
-    sp.add_argument("--K", type=int, help="message count")
-    if with_theta:
-        sp.add_argument("--theta", type=int, help="desired message index (1-based)")
-    sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument("--q", type=int, help="prime field size override (q >= L+N)")
-    sp.add_argument("--config", help="JSON config file; flags override its values")
-    sp.add_argument("--out", help="output file (default: stdout)")
-
-
 def cmd_retrieve(args) -> int:
-    opts = _merged(
-        args,
-        {
-            "N": 4, "Kc": 2, "X": 1, "T": 1, "U": 0, "B": 0, "K": 2,
-            "theta": 1, "seed": 0, "q": None, "out": None,
-            "unresponsive": "", "byzantine": "", "policy": "random",
-        },
-    )
-    params = derive_params(
-        opts["N"], opts["Kc"], opts["X"], opts["T"], opts["U"], opts["B"], opts["K"]
-    )
-    field = _field_for(params, opts["q"])
+    params = _protocol_params(args)
+    field = _field_for(params, args.q)
     adversary = AdversaryConfig(
-        tuple(_int_list(opts["unresponsive"])),
-        tuple(_int_list(opts["byzantine"])),
-        opts["policy"],
-        seed=derive_seed(opts["seed"], "corruption"),
+        tuple(args.unresponsive),
+        tuple(args.byzantine),
+        args.policy,
+        seed=derive_seed(args.seed, "corruption"),
     )
-    transcript = run_session(params, adversary, opts["theta"], opts["seed"], field)
-    _write_or_print(transcript.to_json(), opts["out"])
+    transcript = run_session(params, adversary, args.theta, args.seed, field)
+    _write_or_print(transcript.to_json(), args.out)
     rep = transcript.rates
     print(
         f"realized rate: {rep.realized_rate} (achievable: {rep.achievable_rate}, "
@@ -146,32 +136,15 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = _merged(
-        args,
-        {
-            "N": None, "Kc": None, "X": None, "T": None, "U": None, "B": None,
-            "K": None, "mode": "honest", "policies": "random", "draws": 1,
-            "seeds": 1, "out": None,
-        },
-    )
-    ranges = {}
-    for key, fallback in (
-        ("N", [4]), ("Kc", [1]), ("X", [0]), ("T", [1]), ("U", [0]), ("B", [0]), ("K", [2]),
-    ):
-        v = opts[key]
-        ranges[key] = _int_list(v) if v is not None else fallback
-    grid = params_grid(
-        ranges["N"], ranges["Kc"], ranges["X"], ranges["T"],
-        ranges["U"], ranges["B"], ranges["K"],
-    )
+    grid = params_grid(args.N, args.Kc, args.X, args.T, args.U, args.B, args.K)
     summary = sweep(
         grid,
-        mode=opts["mode"],
-        policies=tuple(str(opts["policies"]).split(",")),
-        draws=int(opts["draws"]),
-        seeds=tuple(range(int(opts["seeds"]))),
+        mode=args.mode,
+        policies=tuple(args.policies.split(",")),
+        draws=args.draws,
+        seeds=tuple(range(args.seeds)),
     )
-    _write_or_print(summary.to_csv(), opts["out"])
+    _write_or_print(summary.to_csv(), args.out)
     print(
         f"{summary.total_sessions} sessions, all passed: {summary.all_passed}",
         file=sys.stderr,
@@ -180,67 +153,42 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    opts = _merged(
-        args,
-        {
-            "N": 4, "Kc": 2, "X": 1, "T": 1, "U": 0, "B": 0, "K": 2, "seed": 0,
-            "q": None, "target": "storage", "colluding": "1", "thetas": "1,2",
-            "expect_fail": False, "out": None,
-        },
-    )
-    params = derive_params(
-        opts["N"], opts["Kc"], opts["X"], opts["T"], opts["U"], opts["B"], opts["K"]
-    )
-    field = _field_for(params, opts["q"])
+    params = _protocol_params(args)
+    field = _field_for(params, args.q)
     points = default_points(params, field)
-    colluding = tuple(_int_list(opts["colluding"]))
-    if opts["target"] in ("storage", "storage-security"):
+    colluding = tuple(args.colluding)
+    if args.target in ("storage", "storage-security"):
         cfg = AuditConfig(params, colluding, "storage-security")
-        msgs_a = MessageSet.random(field, params, Random(derive_seed(opts["seed"], "audit-a")))
-        msgs_b = MessageSet.random(field, params, Random(derive_seed(opts["seed"], "audit-b")))
+        msgs_a = MessageSet.random(field, params, Random(derive_seed(args.seed, "audit-a")))
+        msgs_b = MessageSet.random(field, params, Random(derive_seed(args.seed, "audit-b")))
         verdict = audit_storage_security(cfg, msgs_a, msgs_b, points)
-    elif opts["target"] in ("privacy", "query-privacy"):
-        cfg = AuditConfig(params, colluding, "query-privacy")
-        pair = _int_list(opts["thetas"])
-        if len(pair) != 2:
-            raise ValueError("--thetas must name exactly two indices")
-        verdict = audit_query_privacy(cfg, (pair[0], pair[1]), points)
     else:
-        raise ValueError("--target must be 'storage' or 'privacy'")
-    _write_or_print(verdict.to_json(), opts["out"])
-    if verdict.passed or opts["expect_fail"]:
+        cfg = AuditConfig(params, colluding, "query-privacy")
+        if len(args.thetas) != 2:
+            raise ValueError("--thetas must name exactly two indices")
+        verdict = audit_query_privacy(cfg, tuple(args.thetas), points)
+    _write_or_print(verdict.to_json(), args.out)
+    if verdict.passed or args.expect_fail:
         return EXIT_OK
     raise DecodingFailure("audit reported a distribution mismatch")
 
 
 def cmd_psdmm(args) -> int:
-    opts = _merged(
-        args,
-        {
-            "N": 4, "T": 1, "XA": 1, "XB": 0, "M": 2, "Kc": 1,
-            "lam": 2, "chi": 2, "mu": 2, "theta": 1, "seed": 0, "q": None,
-            "out": None,
-        },
+    params = psdmm_mod.PsdmmParams(
+        args.N, args.T, args.XA, args.XB, args.M, args.lam, args.chi, args.mu, args.Kc
     )
-    params = psdmm_mod.derive_psdmm_params(
-        opts["N"], opts["T"], opts["XA"], opts["XB"], opts["M"],
-        opts["lam"], opts["chi"], opts["mu"], opts["Kc"],
-    )
-    field = _field_for(params, opts["q"])
+    field = _field_for(params, args.q)
     points = psdmm_mod.default_points(params, field)
     inst = psdmm_mod.PsdmmInstance.random(
-        field, params, Random(derive_seed(opts["seed"], "psdmm-instance"))
+        field, params, Random(derive_seed(args.seed, "psdmm-instance"))
     )
-    share_noise = psdmm_mod.PsdmmNoise.random(
-        field, params, Random(derive_seed(opts["seed"], "psdmm-share-noise"))
+    noise = psdmm_mod.PsdmmNoise.random(
+        field, params, Random(derive_seed(args.seed, "psdmm-noise"))
     )
-    query_noise = psdmm_mod.PsdmmNoise.random(
-        field, params, Random(derive_seed(opts["seed"], "psdmm-query-noise"))
-    )
-    theta = int(opts["theta"])
-    a_shares = psdmm_mod.share_a(inst, share_noise, points, params)
-    b_shares = psdmm_mod.share_b(inst, share_noise, points, params)
-    queries = psdmm_mod.psdmm_query(theta, query_noise, points, params)
+    theta = args.theta
+    a_shares = psdmm_mod.share_a(inst, noise, points, params)
+    b_shares = psdmm_mod.share_b(inst, noise, points, params)
+    queries = psdmm_mod.psdmm_query(theta, noise, points, params)
     answers = [
         psdmm_mod.psdmm_answer(a_shares[n], b_shares[n], queries[n])
         for n in range(params.num_servers)
@@ -258,7 +206,7 @@ def cmd_psdmm(args) -> int:
         },
         "q": field.q,
         "theta": theta,
-        "seed": opts["seed"],
+        "seed": args.seed,
         "upload_cost": str(params.upload_cost),
         "download_cost": str(params.download_cost),
         "a_blocks": [m.to_lists() for m in inst.a_blocks],
@@ -267,7 +215,7 @@ def cmd_psdmm(args) -> int:
         "decoded": [m.to_lists() for m in decoded],
         "ok": ok,
     }
-    _write_or_print(json.dumps(doc, sort_keys=True), opts["out"])
+    _write_or_print(json.dumps(doc, sort_keys=True), args.out)
     print(
         f"upload {params.upload_cost}, download {params.download_cost}, "
         f"product verified: {ok}",
@@ -279,101 +227,99 @@ def cmd_psdmm(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    opts = _merged(
-        args,
-        {
-            "scheme": "xstpir", "N": "4..12", "Kc": 2, "X": 1, "T": 1,
-            "U": 0, "B": 0, "XA": 1, "XB": 0, "out": None,
-        },
-    )
     lines = []
-    if opts["scheme"] == "xstpir":
+    if args.scheme == "xstpir":
         lines.append("N,Kc,X,T,U,B,rate,prior_rate")
-        for n in _int_list(opts["N"]):
+        for n in args.N:
             try:
-                p = derive_params(
-                    n, int(opts["Kc"]), int(opts["X"]), int(opts["T"]),
-                    int(opts["U"]), int(opts["B"]), 1,
-                )
+                p = ProtocolParams(n, args.Kc, args.X, args.T, args.U, args.B, 1)
             except InfeasibleParamsError:
                 continue
             lines.append(
                 f"{n},{p.code_dim},{p.security},{p.privacy},{p.max_unresponsive},"
                 f"{p.max_byzantine},{achievable_rate(p)},{comparison_rate_prior(p)}"
             )
-    elif opts["scheme"] == "psdmm":
+    else:
         lines.append("K_c,upload,download,prior_download")
-        n_values = _int_list(opts["N"])
-        if len(n_values) != 1:
+        if len(args.N) != 1:
             raise ValueError("psdmm rates need a single --N")
-        for rep in psdmm_mod.cost_hull(
-            n_values[0], int(opts["T"]), int(opts["XA"]), int(opts["XB"])
-        ):
+        for rep in psdmm_mod.cost_hull(args.N[0], args.T, args.XA, args.XB):
             prior = rep.prior_download if rep.prior_download is not None else ""
             lines.append(f"{rep.code_dim},{rep.upload},{rep.download},{prior}")
-    else:
-        raise ValueError("--scheme must be 'xstpir' or 'psdmm'")
-    _write_or_print("\n".join(lines) + "\n", opts["out"])
+    _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
+
+
+def _add_flags(sp, defaults: dict, kind=int):
+    """One flag per key, with its default, its type and a help line from ``_HELP``."""
+    listed = " (comma list / a..b range)" if kind is _int_list else ""
+    for flag, default in defaults.items():
+        sp.add_argument(f"--{flag}", type=kind, default=default, help=_HELP[flag] + listed)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="xstpir", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--out", help="output file, else stdout")
+    scheme = dict(N=4, Kc=2, X=1, T=1, U=0, B=0, K=2)
 
-    sp = sub.add_parser("retrieve", parents=[], help="run one retrieval session")
-    _add_xstpir_flags(sp)
-    sp.add_argument("--unresponsive", help="comma list of silent server indices")
-    sp.add_argument("--byzantine", help="comma list of corrupted server indices")
-    sp.add_argument("--policy", choices=CORRUPTION_POLICIES, help="corruption policy")
+    sp = sub.add_parser("retrieve", parents=[common], help="run one retrieval session")
+    _add_flags(sp, dict(scheme, theta=1, seed=0, q=None))
+    sp.add_argument("--unresponsive", type=_int_list, default="",
+                    help="comma list of silent server indices")
+    sp.add_argument("--byzantine", type=_int_list, default="",
+                    help="comma list of corrupted server indices")
+    sp.add_argument("--policy", choices=CORRUPTION_POLICIES, default="random",
+                    help="corruption policy")
     sp.set_defaults(func=cmd_retrieve)
 
-    sp = sub.add_parser("sweep", help="grid or adversary-placement sweeps")
-    for flag in ("--N", "--Kc", "--X", "--T", "--U", "--B", "--K"):
-        sp.add_argument(flag, help="comma list / a..b range")
-    sp.add_argument("--mode", choices=("honest", "placements"))
-    sp.add_argument("--policies", help="comma list of corruption policies")
-    sp.add_argument("--draws", type=int, help="corruption draws per placement")
-    sp.add_argument("--seeds", type=int, help="number of master seeds (0..n-1)")
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="CSV output file")
+    sp = sub.add_parser("sweep", parents=[common], help="grid or adversary-placement sweeps")
+    _add_flags(sp, dict(N="4", Kc="1", X="0", T="1", U="0", B="0", K="2"), _int_list)
+    sp.add_argument("--mode", choices=("honest", "placements"), default="honest",
+                    help="honest grid, or every adversary placement")
+    sp.add_argument("--policies", default="random", help="comma list of corruption policies")
+    sp.add_argument("--draws", type=int, default=1, help="corruption draws per placement")
+    sp.add_argument("--seeds", type=int, default=1, help="number of master seeds (0..n-1)")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("audit", help="exact distribution-equality audits")
-    _add_xstpir_flags(sp, with_theta=False)
-    sp.add_argument("--target", choices=("storage", "privacy"))
-    sp.add_argument("--colluding", help="comma list of colluding server indices")
-    sp.add_argument("--thetas", help="two candidate indices for the privacy audit")
-    sp.add_argument(
-        "--expect-fail", dest="expect_fail", action="store_const", const=True,
-        help="exit 0 even on a FAIL verdict (tightness demonstrations)",
-    )
+    sp = sub.add_parser("audit", parents=[common], help="exact distribution-equality audits")
+    _add_flags(sp, dict(scheme, seed=0, q=None))
+    sp.add_argument("--target", default="storage",
+                    choices=("storage", "privacy", "storage-security", "query-privacy"),
+                    help="storage secrecy or query privacy")
+    sp.add_argument("--colluding", type=_int_list, default="1",
+                    help="comma list of colluding server indices")
+    sp.add_argument("--thetas", type=_int_list, default="1,2",
+                    help="two candidate indices for the privacy audit")
+    sp.add_argument("--expect-fail", action="store_true",
+                    help="exit 0 even on a FAIL verdict (tightness demonstrations)")
     sp.set_defaults(func=cmd_audit)
 
-    sp = sub.add_parser("psdmm", help="private secure matrix multiplication demo")
-    for flag in ("--N", "--T", "--XA", "--XB", "--M", "--Kc", "--lam", "--chi", "--mu",
-                 "--theta", "--seed", "--q"):
-        sp.add_argument(flag, type=int)
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="output file")
+    sp = sub.add_parser("psdmm", parents=[common], help="private secure matrix multiplication demo")
+    _add_flags(sp, dict(N=4, T=1, XA=1, XB=0, M=2, Kc=1, lam=2, chi=2, mu=2))
+    _add_flags(sp, dict(theta=1, seed=0, q=None))
     sp.set_defaults(func=cmd_psdmm)
 
-    sp = sub.add_parser("rates", help="rate / cost tables as CSV")
-    sp.add_argument("--scheme", choices=("xstpir", "psdmm"))
-    sp.add_argument("--N", help="server counts (comma list / a..b range)")
-    for flag in ("--Kc", "--X", "--T", "--U", "--B", "--XA", "--XB"):
-        sp.add_argument(flag, type=int)
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--out", help="CSV output file")
+    sp = sub.add_parser("rates", parents=[common], help="rate / cost tables as CSV")
+    sp.add_argument("--scheme", choices=("xstpir", "psdmm"), default="xstpir",
+                    help="retrieval rates, or the PSDMM cost hull at one N")
+    _add_flags(sp, dict(N="4..12"), _int_list)
+    _add_flags(sp, dict(Kc=2, X=1, T=1, U=0, B=0, XA=1, XB=0))
     sp.set_defaults(func=cmd_rates)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:  # re-parse with the file's flags first, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
     except DecodingFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,10 +67,6 @@ class FieldMatrix:
         m.field, m.rows, m.cols, m.data = field, len(rows), len(rows[0]), rows
         return m
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)

@@ -108,14 +108,10 @@ class ProtocolParams:
         object.__setattr__(self, "message_len", layers * kc)
 
     @property
-    def interference_span(self) -> int:
-        """Vandermonde column count K_c + X + T - 1 of the decoding matrix."""
-        return self.code_dim + self.security + self.privacy - 1
-
-    @property
     def decode_width(self) -> int:
-        """Unknowns per decoding round: L desired slots plus the interference span."""
-        return self.layers + self.interference_span
+        """Unknowns per decoding round: L desired slots plus the K_c + X + T - 1
+        interference slots, which the layout rule makes N - U - 2B."""
+        return self.responsive_count - 2 * self.max_byzantine
 
     @property
     def responsive_count(self) -> int:
@@ -494,16 +490,18 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle is an erasure unless it holds exactly K_c ints in [0, q); of
-    the rest, exactly N-U are consumed (the lowest server indices), and
-    DecodingFailure is raised when fewer remain.
+    A bundle is an erasure unless its server index is in 1..N and it holds
+    exactly K_c ints in [0, q); of the rest, exactly N-U are consumed (the
+    lowest server indices), and DecodingFailure is raised when fewer remain.
     """
-    kc, q = params.code_dim, points.field.q
+    kc, q, num_servers = params.code_dim, points.field.q, params.num_servers
     by_server = _normalize_answers(answers)
     well_formed = sorted(
         n
         for n, ab in by_server.items()
-        if len(ab.scalars) == kc and all(isinstance(v, int) and 0 <= v < q for v in ab.scalars)
+        if 1 <= n <= num_servers
+        and len(ab.scalars) == kc
+        and all(isinstance(v, int) and 0 <= v < q for v in ab.scalars)
     )
     need = params.responsive_count
     if len(well_formed) < need:

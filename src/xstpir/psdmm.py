@@ -86,7 +86,8 @@ class PsdmmParams:
 
     @property
     def decode_width(self) -> int:
-        return self.layers + self.code_dim + self.effective_security + self.privacy - 1
+        """N: the retrieval code's width N - U - 2B at U = B = 0."""
+        return self.num_servers
 
     @property
     def upload_cost(self) -> Fraction:

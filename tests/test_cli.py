@@ -96,6 +96,45 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert doc["theta"] == 3 and doc["params"]["N"] == 4  # flag wins, file fills
 
 
+PRIVACY_OVER_BUDGET = {"target": "privacy", "Kc": 1, "K": 2, "colluding": "1,3"}
+PRIVACY_FLAGS = ["--target", "privacy", "--Kc", "1", "--K", "2", "--colluding", "1,3"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags",
+    [
+        ("retrieve", {"N": "5"}, ["--N", "5"]),  # a string value has the flag's type
+        ("audit", dict(PRIVACY_OVER_BUDGET, expect_fail=True), PRIVACY_FLAGS + ["--expect-fail"]),
+        ("audit", dict(PRIVACY_OVER_BUDGET, expect_fail=False), PRIVACY_FLAGS),
+        ("audit", {"target": "storage-security"}, ["--target", "storage-security"]),
+        ("retrieve", {"q": None}, []),
+    ],
+)
+def test_config_keys_are_flags(tmp_path, capsys, command, cfg, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(capsys, command, "--config", str(path)) == run(capsys, command, *flags)
+
+
+@pytest.mark.parametrize(
+    "command, cfg", [("retrieve", {"thetaa": 2}), ("sweep", {"draws": "x"})]
+)
+def test_bad_config_key_or_value_exits_1(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and next(iter(cfg)) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["retrieve", "sweep", "audit", "psdmm", "rates"])
+def test_help_shows_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "(default: " in capsys.readouterr().out
+
+
 def test_audit_pass_and_verdict_file(tmp_path, capsys):
     out = tmp_path / "v.json"
     code, _, _ = run(
