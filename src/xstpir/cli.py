@@ -2,9 +2,10 @@
 
 Every key of a JSON config file (``--config``) is a flag, named without its
 dashes (``expect_fail`` is ``--expect-fail``), with the flag's type, choices
-and default; an unknown key exits 1, as a bad flag does.  ``true`` is the
-bare flag, ``false`` and ``null`` leave it out, and flags given on the
-command line override the file.  Exit codes: 0 success or expected-fail
+and default.  A key must name a flag exactly, since only the command line
+takes abbreviations; any other key exits 1, as a bad flag does.  ``true``
+is the bare flag, ``false`` and ``null`` leave it out, and flags given on
+the command line override the file.  Exit codes: 0 success or expected-fail
 mode, 1 constraint violation, 2 decoding/guarantee failure, 3 I/O error.
 """
 
@@ -78,14 +79,20 @@ def _int_list(text: str) -> list[int]:
     return out
 
 
-def _config_flags(path: str) -> list[str]:
-    """The config file's keys as flags: ``true`` bare, ``false``/``null`` left out."""
+def _config_flags(path: str, dests, error) -> list[str]:
+    """The config file's keys as flags: ``true`` bare, ``false``/``null`` left out.
+
+    A key whose flag is not one of ``dests`` goes to ``error``: argparse's
+    prefix matching would take ``see`` for ``--seed`` and ``h`` for ``--help``.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     flags = []
     for key, value in cfg.items():
+        if key.replace("-", "_") not in dests:
+            error(f"unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
         if value is True:
             flags.append(flag)
@@ -319,7 +326,8 @@ def main(argv=None) -> int:
     try:
         if args.config:  # re-parse with the file's flags first, so explicit flags win
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+            flags = _config_flags(args.config, vars(args), parser.error)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except DecodingFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,11 +4,12 @@ Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
 and draws uniform random vectors; the rest of the package does its arithmetic
 on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
 
-Residue contract: q < 2^64, so every residue fits one 64-bit word (the slots
-of ``protocol.coded_share``), and every kernel returns residues in [0, q)
-(``coded_share`` and everything built from it, the selector update of the
-queries, server answers, matrix products and decodes), so nothing downstream
-reduces them again.
+Residue contract: q < 2^64, so every residue fits one 64-bit word (the
+``array("Q")`` words that ``protocol.coded_share`` and ``FieldMatrix.mul``
+pack, and that ``linalg._word_slots``, their one reduction, reads back), and
+every kernel returns residues in [0, q) (``coded_share`` and everything
+built from it, the selector update of the queries, server answers, matrix
+products and decodes), so nothing downstream reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,
 ``EvaluationPoints`` and ``FieldMatrix(...)``.  Caller answers are checked,
 not reduced: ``protocol.decode`` erases every bundle holding anything but

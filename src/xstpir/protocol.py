@@ -20,15 +20,9 @@ this code at X = X_eff and U = B = 0.
 ``coded_share`` packs each term vector once into one Python int, one slot of
 whole 64-bit words per entry, and for each d forms x = sum_e c_e packed_e
 with c_e = d^e mod q: one big-int-by-small-int product per term.  Every slot
-of x is below 2^top with top = bit_length(terms * (q-1)^2), and one
-round-up Barrett step reduces all of them at once:
-r = x - (((x * m) >> s) & mask) * q with s = top + bit_length(q) and
-m = ceil(2^s / q).  For 0 <= x < 2^top, floor(x * m / 2^s) = floor(x / q)
-exactly, because the error term x * (m - 2^s/q) / 2^s is below
-2^-bit_length(q) < 1/q; the mask keeps those top - bit_length(q) + 1
-quotient bits of each slot.  A slot holds 2 * top + 2 bits rounded up to
-whole words, so x * m carries out of no slot.  Residues fit one word, so
-q < 2^64 (``PrimeField`` enforces it).
+of x is then reduced at once by ``linalg._word_slots``, the package's one
+exact reduction, whose docstring holds the proof; ``FieldMatrix.mul`` reads
+its outputs back through the same step.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``decode_rounds``: the rounds in order, subtracting the already-known
@@ -43,18 +37,15 @@ holds anything but K_c residues.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
-from .linalg import DecodingMatrix, EvaluationPoints, build_decoding_matrix
+from .linalg import _ORDER, DecodingMatrix, EvaluationPoints, _word_slots, build_decoding_matrix
 from .robust import DecodingFailure, decoder_for
-
-_ORDER = sys.byteorder  # the byte order of ``array`` words
 
 
 class InfeasibleParamsError(ValueError):
@@ -257,31 +248,6 @@ class AnswerBundle:
     scalars: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
-def _packing(q: int, terms: int, length: int):
-    """The packing constants of ``coded_share``: (words, lo, s, m, mask, zero).
-
-    A sum of ``terms`` products of residues is below 2^top; each entry gets
-    a slot of ``words`` 64-bit words, the low one at word ``lo`` of the slot,
-    and m = ceil(2^s / q) with s = top + bit_length(q).  ``mask`` keeps the
-    low top - bit_length(q) + 1 bits of every slot, and ``zero`` is an empty
-    packed vector to copy.
-    """
-    top = (terms * (q - 1) ** 2).bit_length()
-    b = q.bit_length()
-    s = top + b
-    words = -(-(2 * top + 2) // 64)
-    slot_mask = ((1 << (top - b + 1)) - 1).to_bytes(8 * words, _ORDER)
-    return (
-        words,
-        0 if _ORDER == "little" else words - 1,
-        s,
-        -(-(1 << s) // q),
-        int.from_bytes(slot_mask * length, _ORDER),
-        array("Q", bytes(8 * words * length)),
-    )
-
-
 def coded_share(ds, exponents, vectors, q: int) -> list[list[int]]:
     """[sum_e d^e v_e mod q for d in ds], elementwise over equal-length int vectors.
 
@@ -290,20 +256,18 @@ def coded_share(ds, exponents, vectors, q: int) -> list[list[int]]:
     The vectors are reduced and packed once for all of ``ds``.
     """
     length = len(vectors[0])
-    words, lo, s, m, mask, zero = _packing(q, len(vectors), length)
+    words, lo, zero, reduce = _word_slots(q, len(vectors), length)
     terms = []
     for e, vec in zip(exponents, vectors):
         slots = zero[:]
         slots[lo::words] = array("Q", [v % q for v in vec])
         terms.append((e, int.from_bytes(slots, _ORDER)))
-    size = 8 * words * length
     out = []
     for d in ds:
         x = 0
         for e, packed in terms:
             x += pow(d, e, q) * packed
-        x -= (((x * m) >> s) & mask) * q
-        out.append(memoryview(x.to_bytes(size, _ORDER)).cast("Q")[lo::words].tolist())
+        out.append(reduce(x))  # each as it is formed: holding every unreduced sum costs memory
     return out
 
 
@@ -442,16 +406,17 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
     return AnswerBundle(storage.server, tuple(scalars))
 
 
-def _normalize_answers(answers) -> dict[int, AnswerBundle]:
-    if isinstance(answers, dict):
-        bundles = answers.values()
-    else:
-        bundles = list(answers)
+def _normalize_answers(answers, num_servers: int) -> dict[int, AnswerBundle]:
+    """The bundles by server index, erasing every bundle whose index is not an int in 1..N."""
+    bundles = answers.values() if isinstance(answers, dict) else answers
     out = {}
     for ab in bundles:
-        if ab.server in out:
-            raise ValueError(f"duplicate answer bundle for server {ab.server}")
-        out[ab.server] = ab
+        n = ab.server
+        if type(n) is not int or not 1 <= n <= num_servers:  # a bool, a str, None, a list
+            continue
+        if n in out:
+            raise ValueError(f"duplicate answer bundle for server {n}")
+        out[n] = ab
     return out
 
 
@@ -490,17 +455,17 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle is an erasure unless its server index is in 1..N and it holds
-    exactly K_c ints in [0, q); of the rest, exactly N-U are consumed (the
-    lowest server indices), and DecodingFailure is raised when fewer remain.
+    A bundle is an erasure unless its server index is an int in 1..N (not a
+    bool) and it holds exactly K_c ints in [0, q); of the rest, exactly N-U
+    are consumed (the lowest server indices), and DecodingFailure is raised
+    when fewer remain.
     """
-    kc, q, num_servers = params.code_dim, points.field.q, params.num_servers
-    by_server = _normalize_answers(answers)
+    kc, q = params.code_dim, points.field.q
+    by_server = _normalize_answers(answers, params.num_servers)
     well_formed = sorted(
         n
         for n, ab in by_server.items()
-        if 1 <= n <= num_servers
-        and len(ab.scalars) == kc
+        if len(ab.scalars) == kc
         and all(isinstance(v, int) and 0 <= v < q for v in ab.scalars)
     )
     need = params.responsive_count

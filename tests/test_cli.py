@@ -117,7 +117,13 @@ def test_config_keys_are_flags(tmp_path, capsys, command, cfg, flags):
 
 
 @pytest.mark.parametrize(
-    "command, cfg", [("retrieve", {"thetaa": 2}), ("sweep", {"draws": "x"})]
+    "command, cfg",
+    [
+        ("retrieve", {"thetaa": 2}),
+        ("sweep", {"draws": "x"}),
+        ("retrieve", {"see": 3}),  # a prefix of --seed: keys take no abbreviations
+        ("retrieve", {"h": True}),  # a prefix of --help
+    ],
 )
 def test_bad_config_key_or_value_exits_1(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"

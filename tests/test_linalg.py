@@ -95,17 +95,19 @@ def test_products_sums_and_inverses_are_residues():
                 assert all(0 <= v < q for row in m.data for v in row)
 
 
-@pytest.mark.parametrize("q", [2, 5, 2**31 - 1, smallest_prime_geq(2**40)])
+@pytest.mark.parametrize("q", [2, 5, 257, 2**31 - 1, smallest_prime_geq(2**40), 2**64 - 59])
 def test_mul_matches_oracle_at_worst_case_carries(q):
     """Packed products equal the triple loop, with every entry q-1 and at random.
 
     All-(q-1) operands make every output sum inner*(q-1)^2, the most a slot
     must hold; inner dimensions 255..257 and 300 cross a byte of slot width
-    at q = 2.
+    at q = 2.  A residue of q <= 257 takes fewer bytes than its slot, one of
+    2^64 - 59 all eight bytes of a word, and its Barrett slots five words.
+    16x64 by 64x32 and 16x80 by 80x32 are the products of a psdmm answer.
     """
     f = PrimeField(q)
     rng = Random(q)
-    shapes = [(1, 1, 1), (2, 1, 3), (17, 1, 17), (3, 4, 2)]
+    shapes = [(1, 1, 1), (2, 1, 3), (17, 1, 17), (3, 4, 2), (16, 64, 32), (16, 80, 32)]
     shapes += [(1, n, 1) for n in (2, 17, 255, 256, 257, 300)]
     shapes += [(3, n, 4) for n in (64, 255, 256, 300)]
     for rows, inner, cols in shapes:

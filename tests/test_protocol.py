@@ -499,15 +499,17 @@ def test_decode_treats_malformed_bundle_as_erasure():
     """U = 1 and all six answer: server 3's malformed bundle is the erasure.
 
     Malformed: K_c + 1 scalars, or a scalar that is not an int in [0, q).
-    A bundle from server 0 or N + 1 is an erasure too: beside the six it is
-    ignored, and with only servers 1..4 it leaves too few answers.
+    A bundle whose server index is not an int in 1..N is an erasure too: 0,
+    N + 1, a string, None, a bool or an unhashable list.  Beside the six it
+    is ignored, also twice over, and with only servers 1..4 it leaves too
+    few answers.
     """
     p = xp.derive_params(6, 2, 1, 1, max_unresponsive=1, num_messages=2)
     f, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
     good = answers[2].scalars
-    for stray in (0, p.num_servers + 1):
+    for stray in (0, p.num_servers + 1, "7", "3", None, True, [3]):
         extra = xp.AnswerBundle(stray, good)
-        assert xp.decode(answers + [extra], pts, p) == list(msgs.messages[1])
+        assert xp.decode(answers + [extra, extra], pts, p) == list(msgs.messages[1])
         with pytest.raises(DecodingFailure):
             xp.decode(answers[:4] + [extra], pts, p)
     for scalars in (good + (1,), (f.q, good[1]), (good[0], -1), (good[0], None)):
