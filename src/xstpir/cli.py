@@ -216,10 +216,10 @@ def cmd_psdmm(args) -> int:
         "seed": args.seed,
         "upload_cost": str(params.upload_cost),
         "download_cost": str(params.download_cost),
-        "a_blocks": [m.to_lists() for m in inst.a_blocks],
-        "b_library": [m.to_lists() for m in inst.b_library],
-        "answers": [[y.to_lists() for y in per_server] for per_server in answers],
-        "decoded": [m.to_lists() for m in decoded],
+        "a_blocks": [m.data for m in inst.a_blocks],
+        "b_library": [m.data for m in inst.b_library],
+        "answers": [[y.data for y in per_server] for per_server in answers],
+        "decoded": [m.data for m in decoded],
         "ok": ok,
     }
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)

@@ -8,14 +8,18 @@ with the f's and a's drawn from one pool of pairwise distinct field elements.
 Every width-row square submatrix of such a matrix is invertible, which is what
 makes both plain and error-tolerant decoding work.
 
-``FieldMatrix(...)`` reduces caller entries on construction; every product,
-inverse and submatrix is already a residue matrix and is wrapped as it is.
+A ``FieldMatrix`` stores its residues as one flat row-major list, ``flat``,
+the layout of the package's coded vectors; ``data`` derives fresh row lists
+from it.  ``FieldMatrix(...)`` reduces caller entries on construction; every
+product, inverse and submatrix is already a residue matrix and is wrapped as
+it is, without a copy.
 ``row_reduce`` is the package's one Gauss-Jordan elimination, behind both
 ``FieldMatrix.inverse`` and the audits' ranks; it uses first-nonzero
 pivoting, since arithmetic is exact and pivot magnitude is irrelevant.
 
 ``FieldMatrix.mul`` packs each row of its right operand into one Python int,
-one fixed-width byte slot per entry.  A slot is the byte length of
+one fixed-width byte slot per entry, and reads each left row as a slice of
+``flat``.  A slot is the byte length of
 ``inner * (q - 1)**2``, the largest sum of ``inner`` products of residues, so
 a row of the left operand times the packed rows, summed, carries out of no
 slot.  Both ends are a fixed number of C-level steps per matrix: every right
@@ -90,13 +94,15 @@ class SingularMatrixError(ValueError):
 
 
 class FieldMatrix:
-    """Dense rows x cols matrix of residues sharing one PrimeField.
+    """Dense rows x cols matrix of residues sharing one PrimeField, stored flat.
 
-    The constructor reduces every entry mod q: caller data enters here.
-    Results the package computes as residues skip that through ``_of_residues``.
+    ``flat`` holds the rows * cols residues row-major; ``data`` derives fresh
+    row lists from it.  The constructor reduces every entry mod q: caller data
+    enters here.  Results the package computes as residues are wrapped as they
+    are through ``_of_flat``.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "flat")
 
     def __init__(self, field: PrimeField, data):
         rows = [[v % field.q for v in row] for row in data]
@@ -108,20 +114,27 @@ class FieldMatrix:
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.data = rows
+        self.flat = [v for row in rows for v in row]
 
     @classmethod
-    def _of_residues(cls, field: PrimeField, rows: list[list[int]]) -> "FieldMatrix":
-        """Wrap non-empty, equal-length row lists that already hold residues, unreduced."""
+    def _of_flat(cls, field: PrimeField, flat: list[int], cols: int) -> "FieldMatrix":
+        """Wrap a non-empty row-major list of residues, ``cols`` per row, without copying."""
         m = cls.__new__(cls)
-        m.field, m.rows, m.cols, m.data = field, len(rows), len(rows[0]), rows
+        m.field, m.rows, m.cols, m.flat = field, len(flat) // cols, cols, flat
         return m
+
+    @property
+    def data(self) -> list[list[int]]:
+        """Fresh row lists of the residues (also the JSON form)."""
+        flat, cols = self.flat, self.cols
+        return [flat[i:i + cols] for i in range(0, len(flat), cols)]
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
             and other.field == self.field
-            and other.data == self.data
+            and (other.rows, other.cols) == (self.rows, self.cols)
+            and other.flat == self.flat
         )
 
     def __repr__(self):
@@ -139,30 +152,31 @@ class FieldMatrix:
         rows, inner, cols = self.rows, self.cols, other.cols
         slot = ((inner * (q - 1) ** 2).bit_length() + 7) // 8  # bytes per entry
         size = slot * cols
-        right = array("Q")
-        for row in other.data:
-            right.fromlist(row)
-        entries = bytearray(right)  # strided bytearray slices copy far faster than memoryview ones
+        # strided bytearray slices copy far faster than memoryview ones
+        entries = bytearray(array("Q", other.flat))
         narrow = bytearray(slot * inner * cols)
         for j in range(((q - 1).bit_length() + 7) // 8):  # the residues' byte planes
             narrow[_byte(j, slot)::slot] = entries[_byte(j, 8)::8]
         from_bytes = int.from_bytes
         packed = [from_bytes(narrow[i:i + size], _ORDER) for i in range(0, len(narrow), size)]
-        sums = b"".join([sum(map(mul, row, packed)).to_bytes(size, _ORDER) for row in self.data])
+        left = self.flat
+        sums = b"".join([
+            sum(map(mul, left[i:i + inner], packed)).to_bytes(size, _ORDER)
+            for i in range(0, rows * inner, inner)
+        ])
         words, _, zero, reduce = _word_slots(q, inner, rows * cols)
         wide = bytearray(zero)
         for j in range(slot):
             wide[_byte(j, 8 * words)::8 * words] = sums[_byte(j, slot)::slot]
-        flat = reduce(from_bytes(wide, _ORDER))
-        return FieldMatrix._of_residues(
-            self.field, [flat[i:i + cols] for i in range(0, rows * cols, cols)]
-        )
+        return FieldMatrix._of_flat(self.field, reduce(from_bytes(wide, _ORDER)), cols)
 
     def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         q = self.field.q
-        return [sum(map(mul, row, vec)) % q for row in self.data]
+        entries = iter(self.flat)
+        # vec goes first, so map stops before it takes an entry of the next row
+        return [sum(map(mul, vec, entries)) % q for _ in range(self.rows)]
 
     def inverse(self) -> "FieldMatrix":
         """Gauss-Jordan inverse; raises SingularMatrixError if singular."""
@@ -173,14 +187,13 @@ class FieldMatrix:
         reduced, pivots = row_reduce(a, self.field.q)
         if pivots[-1] != n - 1:  # [A | I] has rank n; A is invertible iff A holds every pivot
             raise SingularMatrixError("singular matrix")
-        return FieldMatrix._of_residues(self.field, [row[n:] for row in reduced])
+        return FieldMatrix._of_flat(self.field, [v for row in reduced for v in row[n:]], n)
 
     def row_submatrix(self, row_indices) -> "FieldMatrix":
-        return FieldMatrix._of_residues(self.field, [self.data[i] for i in row_indices])
-
-    def to_lists(self) -> list[list[int]]:
-        """Nested lists of decimal residues (the JSON form)."""
-        return [row[:] for row in self.data]
+        flat, cols = self.flat, self.cols
+        return FieldMatrix._of_flat(
+            self.field, [v for i in row_indices for v in flat[i * cols:(i + 1) * cols]], cols
+        )
 
 
 def row_reduce(rows, q: int) -> tuple[list, list[int]]:
@@ -264,7 +277,9 @@ class DecodingMatrix:
         return self.points.field
 
     def matrix(self) -> FieldMatrix:
-        return FieldMatrix._of_residues(self.points.field, [list(r) for r in self.entries])
+        return FieldMatrix._of_flat(
+            self.points.field, [v for row in self.entries for v in row], self.width
+        )
 
 
 @lru_cache(maxsize=4096)

@@ -424,28 +424,40 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
     """Decode K_c rounds of S scalar streams through one decoding matrix.
 
     ``observations[r][k]`` holds the S round-(k+1) scalars of matrix row r
-    (S = 1 for retrieval, lambda*mu for PSDMM).  Round k first subtracts the
-    known contribution of the earlier rounds' desired symbols c_lj,
+    (S = 1 for retrieval, lambda*mu for PSDMM); every row holds the same
+    number of rounds and, in each round, of streams.  Round k first subtracts
+    the known contribution of the earlier rounds' desired symbols c_lj,
     sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1), reading 1/(f_l - a_n) off the
     matrix's Cauchy columns, then solves every stream with up to num_errors
-    corrupted rows.  Returns the L S-vectors of desired symbols of each
-    round, round by round.
+    corrupted rows: one stream with ``RobustDecoder.solve``, several by
+    correcting each and multiplying the decoder's square inverse by all of
+    them at once (a product costs more than ``matvec`` on one stream).
+    Returns the L S-vectors of desired symbols of each round, round by round.
     """
     q = matrix.field.q
     layers = matrix.cauchy_cols
     decoder = decoder_for(matrix)
     cauchy = list(zip(*matrix.entries))[:layers]  # [l] -> 1/(f_l - a_n) of every row
+    if len(set(map(len, observations))) != 1:
+        raise ValueError("every observation row must hold the same number of rounds")
     decoded: list[tuple[int, ...]] = []  # [layers*j + l]: round j+1, layer l+1
     for rk in range(len(observations[0])):
         ys = [obs[rk] for obs in observations]
+        if len(set(map(len, ys))) != 1:
+            raise ValueError("every observation row must hold the same number of streams")
+        streams = len(ys[0])
         if rk:  # round 1 has no earlier contribution
             exponents = range(rk + 1, 1, -1)
             for l in range(layers):
                 offsets = coded_share(cauchy[l], exponents, decoded[l::layers], q)
                 ys = [[a - b for a, b in zip(y, off)] for y, off in zip(ys, offsets)]
         corrected = [[v % q for v in y] for y in ys]
-        solved = [decoder.solve(stream, num_errors) for stream in zip(*corrected)]
-        decoded += list(zip(*solved))[:layers]
+        if streams == 1:
+            solved = [decoder.solve(stream, num_errors) for stream in zip(*corrected)]
+            decoded += list(zip(*solved))[:layers]
+        else:
+            flat = decoder._solve_columns(corrected, num_errors).flat
+            decoded += [tuple(flat[i:i + streams]) for i in range(0, layers * streams, streams)]
     return decoded
 
 

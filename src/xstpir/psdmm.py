@@ -9,11 +9,17 @@ noise span X_eff = K_c + X_A + X_B - 1 (X_A when the library is public), so
 the layout is ``protocol.layer_count`` at X = X_eff and U = B = 0, and its
 lambda*mu entries decode as scalar streams of ``protocol.decode_rounds``.
 
-Over the matrices flattened row-major, the A-shares come from the storage
-coder ``protocol.code_storage`` and the queries from the query coder
-``protocol.code_queries``, with Q_theta's mu ones as the selector.  The noise
-is drawn flat through ``protocol.nested``; shares and queries come back as
-``FieldMatrix``.
+Matrices stay flat: a ``FieldMatrix`` holds its entries row-major, so the
+A-shares come from the storage coder ``protocol.code_storage`` and the
+queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones as
+the selector) over ``flat`` vectors, and each coded vector is wrapped as a
+``FieldMatrix`` without a copy.  The noise is drawn flat through
+``protocol.nested``.  An answer block's ``flat`` entries are the lambda*mu
+streams ``decode_rounds`` solves with one product per round.
+
+``PsdmmInstance`` holds one shape of A block and one of library matrix, over
+its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
+``psdmm_decode`` check blocks against the parameters and the points' field.
 """
 
 from __future__ import annotations
@@ -104,13 +110,20 @@ derive_psdmm_params = PsdmmParams  # the constructor under its older name
 
 
 def _random_matrix(field: PrimeField, rng, rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix._of_residues(field, [field.random_vector(rng, cols) for _ in range(rows)])
+    """Row by row, the draws of ``rows`` calls of ``random_vector(rng, cols)``."""
+    return FieldMatrix._of_flat(field, field.random_vector(rng, rows * cols), cols)
 
 
 def _side_by_side(blocks) -> FieldMatrix:
     """[M_1 M_2 ...]: matrices of equal height joined column-wise."""
-    rows = zip(*(m.data for m in blocks))
-    return FieldMatrix._of_residues(blocks[0].field, [[v for row in r for v in row] for r in rows])
+    width = sum(m.cols for m in blocks)
+    flat = [0] * (blocks[0].rows * width)
+    start = 0
+    for m in blocks:
+        for j in range(m.cols):  # one strided copy per column: psdmm's blocks are tall
+            flat[start + j::width] = m.flat[j::m.cols]
+        start += m.cols
+    return FieldMatrix._of_flat(blocks[0].field, flat, width)
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,17 @@ class PsdmmInstance:
     field: PrimeField
     a_blocks: tuple[FieldMatrix, ...]   # ell of lambda x chi
     b_library: tuple[FieldMatrix, ...]  # M of chi x mu
+
+    def __post_init__(self):
+        if not self.a_blocks or not self.b_library:
+            raise ValueError("need at least one A block and one library matrix")
+        for what, blocks in (("A blocks", self.a_blocks), ("library matrices", self.b_library)):
+            if not all(isinstance(m, FieldMatrix) and m.field == self.field for m in blocks):
+                raise ValueError(f"{what} must be FieldMatrix over GF({self.field.q})")
+            if len({(m.rows, m.cols) for m in blocks}) != 1:
+                raise ValueError(f"{what} must share one shape")
+        if self.a_blocks[0].cols != self.b_library[0].rows:
+            raise ValueError("A blocks need as many columns as the library matrices have rows")
 
     @property
     def b_concat(self) -> FieldMatrix:
@@ -164,23 +188,28 @@ class PsdmmNoise:
         )
 
 
-def _flat(m: FieldMatrix) -> list[int]:
-    return [v for row in m.data for v in row]
+def _check_blocks(blocks, count: int, rows: int, cols: int, field: PrimeField, what: str):
+    """Raise unless ``blocks`` are ``count`` rows x cols matrices over ``field``.
 
-
-def _matrix(field: PrimeField, flat, cols: int) -> FieldMatrix:
-    rows = [list(flat[i:i + cols]) for i in range(0, len(flat), cols)]
-    return FieldMatrix._of_residues(field, rows)
+    ``PsdmmInstance`` gives its blocks one shape and field, so the first stands for all.
+    """
+    m = blocks[0]
+    if (len(blocks), m.rows, m.cols, m.field) != (count, rows, cols, field):
+        raise ValueError(f"need {count} {what} of {rows}x{cols} over GF({field.q})")
 
 
 def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[tuple[FieldMatrix, ...]]:
     """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx."""
+    _check_blocks(
+        inst.a_blocks, params.block_count, params.rows_a, params.inner_dim, points.field,
+        "A blocks",
+    )
     return code_storage(
-        points, params.code_dim, params.security_a, lambda l, k: _flat(inst.a_block(params, l, k)),
+        points, params.code_dim, params.security_a, lambda l, k: inst.a_block(params, l, k).flat,
         noise.a_noise, params.rows_a * params.inner_dim,
-        partial(_matrix, points.field, cols=params.inner_dim),
+        partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim),
     )
 
 
@@ -191,17 +220,21 @@ def share_b(
 
     With X_B = 0 every share is the plain concatenated library.
     """
+    _check_blocks(
+        inst.b_library, params.library_size, params.inner_dim, params.cols_b, points.field,
+        "library matrices",
+    )
     b, xb = inst.b_concat, params.security_b
     check_noise(noise.b_noise, (params.layers, xb), "library noise must be L x X_B matrices")
     if not params.shared_library:
         return [(b,) * params.layers for _ in range(params.num_servers)]
-    flat_b = _flat(b)
+    flat_b = b.flat
     return code_layers(
         points,
         [0, *query_noise_exponents(params.code_dim, xb)],
         ([flat_b, *zl] for zl in noise.b_noise),
         len(flat_b),
-        partial(_matrix, points.field, cols=b.cols),
+        partial(FieldMatrix._of_flat, points.field, cols=b.cols),
     )
 
 
@@ -219,7 +252,7 @@ def psdmm_query(
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
     return code_queries(
         points, params.code_dim, params.privacy, ones, noise.query_noise,
-        params.library_size * mu * mu, partial(_matrix, points.field, cols=mu),
+        params.library_size * mu * mu, partial(FieldMatrix._of_flat, points.field, cols=mu),
     )
 
 
@@ -242,15 +275,18 @@ def psdmm_answer(
     for blocks in (a_share_n, b_share_n, queries):
         if len({(m.field, m.rows, m.cols) for m in blocks}) != 1:
             raise ValueError("the shares of every layer, and all queries, must share one shape")
-    stacked = [
-        row
-        for l, b_m in enumerate(b_share_n)
-        for row in b_m.mul(_side_by_side([per_layer[l] for per_layer in queries_n])).data
-    ]
-    y = _side_by_side(a_share_n).mul(FieldMatrix._of_residues(b_share_n[0].field, stacked))
     mu = queries[0].cols
+    stacked = []  # B~_nl [Q_nl1 ... Q_nlK_c] of every layer, one below the other
+    for l, b_m in enumerate(b_share_n):
+        stacked += b_m.mul(_side_by_side([per_layer[l] for per_layer in queries_n])).flat
+    y = _side_by_side(a_share_n).mul(
+        FieldMatrix._of_flat(b_share_n[0].field, stacked, len(queries_n) * mu)
+    )
+    flat = y.flat
     return [
-        FieldMatrix._of_residues(y.field, [row[i:i + mu] for row in y.data])
+        FieldMatrix._of_flat(
+            y.field, [v for r in range(0, len(flat), y.cols) for v in flat[r + i:r + i + mu]], mu
+        )
         for i in range(0, y.cols, mu)
     ]
 
@@ -268,14 +304,21 @@ def psdmm_decode(
     for rounds in answers:
         if len(rounds) != params.code_dim:
             raise ValueError(f"every server must answer {params.code_dim} rounds")
-        if any((y.rows, y.cols) != (params.rows_a, params.cols_b) for y in rounds):
-            raise ValueError("answer block has wrong shape")
+        if any(
+            not isinstance(y, FieldMatrix)
+            or (y.field, y.rows, y.cols) != (points.field, params.rows_a, params.cols_b)
+            for y in rounds
+        ):
+            raise ValueError(
+                f"every answer block must be {params.rows_a}x{params.cols_b}"
+                f" over GF({points.field.q})"
+            )
     matrix = build_decoding_matrix(
         points, tuple(range(1, params.num_servers + 1)), params.layers, params.decode_width
     )
-    observations = [[_flat(y) for y in rounds] for rounds in answers]
+    observations = [[y.flat for y in rounds] for rounds in answers]
     return [
-        _matrix(points.field, block, params.cols_b)
+        FieldMatrix._of_flat(points.field, list(block), params.cols_b)
         for block in decode_rounds(matrix, observations, 0)
     ]
 

@@ -37,7 +37,7 @@ from itertools import combinations, zip_longest
 from math import prod
 from operator import eq, mul
 
-from .linalg import DecodingMatrix
+from .linalg import DecodingMatrix, FieldMatrix
 
 
 class DecodingFailure(ValueError):
@@ -142,10 +142,9 @@ class RobustDecoder:
             )
             yield subset, x, agree
 
-    def solve(self, observed, num_errors: int) -> list[int]:
-        """Recover the width coefficients from observations with <= num_errors corruptions."""
+    def _check(self, rows: int, num_errors: int) -> None:
         m = self.matrix
-        if len(observed) != m.rows:
+        if rows != m.rows:
             raise ValueError("one observation per matrix row required")
         if num_errors < 0:
             raise ValueError("error bound must be non-negative")
@@ -153,9 +152,25 @@ class RobustDecoder:
             raise ValueError(
                 f"{m.rows} rows at width {m.width} cannot correct {num_errors} errors"
             )
+
+    def solve(self, observed, num_errors: int) -> list[int]:
+        """Recover the width coefficients from observations with <= num_errors corruptions."""
+        self._check(len(observed), num_errors)
         if num_errors:
             observed = self._correct(observed, num_errors)
-        return self._inverse.matvec(observed[:m.width])
+        return self._inverse.matvec(observed[:self.matrix.width])
+
+    def _solve_columns(self, observed, num_errors: int) -> FieldMatrix:
+        """``solve`` of every column of rows x S residue observations, as a width x S matrix.
+
+        Each column is corrected on its own, then one product with the square
+        inverse solves them all.
+        """
+        self._check(len(observed), num_errors)
+        if num_errors:
+            observed = list(zip(*[self._correct(col, num_errors) for col in zip(*observed)]))
+        block = [v for row in observed[:self.matrix.width] for v in row]
+        return self._inverse.mul(FieldMatrix._of_flat(self.matrix.field, block, len(observed[0])))
 
     def _correct(self, observed, num_errors: int) -> list[int]:
         """The codeword Gao's algorithm finds within num_errors of the observations."""

@@ -211,7 +211,7 @@ def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int
     base = (theta - 1) * cols_b
     for i in range(cols_b):
         data[base + i][i] = 1
-    return FieldMatrix._of_residues(field, data)
+    return FieldMatrix(field, data)
 
 
 def share_product_coefficients(inst, noise, params, layer: int):

@@ -57,9 +57,9 @@ def test_matmul_and_scale():
     f = PrimeField(7)
     a = FieldMatrix(f, [[1, 2], [3, 4]])
     b = FieldMatrix(f, [[5, 6], [0, 1]])
-    assert a.mul(b).to_lists() == [[5, 1], [1, 1]]  # mod 7
+    assert a.mul(b).data == [[5, 1], [1, 1]]  # mod 7
     three = FieldMatrix(f, [[3, 0], [0, 3]])
-    assert a.mul(three).to_lists() == [[3, 6], [2, 5]]  # scaling is a product
+    assert a.mul(three).data == [[3, 6], [2, 5]]  # scaling is a product
 
 
 def test_plant_then_solve():
@@ -208,9 +208,29 @@ def test_all_row_subsets_of_robust_matrix_invertible():
             assert det(fm.row_submatrix(subset)) != 0
 
 
+def test_equality_compares_shape_not_only_entries():
+    f = PrimeField(5)
+    entries = [[1, 2, 3], [4, 0, 1]]
+    wide, tall = FieldMatrix(f, entries), FieldMatrix(f, [[1, 2], [3, 4], [0, 1]])
+    assert wide.flat == tall.flat and wide != tall
+    assert wide == FieldMatrix(f, [[6, 2, 3], [4, 5, 1]])  # reduced on construction
+    assert wide != FieldMatrix(PrimeField(7), entries)
+
+
+def test_data_is_a_fresh_copy():
+    f = PrimeField(5)
+    m = FieldMatrix(f, [[1, 2], [3, 4]])
+    rows = m.data
+    rows[0][0] = 0
+    rows.append([1, 1])
+    assert m.data == [[1, 2], [3, 4]] and m.flat == [1, 2, 3, 4] and m.rows == 2
+    with pytest.raises(AttributeError):  # read-only: derived from flat
+        m.data = [[0, 0], [0, 0]]
+
+
 def test_matrix_json_form():
     import json
 
     f = PrimeField(5)
     m = FieldMatrix(f, [[1, 2], [3, 4]])
-    assert json.loads(json.dumps(m.to_lists())) == [[1, 2], [3, 4]]
+    assert json.loads(json.dumps(m.data)) == [[1, 2], [3, 4]]

@@ -7,9 +7,10 @@ from random import Random
 import pytest
 
 import xstpir as xp
-from xstpir.field import smallest_prime_geq
-from xstpir.protocol import InfeasibleParamsError, coded_share
-from xstpir.robust import DecodingFailure
+from xstpir.field import PrimeField, smallest_prime_geq
+from xstpir.linalg import EvaluationPoints, build_decoding_matrix
+from xstpir.protocol import InfeasibleParamsError, coded_share, decode_rounds
+from xstpir.robust import DecodingFailure, decoder_for
 
 import oracles
 from oracles import (
@@ -541,6 +542,71 @@ def test_decode_with_byzantine_garbage():
                 else:
                     delivered[ans.server] = ans
             assert xp.decode(delivered, pts, p) == list(msgs.messages[theta - 1])
+
+
+def _offset(matrix, desired, k: int, q: int) -> list[int]:
+    """Per row, the round-(k+1) offset sum_l sum_(j<k) desired[j][l] / (f_l - a_n)^(k-j+1)."""
+    return [
+        sum(desired[j][l] * pow(row[l], k - j + 1, q)
+            for j in range(k) for l in range(matrix.cauchy_cols)) % q
+        for row in matrix.entries
+    ]
+
+
+def _per_stream_solves(matrix, observations, num_errors: int, q: int):
+    """``decode_rounds``'s output from one ``decoder_for(matrix).solve`` per stream and round."""
+    layers, rounds, streams = matrix.cauchy_cols, len(observations[0]), len(observations[0][0])
+    desired = [[] for _ in range(streams)]  # [stream][round]: the L desired symbols
+    for k in range(rounds):
+        for s, past in enumerate(desired):
+            off = _offset(matrix, past, k, q)
+            ys = [(obs[k][s] - o) % q for obs, o in zip(observations, off)]
+            past.append(decoder_for(matrix).solve(ys, num_errors)[:layers])
+    return [tuple(past[k][l] for past in desired) for k in range(rounds) for l in range(layers)]
+
+
+@pytest.mark.parametrize("num_errors", [0, 2])
+@pytest.mark.parametrize("streams", [1, 3, 16])
+def test_decode_rounds_batches_streams_like_per_stream_solves(streams, num_errors):
+    """One product per round equals a solve per stream, also with planted errors.
+
+    8 rows at width 4 correct 2 errors per stream.  Each stream's errors sit
+    in its own random rows, so together they touch more than 2 rows.
+    """
+    q, layers, rows, width, rounds = 101, 2, 8, 4, 3
+    rng = Random(streams * 10 + num_errors)
+    f = PrimeField(q)
+    pool = rng.sample(range(q), layers + rows)
+    pts = EvaluationPoints(f, tuple(pool[:layers]), tuple(pool[layers:]))
+    matrix = build_decoding_matrix(pts, tuple(range(1, rows + 1)), layers, width)
+    xs = [[f.random_vector(rng, width) for _ in range(streams)] for _ in range(rounds)]
+    desired = [[xs[k][s][:layers] for k in range(rounds)] for s in range(streams)]
+    observations = [[[0] * streams for _ in range(rounds)] for _ in range(rows)]
+    for s in range(streams):
+        for k in range(rounds):
+            off = _offset(matrix, desired[s], k, q)
+            for r, row in enumerate(matrix.entries):
+                observations[r][k][s] = (sum(a * b for a, b in zip(row, xs[k][s])) + off[r]) % q
+        for r in rng.sample(range(rows), num_errors):
+            for k in range(rounds):
+                observations[r][k][s] = (observations[r][k][s] + rng.randrange(1, q)) % q
+    truth = [
+        tuple(xs[k][s][l] for s in range(streams)) for k in range(rounds) for l in range(layers)
+    ]
+    assert decode_rounds(matrix, observations, num_errors) == truth
+    assert _per_stream_solves(matrix, observations, num_errors, q) == truth
+
+
+def test_decode_rounds_rejects_unequal_rows():
+    """A row with another number of streams or rounds raises, not truncates."""
+    p = xp.derive_params(4, 2, 1, 1, num_messages=2)
+    pts = xp.default_points(p)
+    matrix = build_decoding_matrix(pts, (1, 2, 3, 4), p.layers, p.decode_width)
+    good = [[(1, 2, 3), (4, 5, 6)] for _ in range(4)]
+    decode_rounds(matrix, good, 0)
+    for bad in ([(1, 2), (4, 5, 6)], [(1, 2, 3), (4, 5)], [(1, 2, 3)], [(1, 2, 3)] * 3):
+        with pytest.raises(ValueError, match="same number of"):
+            decode_rounds(matrix, good[:3] + [bad], 0)
 
 
 def test_download_accounting():

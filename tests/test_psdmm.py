@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from xstpir.field import PrimeField
+from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import FieldMatrix
 from xstpir.protocol import InfeasibleParamsError, ProtocolParams
 import xstpir.psdmm as pm
@@ -230,9 +230,9 @@ def test_share_secrecy_by_enumeration():
 def test_block_selector_placement():
     f = PrimeField(7)
     sel = block_selector(f, 2, 1, theta=2)
-    assert sel.to_lists() == [[0], [1]]
+    assert sel.data == [[0], [1]]
     sel2 = block_selector(f, 3, 2, theta=1)
-    assert sel2.to_lists() == [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]]
+    assert sel2.data == [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]]
     with pytest.raises(ValueError):
         block_selector(f, 2, 1, theta=3)
 
@@ -467,6 +467,87 @@ def test_answer_shape_validation():
         pm.psdmm_decode([[wide]] + answers[1:], pts, p)
     with pytest.raises(ValueError):
         pm.psdmm_decode([[]] + answers[1:], pts, p)  # server 1 misses its round
+
+
+# ----------------------------------------------------------- boundary checks
+
+
+def _blocks(field, count, rows, cols, seed=0):
+    rng = Random(seed)
+    return tuple(
+        FieldMatrix(field, [field.random_vector(rng, cols) for _ in range(rows)])
+        for _ in range(count)
+    )
+
+
+BOUNDARY = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)  # M = 2, lambda = chi = mu = 2, ell = 3
+
+
+def test_instance_rejects_library_of_another_shape():
+    """A 3x2 library matrix at chi = 2: ``b_concat`` would drop its third row."""
+    p = BOUNDARY
+    field = pm.default_field(p)
+    a = _blocks(field, p.block_count, 2, 2)
+    with pytest.raises(ValueError, match="one shape"):
+        pm.PsdmmInstance(field, a, _blocks(field, 1, 2, 2) + _blocks(field, 1, 3, 2))
+    with pytest.raises(ValueError, match="one shape"):
+        pm.PsdmmInstance(field, a[:2] + _blocks(field, 1, 2, 3), _blocks(field, 2, 2, 2))
+    with pytest.raises(ValueError, match="columns"):
+        pm.PsdmmInstance(field, a, _blocks(field, 2, 3, 2))
+    with pytest.raises(ValueError, match="at least one"):
+        pm.PsdmmInstance(field, a, ())
+
+
+def test_shares_reject_blocks_the_params_do_not_name():
+    """2x3 A blocks (with 3x2 B) at lambda = chi = 2 would give 3x2 shares."""
+    p = BOUNDARY
+    field, pts, inst, noise = build_instance(p, seed=21)
+    wrong = pm.PsdmmInstance(
+        field, _blocks(field, p.block_count, 2, 3), _blocks(field, p.library_size, 3, 2)
+    )
+    for share in (pm.share_a, pm.share_b):
+        share(inst, noise, pts, p)
+        with pytest.raises(ValueError, match="need"):
+            share(wrong, noise, pts, p)
+    with pytest.raises(ValueError, match="library matrices"):  # M = 1 of 2
+        pm.share_b(replace(inst, b_library=inst.b_library[:1]), noise, pts, p)
+
+
+def test_share_a_rejects_too_few_blocks():
+    p = BOUNDARY
+    field, pts, inst, noise = build_instance(p, seed=22)
+    with pytest.raises(ValueError, match="A blocks"):  # was an IndexError
+        pm.share_a(replace(inst, a_blocks=inst.a_blocks[:-1]), noise, pts, p)
+
+
+def test_instance_and_shares_reject_another_field():
+    """Entries of another field were folded mod q without an error."""
+    p = BOUNDARY
+    field, pts, inst, noise = build_instance(p, seed=23)
+    other = PrimeField(smallest_prime_geq(field.q + 1))
+    with pytest.raises(ValueError, match="FieldMatrix over"):
+        pm.PsdmmInstance(field, inst.a_blocks, _blocks(other, p.library_size, 2, 2))
+    with pytest.raises(ValueError, match="FieldMatrix over"):
+        pm.PsdmmInstance(field, inst.a_blocks[:-1] + ([[1, 2], [3, 4]],), inst.b_library)
+    foreign = pm.PsdmmInstance(
+        other, _blocks(other, p.block_count, 2, 2), _blocks(other, p.library_size, 2, 2)
+    )
+    for share in (pm.share_a, pm.share_b):
+        with pytest.raises(ValueError, match=f"GF\\({field.q}\\)"):
+            share(foreign, noise, pts, p)
+
+
+def test_decode_rejects_answer_blocks_of_another_field_or_type():
+    p = BOUNDARY
+    field, pts, inst, noise = build_instance(p, seed=24)
+    a_sh, b_sh = pm.share_a(inst, noise, pts, p), pm.share_b(inst, noise, pts, p)
+    queries = pm.psdmm_query(1, noise, pts, p)
+    answers = [pm.psdmm_answer(a_sh[n], b_sh[n], queries[n]) for n in range(p.num_servers)]
+    assert pm.psdmm_decode(answers, pts, p) == [a.mul(inst.b_library[0]) for a in inst.a_blocks]
+    other = PrimeField(smallest_prime_geq(field.q + 1))
+    for bad in (FieldMatrix(other, answers[0][0].data), None, answers[0][0].data):
+        with pytest.raises(ValueError, match="every answer block"):
+            pm.psdmm_decode([[bad]] + answers[1:], pts, p)
 
 
 # --------------------------------------------------------------------- costs
