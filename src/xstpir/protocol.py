@@ -17,16 +17,27 @@ on d^(0..X-1)) and ``code_queries`` the one query coder (the selector on
 d^(K_c-k), T noise layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
 this code at X = X_eff and U = B = 0.
 
-``coded_share`` packs each term vector once into one Python int, one slot of
-whole 64-bit words per entry, and for each d forms x = sum_e c_e packed_e
-with c_e = d^e mod q: one big-int-by-small-int product per term.  Every slot
-of x is then reduced at once by ``linalg._word_slots``, the package's one
-exact reduction, whose docstring holds the proof; ``FieldMatrix.mul`` reads
-its outputs back through the same step.
+The coefficients d^e depend only on the evaluation points, so they are the
+code's per-point constants: ``coefficient_table`` builds each (points,
+exponents) table once, ``default_points`` hands out one points object per
+(field, L, N), and the coders read every coefficient from the tables.
+
+``coded_share`` takes one coefficient row per output and packs along the
+longer side of its input, so that few big-int products and one reduction do
+the work: vectors at least as long as the number of outputs (bulk,
+byzantine, PSDMM) are packed once each, and every output is one product per term and one
+reduction; shorter vectors (the desk scale, K <= 3 < N) would pay that
+reduction per output on 1 to 3 entries, so each term's coefficient column is
+packed across the outputs instead, every vector entry is one product per
+term, and one reduction takes every output.  Slots are whole 64-bit words,
+reduced by ``linalg._word_slots``, the package's one exact reduction, whose
+docstring holds the proof; ``FieldMatrix.mul`` reads its outputs back
+through the same step.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``decode_rounds``: the rounds in order, subtracting the already-known
-contribution of earlier rounds before each solve.
+contribution of earlier rounds before each solve, as one product with the
+decoder's constant offset matrix.
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
@@ -40,11 +51,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
-from operator import mul
+from functools import lru_cache, partial
+from operator import mul, sub
 
 from .field import PrimeField, smallest_prime_geq
-from .linalg import _ORDER, DecodingMatrix, EvaluationPoints, _word_slots, build_decoding_matrix
+from .linalg import (
+    _ORDER, DecodingMatrix, EvaluationPoints, FieldMatrix, _word_slots, build_decoding_matrix,
+)
 from .robust import DecodingFailure, decoder_for
 
 
@@ -112,11 +125,13 @@ class ProtocolParams:
 derive_params = ProtocolParams  # the constructor under its older name
 
 
+@lru_cache(maxsize=1024)  # desk-scale grids revisit their 435 tuples
 def achievable_rate(params: ProtocolParams) -> Fraction:
     """Retrieved symbols per downloaded symbol: L / (N - U)."""
     return Fraction(params.layers, params.responsive_count)
 
 
+@lru_cache(maxsize=1024)
 def comparison_rate_prior(params: ProtocolParams) -> Fraction:
     """Best previously reported rate: ours scaled by K_c / (K_c + X)."""
     return achievable_rate(params) * Fraction(
@@ -130,10 +145,16 @@ def default_field(params) -> PrimeField:
 
 
 def default_points(params, field: PrimeField | None = None) -> EvaluationPoints:
-    """f_l = l and alpha_n = L + n over ``field`` (default: ``default_field``)."""
+    """f_l = l and alpha_n = L + n over ``field`` (default: ``default_field``).
+
+    Memoized on (field, L, N): equal tuples share one ``EvaluationPoints``.
+    """
     if field is None:
         field = default_field(params)
-    return EvaluationPoints.default(field, params.layers, params.num_servers)
+    return _default_points(field, params.layers, params.num_servers)
+
+
+_default_points = lru_cache(maxsize=256)(EvaluationPoints.default)
 
 
 def nested(shape, vector) -> tuple:
@@ -248,52 +269,89 @@ class AnswerBundle:
     scalars: tuple[int, ...]
 
 
-def coded_share(ds, exponents, vectors, q: int) -> list[list[int]]:
-    """[sum_e d^e v_e mod q for d in ds], elementwise over equal-length int vectors.
+@lru_cache(maxsize=1024)
+def coefficient_table(points: EvaluationPoints, exponents: tuple[int, ...]):
+    """[layer][server]: (d^e mod q for e in ``exponents``), d = f_l - a_n.
 
-    ``exponents`` and ``vectors`` pair up and must be non-empty; a negative
-    exponent is a power of the inverse of d, so d must then be nonzero mod q.
-    The vectors are reduced and packed once for all of ``ds``.
+    Built once per (points, exponents), a negative exponent through ``pow``'s
+    modular inverse (the points are pairwise distinct, so d != 0).  The size
+    covers the desk-scale grid's 191 keys, which every pass revisits, and the
+    543 of the acceptance grid.
     """
-    length = len(vectors[0])
-    words, lo, zero, reduce = _word_slots(q, len(vectors), length)
-    terms = []
-    for e, vec in zip(exponents, vectors):
+    q = points.field.q
+    return tuple(
+        tuple(tuple(pow((fl - a) % q, e, q) for e in exponents) for a in points.alpha)
+        for fl in points.f
+    )
+
+
+def coded_share(coefficients, vectors, q: int) -> list[list[int]]:
+    """[sum_e c_e v_e mod q for each row (c_e) of ``coefficients``], entry by entry.
+
+    Each coefficient row holds one residue per vector of ``vectors``, which
+    must be non-empty and of equal lengths (``ValueError`` otherwise); the
+    vectors are reduced on entry, so any ints may come in.  The packing
+    follows the shape (the module docstring says why), with every slot
+    reduced by ``linalg._word_slots``:
+    - vectors no shorter than the outputs (bulk, byzantine and PSDMM, with
+      K >= 32 > N): each vector is packed once, one slot per entry, and each
+      output is one product per term and one reduction;
+    - shorter vectors (the desk scale, K <= 3 < N): each term's coefficient
+      column is packed once, one slot per output, each vector entry is one
+      product per term, and one reduction takes all outputs * length slots.
+    Either way no slot exceeds terms * (q-1)^2.
+    """
+    outputs, terms, length = len(coefficients), len(vectors), len(vectors[0])
+    if len(set(map(len, vectors))) != 1:  # one-word slots: slice assignment would resize
+        raise ValueError("term vectors must have equal lengths")
+    if 0 < length < outputs:
+        words, lo, zero, reduce = _word_slots(q, terms, outputs * length)
+        columns = []
+        for column in zip(*coefficients):
+            slots = zero[:words * outputs]
+            slots[lo::words] = array("Q", column)
+            columns.append(int.from_bytes(slots, _ORDER))
+        entries = zip(*[[v % q for v in vec] for vec in vectors])
+        step = 64 * words * outputs  # entry j's outputs take slots j*outputs..
+        x = 0
+        for j, entry in enumerate(entries):
+            x += sum(map(mul, entry, columns)) << (j * step)
+        flat = reduce(x)
+        return [flat[n::outputs] for n in range(outputs)]
+    words, lo, zero, reduce = _word_slots(q, terms, length)
+    packed = []
+    for vec in vectors:
         slots = zero[:]
         slots[lo::words] = array("Q", [v % q for v in vec])
-        terms.append((e, int.from_bytes(slots, _ORDER)))
-    out = []
-    for d in ds:
-        x = 0
-        for e, packed in terms:
-            x += pow(d, e, q) * packed
-        out.append(reduce(x))  # each as it is formed: holding every unreduced sum costs memory
-    return out
+        packed.append(int.from_bytes(slots, _ORDER))
+    # each output reduced as it is formed: holding every unreduced sum costs memory
+    return [reduce(sum(map(mul, row, packed))) for row in coefficients]
 
 
 def code_layers(points: EvaluationPoints, exponents, terms, length: int, wrap=tuple, selector=None):
     """[server][layer]: ``wrap`` of sum_e d^e v_e mod q, d = f_l - a_n, over layer l's terms.
 
     ``terms`` yields each layer's term vectors of ``length`` entries, paired
-    with ``exponents``; a layer with none codes to zero vectors.
+    with ``exponents``; a layer with none codes to zero vectors.  Every d^e
+    is read from ``coefficient_table``.
     ``selector = (e, positions)`` stands for a 0/1 vector (e_theta, or Q_theta
     flattened) on the term d^e: d^e is added at its few nonzero positions
     instead of coding it as a dense term.  Each layer is wrapped as soon as it
     is coded.
     """
     q = points.field.q
-    servers = range(1, len(points.alpha) + 1)
+    table = coefficient_table(points, tuple(exponents))
+    if selector is not None:
+        e, positions = selector
+        picks = coefficient_table(points, (e,))
     per_layer = []  # [layer][server]
-    for l, vectors in enumerate(terms, 1):
-        ds = [points.diff(l, n) for n in servers]
+    for l, vectors in enumerate(terms):
         if vectors:
-            shares = coded_share(ds, exponents, vectors, q)
+            shares = coded_share(table[l], vectors, q)
         else:
-            shares = [[0] * length for _ in ds]
+            shares = [[0] * length for _ in points.alpha]
         if selector is not None:
-            e, positions = selector
-            for d, share in zip(ds, shares):
-                c = pow(d, e, q)
+            for (c,), share in zip(picks[l], shares):
                 for j in positions:
                     share[j] = (share[j] + c) % q
         per_layer.append([wrap(share) for share in shares])
@@ -427,38 +485,42 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
     (S = 1 for retrieval, lambda*mu for PSDMM); every row holds the same
     number of rounds and, in each round, of streams.  Round k first subtracts
     the known contribution of the earlier rounds' desired symbols c_lj,
-    sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1), reading 1/(f_l - a_n) off the
-    matrix's Cauchy columns, then solves every stream with up to num_errors
-    corrupted rows: one stream with ``RobustDecoder.solve``, several by
-    correcting each and multiplying the decoder's square inverse by all of
-    them at once (a product costs more than ``matvec`` on one stream).
+    sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1): the decoder's constant
+    offset matrix O_k (``RobustDecoder.offsets``) times the L*k x S earlier
+    symbols, one ``matvec`` for one stream and one product for several.  It
+    then solves every stream with up to num_errors corrupted rows: one stream
+    with ``RobustDecoder.solve``, several by correcting each and multiplying
+    the decoder's square inverse by all of them at once (a product costs more
+    than ``matvec`` on one stream).
     Returns the L S-vectors of desired symbols of each round, round by round.
     """
     q = matrix.field.q
     layers = matrix.cauchy_cols
     decoder = decoder_for(matrix)
-    cauchy = list(zip(*matrix.entries))[:layers]  # [l] -> 1/(f_l - a_n) of every row
     if len(set(map(len, observations))) != 1:
         raise ValueError("every observation row must hold the same number of rounds")
-    decoded: list[tuple[int, ...]] = []  # [layers*j + l]: round j+1, layer l+1
+    decoded: list[int] = []  # row-major L*k x S: round j+1, layer l+1 at row L*j + l
+    streams = 1  # when there are no rounds
     for rk in range(len(observations[0])):
         ys = [obs[rk] for obs in observations]
         if len(set(map(len, ys))) != 1:
             raise ValueError("every observation row must hold the same number of streams")
         streams = len(ys[0])
+        y = [v for row in ys for v in row]  # row-major rows x S
         if rk:  # round 1 has no earlier contribution
-            exponents = range(rk + 1, 1, -1)
-            for l in range(layers):
-                offsets = coded_share(cauchy[l], exponents, decoded[l::layers], q)
-                ys = [[a - b for a, b in zip(y, off)] for y, off in zip(ys, offsets)]
-        corrected = [[v % q for v in y] for y in ys]
+            offsets = decoder.offsets(rk)
+            if streams == 1:
+                y = map(sub, y, offsets.matvec(decoded))
+            else:
+                known = FieldMatrix._of_flat(matrix.field, decoded, streams)
+                y = map(sub, y, offsets.mul(known).flat)
+        y = [v % q for v in y]
         if streams == 1:
-            solved = [decoder.solve(stream, num_errors) for stream in zip(*corrected)]
-            decoded += list(zip(*solved))[:layers]
+            decoded += decoder.solve(y, num_errors)[:layers]
         else:
-            flat = decoder._solve_columns(corrected, num_errors).flat
-            decoded += [tuple(flat[i:i + streams]) for i in range(0, layers * streams, streams)]
-    return decoded
+            rows = [y[i:i + streams] for i in range(0, len(y), streams)]
+            decoded += decoder._solve_columns(rows, num_errors).flat[:layers * streams]
+    return [tuple(decoded[i:i + streams]) for i in range(0, len(decoded), streams)]
 
 
 def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[int]:

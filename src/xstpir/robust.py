@@ -28,6 +28,12 @@ and Gao's algorithm finds every codeword within (rows - width)/2 >= num_errors,
 so the output equals that of subset consensus (solve every width-row square
 system, re-encode, accept a candidate agreeing on rows - num_errors rows; kept
 as ``RobustDecoder.candidates``) on every input, in polynomial time.
+
+Everything a decoder needs besides the observations is a per-matrix
+constant, built once and kept on the memoized ``RobustDecoder``: the square
+inverse, Gao's interpolation and codeword tables, and the offset matrices
+O_k of ``protocol.decode_rounds`` (round k+1's known contribution of the
+earlier rounds, read off the matrix's Cauchy entries).
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ class RobustDecoder:
         self.matrix = matrix
         self._full = matrix.matrix()
         self._inverse = self._full.row_submatrix(range(matrix.width)).inverse()
+        self._offsets: dict[int, FieldMatrix] = {}
         if matrix.rows > matrix.width:  # a square matrix corrects no errors
             self._init_gao()
 
@@ -141,6 +148,26 @@ class RobustDecoder:
                 if sum(a * b for a, b in zip(row, x)) % q == observed[i]
             )
             yield subset, x, agree
+
+    def offsets(self, rounds: int) -> FieldMatrix:
+        """O_k at k = ``rounds`` >= 1: the rows x L*k matrix of (1/(f_l - a_n))^(k-j+1).
+
+        Entry [n][L*j + l] weighs the earlier round j+1's desired symbol of
+        layer l+1 in row n's round-(k+1) observation.  Built once per k from
+        the matrix's Cauchy entries (no new inverse) and kept.
+        """
+        o = self._offsets.get(rounds)
+        if o is None:
+            m = self.matrix
+            q, layers = m.field.q, m.cauchy_cols
+            flat = [
+                pow(inv, rounds - j + 1, q)
+                for row in m.entries
+                for j in range(rounds)
+                for inv in row[:layers]
+            ]
+            o = self._offsets[rounds] = FieldMatrix._of_flat(m.field, flat, layers * rounds)
+        return o
 
     def _check(self, rows: int, num_errors: int) -> None:
         m = self.matrix

@@ -157,13 +157,15 @@ def _corrupt(
     q: int,
 ) -> dict[int, AnswerBundle]:
     """Apply the corruption policy to the Byzantine servers' scalars."""
+    out = dict(true_answers)
+    if not adversary.byzantine:  # no liar draws, so the rng and honest set go unbuilt
+        return out
     rng = Random(adversary.seed)
     honest = [
         n
         for n in range(1, params.num_servers + 1)
         if n not in adversary.unresponsive and n not in adversary.byzantine
     ]
-    out = dict(true_answers)
     for b in adversary.byzantine:
         truth = true_answers[b].scalars
         if adversary.policy == "random":

@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from xstpir.field import PrimeField, is_prime, smallest_prime_geq
-from xstpir.protocol import coded_share
+from xstpir.linalg import EvaluationPoints
+from xstpir.protocol import coefficient_table
 
 from oracles import brute_force_inverse
 
@@ -61,9 +62,10 @@ def test_smallest_prime_geq():
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_inv_matches_brute_force(q):
-    """The kernel's negative exponent d^-1 is the exhaustive-search inverse."""
+    """The coefficient table's d^-1 is the exhaustive-search inverse."""
     for a in range(1, q):
-        assert coded_share([a], [-1], [[1]], q)[0] == [brute_force_inverse(q, a)]
+        pts = EvaluationPoints(PrimeField(q), (a,), (0,))  # d = a - 0
+        assert coefficient_table(pts, (-1,))[0][0] == (brute_force_inverse(q, a),)
 
 
 def test_fields_compare_by_modulus():

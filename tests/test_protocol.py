@@ -8,8 +8,10 @@ import pytest
 
 import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
-from xstpir.linalg import EvaluationPoints, build_decoding_matrix
-from xstpir.protocol import InfeasibleParamsError, coded_share, decode_rounds
+from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
+from xstpir.protocol import (
+    InfeasibleParamsError, coded_share, coefficient_table, decode_rounds,
+)
 from xstpir.robust import DecodingFailure, decoder_for
 
 import oracles
@@ -241,7 +243,7 @@ def test_coded_share_returns_residues(q):
             vectors = [
                 [-q - 1, -1, q, 2 * q + 3, rng.randrange(-3 * q, 4 * q)] for _ in exponents
             ]
-            got = coded_share([d], exponents, vectors, q)[0]
+            got = coded_share([[pow(d, e, q) for e in exponents]], vectors, q)[0]
             assert _residues(got, q)
             assert got == [
                 sum(pow(d, e, q) * v[j] for e, v in zip(exponents, vectors)) % q
@@ -265,7 +267,88 @@ def test_coded_share_matches_oracle_at_worst_case_carries(q):
             mixed = [[rng.randrange(q) for _ in range(length)] for _ in exponents]
             for vectors in (worst, mixed):
                 want = [oracles.coded_share(d, exponents, vectors, q) for d in ds]
-                assert coded_share(ds, exponents, vectors, q) == want
+                coefficients = [[pow(d, e, q) for e in exponents] for d in ds]
+                assert coded_share(coefficients, vectors, q) == want
+
+
+# Shapes (entries per vector, outputs): the first four have more outputs than
+# entries and take the packing across outputs, the rest one packing per vector.
+SHAPES = [(1, 2), (1, 20), (2, 8), (3, 4), (3, 20), (2, 2), (3, 1), (17, 4)]
+
+
+@pytest.mark.parametrize("q", [2, 5, Q31, smallest_prime_geq(2**40), 2**64 - 59])
+def test_coded_share_orientations_match_oracle_at_worst_case_carries(q):
+    """Both packings equal the per-entry sum, also with every slot at terms * (q-1)^2."""
+    rng = Random(q + 1)
+    for length, outputs in SHAPES:
+        for exponents in ([-1], [-3, -1, 1], [-1, 1, 3, 5], [-2, 0, 3]):
+            worst_ds = [q - 1] * outputs  # every odd power of q-1 is q-1
+            mixed_ds = [rng.randrange(1, q) for _ in range(outputs)]
+            worst = [[q - 1] * length for _ in exponents]
+            mixed = [[rng.randrange(q) for _ in range(length)] for _ in exponents]
+            for ds, vectors in ((worst_ds, worst), (mixed_ds, mixed), (worst_ds, mixed)):
+                coefficients = [[pow(d, e, q) for e in exponents] for d in ds]
+                want = [oracles.coded_share(d, exponents, vectors, q) for d in ds]
+                assert coded_share(coefficients, vectors, q) == want
+
+
+@pytest.mark.parametrize("length, outputs", SHAPES)
+def test_coded_share_reduces_caller_vectors_in_both_orientations(length, outputs):
+    """Entries below 0 and at or above q still give the residues of the exact sums."""
+    for q in (5, Q31):
+        rng = Random(q * length + outputs)
+        coefficients = [[rng.randrange(q) for _ in range(3)] for _ in range(outputs)]
+        pool = [-q - 1, -1, q, 2 * q + 3, 7 * q - 1]
+        vectors = [[rng.choice(pool) for _ in range(length)] for _ in range(3)]
+        got = coded_share(coefficients, vectors, q)
+        assert all(_residues(share, q) for share in got)
+        assert got == [
+            [sum(c * v[j] for c, v in zip(row, vectors)) % q for j in range(length)]
+            for row in coefficients
+        ]
+
+
+@pytest.mark.parametrize("outputs", [1, 6])
+def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
+    """Vectors of other lengths raise, whichever is first, rather than truncate."""
+    coefficients = [[1, 2]] * outputs
+    for lengths in ((3, 2), (2, 3), (1, 2), (2, 1)):
+        vectors = [[1] * n for n in lengths]
+        with pytest.raises(ValueError):
+            coded_share(coefficients, vectors, 7)
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+def test_coefficient_table_matches_pow(smallest_q):
+    """Entry [l][n] is d^e for d = f_l - a_n; a negative e is a power of d^(q-2)."""
+    p = xp.derive_params(7, 2, 1, 1, 0, 0, 3)
+    f = xp.default_field(p) if smallest_q else PrimeField(Q31)
+    q = f.q
+    pts = xp.default_points(p, f)
+    exponents = (-3, -2, -1, 0, 1, 2, 5)
+    table = coefficient_table(pts, exponents)
+    assert (len(table), len(table[0])) == (p.layers, p.num_servers)
+    for l in range(1, p.layers + 1):
+        for n in range(1, p.num_servers + 1):
+            d = pts.diff(l, n)
+            inv = pow(d, q - 2, q)
+            want = tuple(pow(d, e, q) if e >= 0 else pow(inv, -e, q) for e in exponents)
+            assert table[l - 1][n - 1] == want
+    assert coefficient_table(pts, exponents) is table
+
+
+def test_default_points_are_shared_per_field_and_shape():
+    """Equal (field, L, N) give the identical object; any other, a different one."""
+    p = xp.derive_params(5, 2, 1, 1, 0, 0, 2)
+    same_shape = xp.derive_params(5, 2, 1, 1, 0, 0, 3)  # K does not enter L
+    assert xp.default_points(p) is xp.default_points(same_shape)
+    assert xp.default_points(p, PrimeField(Q31)) is xp.default_points(p, PrimeField(Q31))
+    assert xp.default_points(p, PrimeField(Q31)) is not xp.default_points(p)
+    other_l = xp.derive_params(5, 1, 1, 1, 0, 0, 2)
+    other_n = xp.derive_params(6, 3, 1, 1, 0, 0, 2)
+    assert p.layers != other_l.layers and p.layers == other_n.layers
+    for other in (other_l, other_n):
+        assert xp.default_points(other, PrimeField(Q31)) != xp.default_points(p, PrimeField(Q31))
 
 
 @pytest.mark.parametrize("smallest_q", [True, False])
@@ -442,6 +525,38 @@ def test_offset_single_layer_formula():
         assert interference_offset({(1, 1): 3}, pts, p, 2, n) == want
     with pytest.raises(ValueError):
         interference_offset({}, pts, p, 2, 1)  # missing round-1 symbol
+
+
+@pytest.mark.parametrize("streams", [1, 16])
+@pytest.mark.parametrize("kc", [2, 3])
+def test_offset_matrix_times_earlier_symbols_matches_oracle(kc, streams):
+    """O_k times the L*k x S earlier symbols is every row's and stream's scalar offset."""
+    p = xp.derive_params(8, kc, 1, 1, 1, 1, 2)
+    f = PrimeField(Q31)
+    q = f.q
+    pts = xp.default_points(p, f)
+    servers = (1, 2, 3, 5, 6, 7, 8)  # server 4 silent
+    decoder = decoder_for(build_decoding_matrix(pts, servers, p.layers, p.decode_width))
+    rng = Random(kc * 100 + streams)
+    symbols = {(l, k): f.random_vector(rng, streams)
+               for l in range(1, p.layers + 1) for k in range(1, kc)}
+    for rk in range(1, kc):  # 0-based round index: rounds 1..rk are known
+        known = [v for k in range(1, rk + 1) for l in range(1, p.layers + 1)
+                 for v in symbols[(l, k)]]  # row L*(k-1) + l-1
+        o = decoder.offsets(rk)
+        assert decoder.offsets(rk) is o
+        if streams == 1:
+            got = [[v] for v in o.matvec(known)]
+        else:
+            got = o.mul(FieldMatrix._of_flat(f, known, streams)).data
+        for row, server in zip(got, servers):
+            want = [
+                interference_offset(
+                    {key: vec[s] for key, vec in symbols.items()}, pts, p, rk + 1, server
+                )
+                for s in range(streams)
+            ]
+            assert row == want
 
 
 def test_corrected_answer_has_no_deep_inverse_terms():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import xstpir
-from xstpir import robust
+from xstpir import linalg, protocol, robust
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,6 +52,25 @@ def test_every_workload_runs_one_checked_op(name):
     else:  # desk also runs the audit battery, and counts a wrong verdict as a failed op
         for k in range(len(workloads.AUDIT_BATTERY)):
             assert workload.audit_problem(k, workload.audit(k)) is None
+
+
+def test_desk_memos_hold_the_whole_grid():
+    """A second pass over desk's ``params_grid`` misses no memo.
+
+    Desk revisits its 435 tuples every op, so an LRU smaller than their keys
+    would evict each key before its next use and miss on every lookup.
+    """
+    desk = _load("workloads").WORKLOADS["desk"](seed=1)
+    desk.setup()
+    inp = desk.inputs(0)
+    memos = (
+        protocol.coefficient_table, protocol._default_points, protocol.achievable_rate,
+        protocol.comparison_rate_prior, linalg._word_slots,
+    )
+    desk.op(inp)
+    misses = [memo.cache_info().misses for memo in memos]
+    desk.op(inp)
+    assert [memo.cache_info().misses for memo in memos] == misses
 
 
 def test_package_does_not_import_numpy():
