@@ -11,8 +11,10 @@ every kernel returns residues in [0, q) (``coded_share`` and everything
 built from it, the selector update of the queries, server answers, matrix
 products and decodes), so nothing downstream reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,
-``EvaluationPoints`` and ``FieldMatrix(...)``.  Caller answers are checked,
-not reduced: ``protocol.decode`` erases every bundle holding anything but
+``EvaluationPoints`` and ``FieldMatrix(...)``.  Residues the package draws
+(``random_vector``) are not caller data: ``MessageSet.random`` and the
+random matrices wrap them as they are.  Caller answers are checked, not
+reduced: ``protocol.decode`` erases every bundle holding anything but
 residues.
 """
 
@@ -94,7 +96,10 @@ class PrimeField:
         ``randrange(q)`` draws ``getrandbits(q.bit_length())`` until a value is
         below q.  The first n draws are made at once and the rejected ones
         dropped; one draw at a time then tops the vector up, so no draw is made
-        that ``randrange`` would not make.
+        that ``randrange`` would not make.  The stream is consumed up to its
+        n-th accepted value, so one call for n1 + n2 residues gives the values,
+        and leaves the state, of a call for n1 followed by one for n2: callers
+        draw a whole object in one call (``protocol.nested``).
         """
         q = self.q
         k = q.bit_length()

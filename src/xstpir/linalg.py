@@ -59,27 +59,30 @@ def _word_slots(q: int, terms: int, length: int):
     Returns (words, lo, zero, reduce).  Each entry gets a slot of ``words``
     64-bit words in native order, the low one at word ``lo`` of the slot;
     ``zero`` is an empty array("Q") of all the slots, to copy.  For an int x
-    read from such words (``int.from_bytes`` in native order), each slot
-    below 2^top with top = bit_length(terms * (q-1)^2), ``reduce(x)`` is the
-    list of every slot mod q.
+    read from such words (``int.from_bytes`` in native order), each slot at
+    most top = terms * (q-1)^2, ``reduce(x)`` is the list of every slot mod q.
 
     It is one round-up Barrett step for all slots at once:
-    r = x - (((x * m) >> s) & mask) * q with s = top + bit_length(q) and
-    m = ceil(2^s / q).  For 0 <= x < 2^top, floor(x * m / 2^s) = floor(x / q)
-    exactly, because the error term x * (m - 2^s/q) / 2^s is below
-    2^-bit_length(q) < 1/q; ``mask`` keeps those top - bit_length(q) + 1
-    quotient bits of each slot.  A slot holds 2 * top + 2 bits rounded up to
-    whole words, so x * m carries out of no slot.  Residues fit one word, so
-    q < 2^64 (``PrimeField`` enforces it).
+    r = x - (((x * m) >> s) & mask) * q with s = bit_length(top) +
+    bit_length(q) and m = ceil(2^s / q).  For 0 <= x <= top < 2^(s - bit_length(q)),
+    floor(x * m / 2^s) = floor(x / q) exactly, because the error term
+    x * (m - 2^s/q) / 2^s is below 2^-bit_length(q) < 1/q.  The quotient is
+    at most top // q, so ``mask`` keeps the low bit_length(top // q) bits of
+    each slot.  A slot is the fewest whole words that hold top * m, the
+    largest product, so x * m carries out of no slot; the shift moves the
+    next slot's low bits to bit 64 * words - s and up, and since
+    floor(top * m / 2^s) >= top // q, the masked bits lie below them.  Each
+    slot's subtrahend is at most its x, so the subtraction borrows across no
+    slot.  Residues fit one word, so q < 2^64 (``PrimeField`` enforces it).
+    At q = 2^31 - 1 this gives two words for up to 4 terms, three for 5.
     """
-    top = (terms * (q - 1) ** 2).bit_length()
-    b = q.bit_length()
-    s = top + b
+    top = terms * (q - 1) ** 2
+    s = top.bit_length() + q.bit_length()
     m = -(-(1 << s) // q)
-    words = -(-(2 * top + 2) // 64)
+    words = -(-(top * m).bit_length() // 64)
     lo = 0 if _ORDER == "little" else words - 1
     size = 8 * words * length
-    slot_mask = ((1 << (top - b + 1)) - 1).to_bytes(8 * words, _ORDER)
+    slot_mask = ((1 << (top // q).bit_length()) - 1).to_bytes(8 * words, _ORDER)
     mask = int.from_bytes(slot_mask * length, _ORDER)
 
     def reduce(x: int) -> list[int]:

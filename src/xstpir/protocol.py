@@ -52,6 +52,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import prod
 from operator import mul, sub
 
 from .field import PrimeField, smallest_prime_geq
@@ -158,19 +159,29 @@ _default_points = lru_cache(maxsize=256)(EvaluationPoints.default)
 
 
 def nested(shape, vector) -> tuple:
-    """Nested tuples over ``shape`` (two axes or more); innermost: ``vector(shape[-1])``.
+    """Nested tuples over ``shape`` (two axes or more), cut from the list ``vector(prod(shape))``.
 
-    The innermost vectors are drawn in row-major order, so a random draw and an
-    audit's enumeration fill one layout the same way.
+    The innermost vectors are cut from that one call in row-major order, so a
+    random draw and an audit's enumeration fill one layout the same way.  For
+    ``field.random_vector`` one call is exact: it gives the values, and leaves
+    the rng state, of one ``vector(shape[-1])`` call per innermost vector.  An
+    axis of size 0 gives empty tuples at its depth.
     """
-    if len(shape) == 2:  # the innermost level is one loop, not a call per vector
-        return tuple([tuple(vector(shape[1])) for _ in range(shape[0])])
-    return tuple([nested(shape[1:], vector) for _ in range(shape[0])])
+    level = vector(prod(shape))
+    for depth in range(len(shape) - 1, 0, -1):  # tuples of shape[depth] items of the level below
+        size = shape[depth]
+        level = [tuple(level[i * size:(i + 1) * size]) for i in range(prod(shape[:depth]))]
+    return tuple(level)
 
 
 @dataclass(frozen=True)
 class MessageSet:
-    """K messages of ell symbols each, with the dual per-column view W_lk."""
+    """K messages of ell symbols each, with the dual per-column view W_lk.
+
+    The constructor reduces every symbol mod q: caller data enters here.
+    ``random`` draws residues, and wraps them as they are through
+    ``_of_residues``.
+    """
 
     field: PrimeField
     layers: int
@@ -205,10 +216,20 @@ class MessageSet:
         return [m[pos] for m in self.messages]
 
     @classmethod
+    def _of_residues(cls, field: PrimeField, layers: int, code_dim: int, messages) -> "MessageSet":
+        """Wrap K tuples of ell residues each as they are, without reducing them again."""
+        m = cls.__new__(cls)
+        for name, value in zip(("field", "layers", "code_dim", "messages"),
+                               (field, layers, code_dim, messages)):
+            object.__setattr__(m, name, value)
+        return m
+
+    @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "MessageSet":
+        """K messages of ell uniform symbols, drawn in one ``random_vector`` call."""
         shape = (params.num_messages, params.message_len)
         vectors = nested(shape, partial(field.random_vector, rng))
-        return cls(field, params.layers, params.code_dim, vectors)
+        return cls._of_residues(field, params.layers, params.code_dim, vectors)
 
 
 @dataclass(frozen=True)
@@ -417,10 +438,14 @@ def encode_storage(
 
     Share vector: S_nl = sum_k W_lk / (f_l - a_n)^(K_c-k+1)
                          + sum_x (f_l - a_n)^(x-1) Z_lx.
+    Every column W_lk is read from one transpose of the messages.
     """
     _check_dims(messages, params, points)
-    kc, x, k = params.code_dim, params.security, params.num_messages
-    shares = code_storage(points, kc, x, messages.layer_vector, noise.z, k)
+    columns = list(zip(*messages.messages))  # [position] -> K-vector, transposed once
+    shares = code_storage(
+        points, params.code_dim, params.security,
+        lambda l, k: columns[messages.symbol_position(l, k)], noise.z, params.num_messages,
+    )
     return [ServerStorage(n, s, points.field) for n, s in enumerate(shares, 1)]
 
 

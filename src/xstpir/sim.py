@@ -156,7 +156,11 @@ def _corrupt(
     params: ProtocolParams,
     q: int,
 ) -> dict[int, AnswerBundle]:
-    """Apply the corruption policy to the Byzantine servers' scalars."""
+    """Apply the corruption policy to the Byzantine servers' scalars.
+
+    ``true_answers`` holds the responsive servers' honest answers; a liar
+    replays only an honest server's.
+    """
     out = dict(true_answers)
     if not adversary.byzantine:  # no liar draws, so the rng and honest set go unbuilt
         return out
@@ -212,13 +216,13 @@ def run_session(
 
     storages = encode_storage(messages, storage_noise, points, params)
     queries = gen_queries(theta, query_noise, points, params)
+    # a silent server's answer is never delivered, and no liar replays it
     true_answers = {
-        s.server: server_answer(s, qb) for s, qb in zip(storages, queries)
+        s.server: server_answer(s, qb)
+        for s, qb in zip(storages, queries)
+        if s.server not in adversary.unresponsive
     }
-    with_corruption = _corrupt(true_answers, adversary, params, field.q)
-    delivered = {
-        n: ab for n, ab in with_corruption.items() if n not in adversary.unresponsive
-    }
+    delivered = _corrupt(true_answers, adversary, params, field.q)
 
     decoded = None
     failure = None

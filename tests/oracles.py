@@ -15,7 +15,18 @@ from math import prod
 from xstpir.audit import AuditVerdict
 from xstpir.field import PrimeField
 from xstpir.linalg import DecodingMatrix, EvaluationPoints, FieldMatrix
-from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise, nested
+from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise
+
+
+def nested(shape, vector) -> tuple:
+    """Nested tuples over ``shape`` (two axes or more); innermost: ``vector(shape[-1])``.
+
+    One call per innermost vector, in row-major order: the reference of
+    ``protocol.nested``, which cuts them all from one call.
+    """
+    if len(shape) == 2:
+        return tuple([tuple(vector(shape[1])) for _ in range(shape[0])])
+    return tuple([nested(shape[1:], vector) for _ in range(shape[0])])
 
 
 def _dot(q: int, u, v) -> int:

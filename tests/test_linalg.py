@@ -7,9 +7,11 @@ import pytest
 
 from xstpir.field import PrimeField, is_prime, smallest_prime_geq
 from xstpir.linalg import (
+    _ORDER,
     EvaluationPoints,
     FieldMatrix,
     SingularMatrixError,
+    _word_slots,
     build_decoding_matrix,
 )
 
@@ -115,6 +117,42 @@ def test_mul_matches_oracle_at_worst_case_carries(q):
             a = [[entry() for _ in range(inner)] for _ in range(rows)]
             b = [[entry() for _ in range(cols)] for _ in range(inner)]
             assert FieldMatrix(f, a).mul(FieldMatrix(f, b)).data == matmul(a, b, q)
+
+
+def largest_prime_below(n: int) -> int:
+    c = n - 1
+    while not is_prime(c):
+        c -= 1
+    return c
+
+
+def test_word_slots_are_the_fewest_words_that_hold_the_largest_product():
+    """At q = 2^31 - 1, 4 terms fit two words (by less than 2^99), 5 need three."""
+    q = 2**31 - 1
+    assert [_word_slots(q, t, 1)[0] for t in range(1, 6)] == [2, 2, 2, 2, 3]
+    top = 4 * (q - 1) ** 2
+    s = top.bit_length() + q.bit_length()
+    assert 0 < 2**128 - top * -(-(1 << s) // q) < 2**99
+
+
+@pytest.mark.parametrize(
+    "q", [largest_prime_below(2**k) for k in (31, 32, 62, 63)] + [2**64 - 59]
+)
+def test_word_slots_reduce_all_max_and_random_slots(q):
+    """``reduce`` takes every slot up to terms * (q-1)^2 to its residue.
+
+    All-max slots make every product top * m, the most a slot must hold, next
+    to each other, where a slot one bit short would carry into its neighbour.
+    """
+    rng = Random(q)
+    for terms in range(1, 9):
+        top = terms * (q - 1) ** 2
+        values = [top, top, 0, top, q, q - 1] + [rng.randrange(top + 1) for _ in range(30)]
+        words, _, zero, reduce = _word_slots(q, terms, len(values))
+        assert len(zero) == words * len(values)
+        x = int.from_bytes(b"".join(v.to_bytes(8 * words, _ORDER) for v in values), _ORDER)
+        assert reduce(x) == [v % q for v in values]
+        assert reduce(int.from_bytes(zero, _ORDER)) == [0] * len(values)
 
 
 def test_evaluation_points_distinctness():

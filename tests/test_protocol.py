@@ -1,6 +1,7 @@
 """The retrieval scheme: parameters, encoding, queries, answers, decoding."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from random import Random
 
@@ -10,8 +11,9 @@ import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
 from xstpir.protocol import (
-    InfeasibleParamsError, coded_share, coefficient_table, decode_rounds,
+    InfeasibleParamsError, coded_share, coefficient_table, decode_rounds, nested,
 )
+import xstpir.psdmm as pm
 from xstpir.robust import DecodingFailure, decoder_for
 
 import oracles
@@ -316,6 +318,59 @@ def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
         vectors = [[1] * n for n in lengths]
         with pytest.raises(ValueError):
             coded_share(coefficients, vectors, 7)
+
+
+NESTED_SHAPES = [(3, 4), (1, 1), (2, 3, 5), (2, 1, 2, 3), (4, 0, 3), (3, 2, 0), (0, 2, 2), (2, 0)]
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
+def test_nested_draws_in_one_call_what_a_call_per_vector_draws(q):
+    """One ``random_vector`` call cut into the layout equals one call per innermost vector.
+
+    Small q rejects often (5/16 to 1/2 of all draws at q <= 11), so a cut
+    that took a draw too many or too few would shift every later vector and
+    the generator state; zero-size axes must give empty tuples and draw nothing.
+    """
+    f = PrimeField(q)
+    for shape in NESTED_SHAPES:
+        for seed in range(20):
+            rng, ref = Random(seed), Random(seed)
+            got = nested(shape, partial(f.random_vector, rng))
+            assert got == oracles.nested(shape, partial(f.random_vector, ref))
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
+def test_random_objects_equal_their_constructed_forms(q):
+    """Each ``random`` equals its constructor on the reference draws, which it reduces.
+
+    ``MessageSet.random`` wraps its residues without the constructor's
+    reduction; the result must still be the constructed object.
+    """
+    f = PrimeField(q)
+
+    def ref(seed):
+        return partial(f.random_vector, Random(seed))
+
+    for args in [(2, 1, 1, 0, 0, 0, 1), (4, 2, 1, 1, 0, 0, 3), (6, 2, 1, 1, 1, 0, 5)]:
+        p = xp.derive_params(*args)
+        for seed in range(5):
+            rows = oracles.nested((p.num_messages, p.message_len), ref(seed))
+            msgs = xp.MessageSet.random(f, p, Random(seed))
+            assert msgs == xp.MessageSet(f, p.layers, p.code_dim, rows)
+            assert type(msgs.messages) is tuple and {type(m) for m in msgs.messages} == {tuple}
+            assert xp.StorageNoise.random(f, p, Random(seed)) == xp.StorageNoise(
+                f, oracles.nested(xp.StorageNoise.shape(p), ref(seed)))
+            assert xp.QueryNoise.random(f, p, Random(seed)) == xp.QueryNoise(
+                f, oracles.nested(xp.QueryNoise.shape(p), ref(seed)))
+    pp = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
+    draw = ref(3)  # the three noises come from one stream, in this order
+    wide = pp.library_size * pp.cols_b
+    assert pm.PsdmmNoise.random(f, pp, Random(3)) == pm.PsdmmNoise(
+        oracles.nested((pp.layers, pp.security_a, pp.rows_a * pp.inner_dim), draw),
+        oracles.nested((pp.layers, pp.security_b, pp.inner_dim * wide), draw),
+        oracles.nested((pp.layers, pp.privacy, pp.code_dim, wide * pp.cols_b), draw),
+    )
 
 
 @pytest.mark.parametrize("smallest_q", [True, False])

@@ -5,6 +5,7 @@ are, without running a benchmark, so a rename or deletion they depend on fails
 here in seconds.
 """
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import xstpir
-from xstpir import linalg, protocol, robust
+from xstpir import audit, linalg, protocol, robust, sim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,12 +66,34 @@ def test_desk_memos_hold_the_whole_grid():
     inp = desk.inputs(0)
     memos = (
         protocol.coefficient_table, protocol._default_points, protocol.achievable_rate,
-        protocol.comparison_rate_prior, linalg._word_slots,
+        protocol.comparison_rate_prior, linalg._word_slots, audit.rate_report,
     )
     desk.op(inp)
     misses = [memo.cache_info().misses for memo in memos]
     desk.op(inp)
     assert [memo.cache_info().misses for memo in memos] == misses
+
+
+def test_silent_servers_are_not_asked_to_answer(monkeypatch):
+    """A session asks only its N - |U| responsive servers for an answer.
+
+    A silent server's answer is never delivered and no liar replays it, so
+    desk op 0's transcripts keep the digest they had when every server was asked.
+    """
+    desk = _load("workloads").WORKLOADS["desk"](seed=1)
+    desk.setup()
+    asked = []
+    answer = sim.server_answer
+    monkeypatch.setattr(
+        sim, "server_answer", lambda s, qb: asked.append(s.server) or answer(s, qb)
+    )
+    transcripts = []
+    for p, adv, theta, seed in desk.inputs(0):  # what ``desk.op`` runs, one session at a time
+        asked.clear()
+        transcripts.append(sim.run_session(p, adv, theta, seed))
+        assert asked == [n for n in range(1, p.num_servers + 1) if n not in adv.unresponsive]
+    digest = hashlib.sha256("\n".join(t.to_json() for t in transcripts).encode()).hexdigest()
+    assert digest == "7a5940ab9e96388869c942b0e385d99f81f9ffec6749c759a913f417f209dcad"
 
 
 def test_package_does_not_import_numpy():
