@@ -36,8 +36,10 @@ through the same step.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``decode_rounds``: the rounds in order, subtracting the already-known
-contribution of earlier rounds before each solve, as one product with the
-decoder's constant offset matrix.
+contribution of earlier rounds as one product with the decoder's constant
+offset matrix, then one ``RobustDecoder.solve`` per round for every stream.
+The same code runs for one stream and for many: ``FieldMatrix.mul`` picks
+``matvec`` for a one-column operand.
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
@@ -210,11 +212,6 @@ class MessageSet:
             raise ValueError("layer or round index out of range")
         return self.layers * (k - 1) + l - 1
 
-    def layer_vector(self, l: int, k: int) -> list[int]:
-        """W_lk: the (L(k-1)+l)-th symbol of every message, as a length-K row."""
-        pos = self.symbol_position(l, k)
-        return [m[pos] for m in self.messages]
-
     @classmethod
     def _of_residues(cls, field: PrimeField, layers: int, code_dim: int, messages) -> "MessageSet":
         """Wrap K tuples of ell residues each as they are, without reducing them again."""
@@ -322,9 +319,13 @@ def coded_share(coefficients, vectors, q: int) -> list[list[int]]:
       product per term, and one reduction takes all outputs * length slots.
     Either way no slot exceeds terms * (q-1)^2.
     """
+    if not vectors:
+        raise ValueError("coded_share needs at least one term vector")
     outputs, terms, length = len(coefficients), len(vectors), len(vectors[0])
     if len(set(map(len, vectors))) != 1:  # one-word slots: slice assignment would resize
         raise ValueError("term vectors must have equal lengths")
+    if set(map(len, coefficients)) - {terms}:  # zip would drop the unmatched terms
+        raise ValueError("each coefficient row must hold one coefficient per term vector")
     if 0 < length < outputs:
         words, lo, zero, reduce = _word_slots(q, terms, outputs * length)
         columns = []
@@ -512,14 +513,14 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
     the known contribution of the earlier rounds' desired symbols c_lj,
     sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1): the decoder's constant
     offset matrix O_k (``RobustDecoder.offsets``) times the L*k x S earlier
-    symbols, one ``matvec`` for one stream and one product for several.  It
-    then solves every stream with up to num_errors corrupted rows: one stream
-    with ``RobustDecoder.solve``, several by correcting each and multiplying
-    the decoder's square inverse by all of them at once (a product costs more
-    than ``matvec`` on one stream).
+    symbols, one product.  It then solves the round's rows x S observations,
+    up to num_errors corrupted rows per stream, with one
+    ``RobustDecoder.solve``.  ``FieldMatrix.mul`` takes ``matvec`` when
+    S = 1, so the stream count is decided there and nowhere here.
     Returns the L S-vectors of desired symbols of each round, round by round.
     """
-    q = matrix.field.q
+    field = matrix.field
+    q = field.q
     layers = matrix.cauchy_cols
     decoder = decoder_for(matrix)
     if len(set(map(len, observations))) != 1:
@@ -528,23 +529,17 @@ def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list
     streams = 1  # when there are no rounds
     for rk in range(len(observations[0])):
         ys = [obs[rk] for obs in observations]
-        if len(set(map(len, ys))) != 1:
-            raise ValueError("every observation row must hold the same number of streams")
         streams = len(ys[0])
+        if not streams or len(set(map(len, ys))) != 1:
+            raise ValueError(
+                "every observation row must hold the same number of streams, at least one"
+            )
         y = [v for row in ys for v in row]  # row-major rows x S
         if rk:  # round 1 has no earlier contribution
-            offsets = decoder.offsets(rk)
-            if streams == 1:
-                y = map(sub, y, offsets.matvec(decoded))
-            else:
-                known = FieldMatrix._of_flat(matrix.field, decoded, streams)
-                y = map(sub, y, offsets.mul(known).flat)
-        y = [v % q for v in y]
-        if streams == 1:
-            decoded += decoder.solve(y, num_errors)[:layers]
-        else:
-            rows = [y[i:i + streams] for i in range(0, len(y), streams)]
-            decoded += decoder._solve_columns(rows, num_errors).flat[:layers * streams]
+            known = FieldMatrix._of_flat(field, decoded, streams)
+            y = map(sub, y, decoder.offsets(rk).mul(known).flat)
+        observed = FieldMatrix._of_flat(field, [v % q for v in y], streams)
+        decoded += decoder.solve(observed, num_errors).flat[:layers * streams]
     return [tuple(decoded[i:i + streams]) for i in range(0, len(decoded), streams)]
 
 

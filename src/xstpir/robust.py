@@ -29,6 +29,12 @@ so the output equals that of subset consensus (solve every width-row square
 system, re-encode, accept a candidate agreeing on rows - num_errors rows; kept
 as ``RobustDecoder.candidates``) on every input, in polynomial time.
 
+``RobustDecoder.solve`` is the one solve: its observations are a rows x S
+residue matrix, one column per stream (S = 1 for retrieval, lambda*mu for
+PSDMM), each column corrected on its own and all of them solved with one
+product by the square inverse.  Whether that product is one ``matvec`` or a
+packed product is ``FieldMatrix.mul``'s choice, by the operand's shape.
+
 Everything a decoder needs besides the observations is a per-matrix
 constant, built once and kept on the memoized ``RobustDecoder``: the square
 inverse, Gao's interpolation and codeword tables, and the offset matrices
@@ -169,9 +175,16 @@ class RobustDecoder:
             o = self._offsets[rounds] = FieldMatrix._of_flat(m.field, flat, layers * rounds)
         return o
 
-    def _check(self, rows: int, num_errors: int) -> None:
+    def solve(self, observed: FieldMatrix, num_errors: int) -> FieldMatrix:
+        """The width x S coefficients of rows x S residue observations.
+
+        Each column is one stream with <= num_errors corrupted rows.  With
+        errors allowed, Gao's ``_correct`` corrects each column on its own;
+        then one product of the square inverse by the first width rows solves
+        every column (``FieldMatrix.mul`` takes ``matvec`` for one).
+        """
         m = self.matrix
-        if rows != m.rows:
+        if observed.rows != m.rows:
             raise ValueError("one observation per matrix row required")
         if num_errors < 0:
             raise ValueError("error bound must be non-negative")
@@ -179,25 +192,13 @@ class RobustDecoder:
             raise ValueError(
                 f"{m.rows} rows at width {m.width} cannot correct {num_errors} errors"
             )
-
-    def solve(self, observed, num_errors: int) -> list[int]:
-        """Recover the width coefficients from observations with <= num_errors corruptions."""
-        self._check(len(observed), num_errors)
+        flat, streams = observed.flat, observed.cols
         if num_errors:
-            observed = self._correct(observed, num_errors)
-        return self._inverse.matvec(observed[:self.matrix.width])
-
-    def _solve_columns(self, observed, num_errors: int) -> FieldMatrix:
-        """``solve`` of every column of rows x S residue observations, as a width x S matrix.
-
-        Each column is corrected on its own, then one product with the square
-        inverse solves them all.
-        """
-        self._check(len(observed), num_errors)
-        if num_errors:
-            observed = list(zip(*[self._correct(col, num_errors) for col in zip(*observed)]))
-        block = [v for row in observed[:self.matrix.width] for v in row]
-        return self._inverse.mul(FieldMatrix._of_flat(self.matrix.field, block, len(observed[0])))
+            flat = flat[:]
+            for j in range(streams):
+                flat[j::streams] = self._correct(flat[j::streams], num_errors)
+        top = FieldMatrix._of_flat(observed.field, flat[:m.width * streams], streams)
+        return self._inverse.mul(top)
 
     def _correct(self, observed, num_errors: int) -> list[int]:
         """The codeword Gao's algorithm finds within num_errors of the observations."""

@@ -29,6 +29,23 @@ def nested(shape, vector) -> tuple:
     return tuple([nested(shape[1:], vector) for _ in range(shape[0])])
 
 
+def diff(points: EvaluationPoints, l: int, server: int) -> int:
+    """f_l - alpha_n for 1-based layer l and server n."""
+    return (points.f[l - 1] - points.alpha[server - 1]) % points.field.q
+
+
+def layer_vector(messages: MessageSet, l: int, k: int) -> list[int]:
+    """W_lk: the (L(k-1)+l)-th symbol of every message, as a length-K row."""
+    pos = messages.symbol_position(l, k)
+    return [m[pos] for m in messages.messages]
+
+
+def solve_column(decoder, observed, num_errors: int) -> list[int]:
+    """``decoder.solve`` of one stream: ``observed`` as a rows x 1 block, a list back."""
+    block = FieldMatrix(decoder.matrix.field, [[v] for v in observed])
+    return decoder.solve(block, num_errors).flat
+
+
 def _dot(q: int, u, v) -> int:
     return sum(a * b for a, b in zip(u, v)) % q
 
@@ -111,7 +128,7 @@ def recover_messages(storages, points: EvaluationPoints, params: ProtocolParams)
     units = [[int(i == j) for j in range(need)] for i in range(need)]
     symbols = [[0] * params.message_len for _ in range(params.num_messages)]
     for l in range(1, layers + 1):
-        rows = [coded_share(points.diff(l, st.server), exponents, units, q) for st in storages]
+        rows = [coded_share(diff(points, l, st.server), exponents, units, q) for st in storages]
         for j, message in enumerate(symbols):
             unknowns = solve(FieldMatrix(field, rows), [st.shares[l - 1][j] for st in storages])
             assert unknowns is not None, "the storage coefficient rows are singular"
@@ -146,7 +163,7 @@ def answer_coefficients(
     coeffs: dict[tuple[int, int], int] = {}
     for l in range(1, params.layers + 1):
         storage_terms = [
-            (-(kc - k + 1), messages.layer_vector(l, k)) for k in range(1, kc + 1)
+            (-(kc - k + 1), layer_vector(messages, l, k)) for k in range(1, kc + 1)
         ] + [
             (x - 1, storage_noise.z[l - 1][x - 1]) for x in range(1, params.security + 1)
         ]
@@ -168,7 +185,7 @@ def evaluate_coefficients(
     q = points.field.q
     total = 0
     for (l, e), c in coeffs.items():
-        d = points.diff(l, server)
+        d = diff(points, l, server)
         base = pow(d, q - 2, q) if e < 0 else d
         total = (total + c * pow(base, abs(e), q)) % q
     return total
@@ -190,7 +207,7 @@ def interference_offset(
     q = points.field.q
     off = 0
     for l in range(1, params.layers + 1):
-        inv_d = pow(points.diff(l, server), q - 2, q)
+        inv_d = pow(diff(points, l, server), q - 2, q)
         for k in range(1, round_k):
             try:
                 sym = decoded[(l, k)]
@@ -256,7 +273,7 @@ def share_product_coefficients(inst, noise, params, layer: int):
 def evaluate_matrix_coefficients(coeffs, points, layer: int, server: int):
     """Numeric share product at one server from its Laurent expansion."""
     q = points.field.q
-    d = points.diff(layer, server)
+    d = diff(points, layer, server)
     inv_d = pow(d, q - 2, q)
     total = None
     for e, m in coeffs.items():

@@ -18,7 +18,7 @@ from xstpir.linalg import EvaluationPoints, build_decoding_matrix
 from xstpir.robust import decoder_for
 from xstpir.sim import AdversaryConfig, params_grid, run_session, sweep
 
-from oracles import det, interference_offset, recover_messages
+from oracles import det, diff, interference_offset, layer_vector, recover_messages, solve_column
 
 
 def report(num: int, passed: bool, detail: str):
@@ -71,9 +71,9 @@ def test_criterion_2_worked_example_n5():
 
     matrix = build_decoding_matrix(pts, (1, 2, 3, 4, 5), p.layers, p.decode_width)
     # round 1 must come out first: its solution is (W_11 Qt, W_21 Qt)
-    round1 = decoder_for(matrix).solve([a.scalars[0] for a in answers], 0)
+    round1 = solve_column(decoder_for(matrix), [a.scalars[0] for a in answers], 0)
     w = {
-        (l, k): msgs.layer_vector(l, k)[theta - 1]
+        (l, k): layer_vector(msgs, l, k)[theta - 1]
         for l in (1, 2)
         for k in (1, 2)
     }
@@ -85,11 +85,11 @@ def test_criterion_2_worked_example_n5():
     for n in range(1, 6):
         off = interference_offset(decoded_round1, pts, p, 2, n)
         direct = sum(
-            w[(l, 1)] * pow(pow(pts.diff(l, n), q - 2, q), 2, q) for l in (1, 2)
+            w[(l, 1)] * pow(pow(diff(pts, l, n), q - 2, q), 2, q) for l in (1, 2)
         ) % q
         assert off == direct
         corrected.append((answers[n - 1].scalars[1] - off) % q)
-    round2 = decoder_for(matrix).solve(corrected, 0)
+    round2 = solve_column(decoder_for(matrix), corrected, 0)
     assert round2[:2] == [w[(1, 2)], w[(2, 2)]]
 
     # end-to-end: decode agrees and the rate is exactly 2/5

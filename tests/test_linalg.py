@@ -105,11 +105,14 @@ def test_mul_matches_oracle_at_worst_case_carries(q):
     must hold; inner dimensions 255..257 and 300 cross a byte of slot width
     at q = 2.  A residue of q <= 257 takes fewer bytes than its slot, one of
     2^64 - 59 all eight bytes of a word, and its Barrett slots five words.
-    16x64 by 64x32 and 16x80 by 80x32 are the products of a psdmm answer.
+    16x64 by 64x32 and 16x80 by 80x32 are the products of a psdmm answer;
+    13x7, 13x5, 8x4 and 4x4 by one column are decoders' one-stream solves
+    and offsets, which go through ``matvec``.
     """
     f = PrimeField(q)
     rng = Random(q)
     shapes = [(1, 1, 1), (2, 1, 3), (17, 1, 17), (3, 4, 2), (16, 64, 32), (16, 80, 32)]
+    shapes += [(13, 7, 1), (13, 5, 1), (8, 4, 1), (4, 4, 1)]
     shapes += [(1, n, 1) for n in (2, 17, 255, 256, 257, 300)]
     shapes += [(3, n, 4) for n in (64, 255, 256, 300)]
     for rows, inner, cols in shapes:
@@ -244,6 +247,17 @@ def test_all_row_subsets_of_robust_matrix_invertible():
         fm = m.matrix()
         for subset in combinations(range(rows), width):
             assert det(fm.row_submatrix(subset)) != 0
+
+
+def test_row_submatrix_rejects_rows_outside_the_matrix():
+    """Every index must name a row; a slice of ``flat`` would clip or wrap it silently."""
+    f = PrimeField(7)
+    m = FieldMatrix(f, [[1, 2], [3, 4], [5, 6]])
+    assert m.row_submatrix([2, 0]) == FieldMatrix(f, [[5, 6], [1, 2]])
+    assert m.row_submatrix(range(3)) == m
+    for indices in ([5], [-1], [0, 3], [3], range(4)):
+        with pytest.raises(ValueError):
+            m.row_submatrix(indices)
 
 
 def test_equality_compares_shape_not_only_entries():

@@ -19,9 +19,12 @@ from xstpir.robust import DecodingFailure, decoder_for
 import oracles
 from oracles import (
     answer_coefficients,
+    diff,
     evaluate_coefficients,
     interference_offset,
+    layer_vector,
     recover_messages,
+    solve_column,
 )
 
 
@@ -102,14 +105,14 @@ def test_message_set_dual_views_agree():
     msgs = xp.MessageSet.random(field, p, Random(0))
     for l in range(1, p.layers + 1):
         for k in range(1, p.code_dim + 1):
-            vec = msgs.layer_vector(l, k)
+            vec = layer_vector(msgs, l, k)
             pos = msgs.symbol_position(l, k)
             assert pos == p.layers * (k - 1) + l - 1
             assert vec == [m[pos] for m in msgs.messages]
     with pytest.raises(ValueError):
-        msgs.layer_vector(0, 1)
+        layer_vector(msgs, 0, 1)
     with pytest.raises(ValueError):
-        msgs.layer_vector(1, p.code_dim + 1)
+        layer_vector(msgs, 1, p.code_dim + 1)
 
 
 def test_message_set_shape_checked():
@@ -143,10 +146,10 @@ def test_encode_storage_without_noise_layers():
     q = f.q
     for s in storages:
         for l in range(1, p.layers + 1):
-            d = pts.diff(l, s.server)
+            d = diff(pts, l, s.server)
             want = tuple(
                 sum(
-                    pow(d, (q - 2) * (p.code_dim - k + 1), q) * msgs.layer_vector(l, k)[j]
+                    pow(d, (q - 2) * (p.code_dim - k + 1), q) * layer_vector(msgs, l, k)[j]
                     for k in range(1, p.code_dim + 1)
                 )
                 % q
@@ -213,7 +216,7 @@ def test_final_round_exposes_selector_unscaled():
         for l in range(p.layers):
             # bare scaled selector; final round unscaled
             assert qb.rounds[-1][l] == (0, 1, 0)
-            d = pts.diff(l + 1, qb.server)
+            d = diff(pts, l + 1, qb.server)
             assert qb.rounds[0][l] == (0, d % f.q, 0)
 
 
@@ -320,6 +323,24 @@ def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
             coded_share(coefficients, vectors, 7)
 
 
+@pytest.mark.parametrize("outputs", [1, 6])
+def test_coded_share_rejects_unmatched_coefficients_and_no_vectors_in_both_orientations(outputs):
+    """A coefficient row with a coefficient too few or too many, or no vector, raises.
+
+    Two vectors of length 2 are packed per output at 1 output, and across
+    the outputs at 6; either way zip would drop the unmatched terms.
+    """
+    vectors = [[1, 2], [5, 5]]
+    assert coded_share([[1, 1]] * outputs, vectors, 7) == [[6, 0]] * outputs
+    for rows in ([[1]] * outputs, [[1, 1, 1]] * outputs, [[1, 1]] * (outputs - 1) + [[1]]):
+        with pytest.raises(ValueError):
+            coded_share(rows, vectors, 7)
+    with pytest.raises(ValueError):
+        coded_share([[1, 1]] * (outputs + 2), [[1, 2]], 7)
+    with pytest.raises(ValueError):
+        coded_share([[1]] * outputs, [], 7)
+
+
 NESTED_SHAPES = [(3, 4), (1, 1), (2, 3, 5), (2, 1, 2, 3), (4, 0, 3), (3, 2, 0), (0, 2, 2), (2, 0)]
 
 
@@ -385,7 +406,7 @@ def test_coefficient_table_matches_pow(smallest_q):
     assert (len(table), len(table[0])) == (p.layers, p.num_servers)
     for l in range(1, p.layers + 1):
         for n in range(1, p.num_servers + 1):
-            d = pts.diff(l, n)
+            d = diff(pts, l, n)
             inv = pow(d, q - 2, q)
             want = tuple(pow(d, e, q) if e >= 0 else pow(inv, -e, q) for e in exponents)
             assert table[l - 1][n - 1] == want
@@ -477,7 +498,7 @@ def test_answer_four_term_decomposition():
         p, seed=3, theta=theta
     )
     q = f.q
-    w11, w12 = msgs.layer_vector(1, 1), msgs.layer_vector(1, 2)
+    w11, w12 = layer_vector(msgs, 1, 1), layer_vector(msgs, 1, 2)
     z11 = zn.z[0][0]
     zq1 = qn.zp[0][0][0]
     e_t = [1 if j == theta - 1 else 0 for j in range(3)]
@@ -486,7 +507,7 @@ def test_answer_four_term_decomposition():
     i2 = (dot(w12, zq1) + dot(z11, e_t)) % q
     i3 = dot(z11, zq1)
     for ans in answers:
-        d = pts.diff(1, ans.server)
+        d = diff(pts, 1, ans.server)
         want = (
             pow(d, q - 2, q) * dot(w11, e_t) + i1 + d * i2 + d * d % q * i3
         ) % q
@@ -575,7 +596,7 @@ def test_offset_single_layer_formula():
     pts = xp.default_points(p, f)
     q = f.q
     for n in range(1, 5):
-        d = pts.diff(1, n)
+        d = diff(pts, 1, n)
         want = (3 * pow(pow(d, q - 2, q), 2, q)) % q
         assert interference_offset({(1, 1): 3}, pts, p, 2, n) == want
     with pytest.raises(ValueError):
@@ -625,7 +646,7 @@ def test_corrected_answer_has_no_deep_inverse_terms():
     for rk in range(2, p.code_dim + 1):
         coeffs = answer_coefficients(msgs, zn, qn, theta, p, rk, q)
         decoded = {
-            (l, k): msgs.layer_vector(l, k)[theta - 1]
+            (l, k): layer_vector(msgs, l, k)[theta - 1]
             for l in range(1, p.layers + 1)
             for k in range(1, rk)
         }
@@ -731,7 +752,7 @@ def _per_stream_solves(matrix, observations, num_errors: int, q: int):
         for s, past in enumerate(desired):
             off = _offset(matrix, past, k, q)
             ys = [(obs[k][s] - o) % q for obs, o in zip(observations, off)]
-            past.append(decoder_for(matrix).solve(ys, num_errors)[:layers])
+            past.append(solve_column(decoder_for(matrix), ys, num_errors)[:layers])
     return [tuple(past[k][l] for past in desired) for k in range(rounds) for l in range(layers)]
 
 
@@ -777,6 +798,8 @@ def test_decode_rounds_rejects_unequal_rows():
     for bad in ([(1, 2), (4, 5, 6)], [(1, 2, 3), (4, 5)], [(1, 2, 3)], [(1, 2, 3)] * 3):
         with pytest.raises(ValueError, match="same number of"):
             decode_rounds(matrix, good[:3] + [bad], 0)
+    with pytest.raises(ValueError, match="same number of"):  # no streams at all
+        decode_rounds(matrix, [[(), ()]] * 4, 0)
 
 
 def test_download_accounting():

@@ -16,6 +16,7 @@ import xstpir.psdmm as pm
 import oracles
 from oracles import (
     block_selector,
+    diff,
     evaluate_matrix_coefficients,
     matadd,
     matmul,
@@ -129,7 +130,7 @@ def test_share_b_single_noise_layer_formula():
     b = inst.b_concat
     for n in range(1, p.num_servers + 1):
         for l in range(1, p.layers + 1):
-            d = pts.diff(l, n)
+            d = diff(pts, l, n)
             want = matadd(b, scale(reshape(field, noise.b_noise[l - 1][0], b.cols), d))
             assert shares[n - 1][l - 1] == want
 
@@ -161,7 +162,7 @@ def test_share_a_minimal_formula():
     shares = pm.share_a(inst, noise, pts, p)
     q = field.q
     for n in range(1, p.num_servers + 1):
-        d = pts.diff(1, n)
+        d = diff(pts, 1, n)
         want = matadd(
             scale(inst.a_blocks[0], pow(d, q - 2, q)),
             reshape(field, noise.a_noise[0][0], p.inner_dim),
@@ -181,7 +182,7 @@ def test_share_a_mds_recovery():
         for l in range(1, p.layers + 1):
             rows = []
             for n in chosen:
-                d = pts.diff(l, n)
+                d = diff(pts, l, n)
                 inv_d = pow(d, q - 2, q)
                 rows.append(
                     [pow(inv_d, kc - k + 1, q) for k in range(1, kc + 1)]
@@ -206,7 +207,7 @@ def test_share_secrecy_by_enumeration():
     def a_share_dist(a_val, server):
         dist = Counter()
         for z in range(q):  # the single lambda*chi*L*X_A noise symbol
-            d = pts.diff(1, server)
+            d = diff(pts, 1, server)
             share = (a_val * pow(d, q - 2, q) + z) % q
             dist[share] += 1
         return dist
@@ -216,7 +217,7 @@ def test_share_secrecy_by_enumeration():
     def b_share_dist(b_val, server):
         dist = Counter()
         for z in range(q):
-            d = pts.diff(1, server)
+            d = diff(pts, 1, server)
             share = (b_val + pow(d, 1, q) * z) % q  # exponent K_c + x' - 1 = 1
             dist[share] += 1
         return dist
@@ -256,7 +257,7 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
     for n in range(1, p.num_servers + 1):
         for rk in range(1, p.code_dim + 1):
             for l in range(1, p.layers + 1):
-                d = pts.diff(l, n)
+                d = diff(pts, l, n)
                 assert queries[n - 1][rk - 1][l - 1] == scale(
                     sel, pow(d, p.code_dim - rk, q)
                 )
@@ -280,7 +281,7 @@ def test_query_matches_dense_selector_oracle(kc, smallest_q):
                 range(1, p.num_servers + 1), range(1, kc + 1), range(1, p.layers + 1)
             ):
                 flat = oracles.coded_share(
-                    pts.diff(l, n),
+                    diff(pts, l, n),
                     [kc - rk, *range(kc, kc + t)],
                     [selector] + [zt[rk - 1] for zt in noise.query_noise[l - 1]],
                     q,

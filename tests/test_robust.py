@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oracles import consensus_decode, solve
+from oracles import consensus_decode, solve, solve_column
 from xstpir import sim
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
@@ -26,7 +26,7 @@ def test_zero_error_is_plain_solve():
     rng = Random(1)
     x = [rng.randrange(13) for _ in range(4)]
     y = m.matrix().matvec(x)
-    assert decoder_for(m).solve(y, 0) == x
+    assert solve_column(decoder_for(m), y, 0) == x
 
 
 def test_single_planted_error_at_every_position():
@@ -37,7 +37,7 @@ def test_single_planted_error_at_every_position():
     for pos in range(6):
         corrupted = y[:]
         corrupted[pos] = (corrupted[pos] + rng.randrange(1, 13)) % 13
-        assert decoder_for(m).solve(corrupted, 1) == x
+        assert solve_column(decoder_for(m), corrupted, 1) == x
 
 
 def test_two_errors_exceed_budget():
@@ -53,7 +53,7 @@ def test_two_errors_exceed_budget():
         corrupted[i] = (corrupted[i] + rng.randrange(1, 13)) % 13
         corrupted[j] = (corrupted[j] + rng.randrange(1, 13)) % 13
         try:
-            got = decoder_for(m).solve(corrupted, 1)
+            got = solve_column(decoder_for(m), corrupted, 1)
         except DecodingFailure:
             failures += 1
         else:
@@ -67,17 +67,17 @@ def test_error_bound_vs_rows_guard():
     m = tall_matrix(rows=6, width=4)  # 2B = 2 -> B <= 1
     y = m.matrix().matvec([1, 2, 3, 4])
     with pytest.raises(ValueError):
-        decoder_for(m).solve(y, 2)
+        solve_column(decoder_for(m), y, 2)
     with pytest.raises(ValueError):
-        decoder_for(m).solve(y, -1)
+        solve_column(decoder_for(m), y, -1)
 
 
 def test_observed_length_checked():
     m = tall_matrix()
     with pytest.raises(ValueError):
-        decoder_for(m).solve([1, 2, 3], 0)
+        solve_column(decoder_for(m), [1, 2, 3], 0)
     with pytest.raises(ValueError):
-        decoder_for(m).solve([1, 2, 3], 1)
+        solve_column(decoder_for(m), [1, 2, 3], 1)
 
 
 def test_exhaustive_subsets_with_random_corruptions():
@@ -93,7 +93,7 @@ def test_exhaustive_subsets_with_random_corruptions():
                 corrupted = y[:]
                 for pos in bad:
                     corrupted[pos] = (corrupted[pos] + rng.randrange(1, q)) % q
-                assert decoder_for(m).solve(corrupted, b) == x
+                assert solve_column(decoder_for(m), corrupted, b) == x
 
 
 def test_candidate_uniqueness_within_budget():
@@ -120,7 +120,7 @@ def test_b0_equals_erasure_equals_square_solve():
     rng = Random(3)
     x = [rng.randrange(19) for _ in range(5)]
     y = m.matrix().matvec(x)
-    assert decoder_for(m).solve(y, 0) == x
+    assert solve_column(decoder_for(m), y, 0) == x
     for subset in combinations(range(7), 5):
         sub = m.matrix().row_submatrix(subset)
         assert solve(sub, [y[i] for i in subset]) == x
@@ -167,9 +167,9 @@ def test_solve_matches_subset_consensus(rows, width, layers):
                 expected = consensus_decode(m, observed, b)
                 if expected is None:
                     with pytest.raises(DecodingFailure):
-                        dec.solve(observed, b)
+                        solve_column(dec, observed, b)
                 else:
-                    assert dec.solve(observed, b) == expected
+                    assert solve_column(dec, observed, b) == expected
 
 
 def _liars_session(liars: int, strict: bool):
