@@ -35,11 +35,10 @@ docstring holds the proof; ``FieldMatrix.mul`` reads its outputs back
 through the same step.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
-``decode_rounds``: the rounds in order, subtracting the already-known
-contribution of earlier rounds as one product with the decoder's constant
-offset matrix, then one ``RobustDecoder.solve`` per round for every stream.
-The same code runs for one stream and for many: ``FieldMatrix.mul`` picks
-``matvec`` for a one-column operand.
+``RobustDecoder.decode_rounds``, which owns the round loop and the order of
+the decoded symbols; ``decode`` hands it one rows x 1 ``FieldMatrix`` per
+round, cut from the chosen answers, and reads the ell symbols off its
+``flat``.
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
@@ -55,12 +54,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import prod
-from operator import mul, sub
+from operator import mul
 
 from .field import PrimeField, smallest_prime_geq
-from .linalg import (
-    _ORDER, DecodingMatrix, EvaluationPoints, FieldMatrix, _word_slots, build_decoding_matrix,
-)
+from .linalg import _ORDER, EvaluationPoints, FieldMatrix, _word_slots, build_decoding_matrix
 from .robust import DecodingFailure, decoder_for
 
 
@@ -504,63 +501,25 @@ def _normalize_answers(answers, num_servers: int) -> dict[int, AnswerBundle]:
     return out
 
 
-def decode_rounds(matrix: DecodingMatrix, observations, num_errors: int) -> list[tuple[int, ...]]:
-    """Decode K_c rounds of S scalar streams through one decoding matrix.
-
-    ``observations[r][k]`` holds the S round-(k+1) scalars of matrix row r
-    (S = 1 for retrieval, lambda*mu for PSDMM); every row holds the same
-    number of rounds and, in each round, of streams.  Round k first subtracts
-    the known contribution of the earlier rounds' desired symbols c_lj,
-    sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1): the decoder's constant
-    offset matrix O_k (``RobustDecoder.offsets``) times the L*k x S earlier
-    symbols, one product.  It then solves the round's rows x S observations,
-    up to num_errors corrupted rows per stream, with one
-    ``RobustDecoder.solve``.  ``FieldMatrix.mul`` takes ``matvec`` when
-    S = 1, so the stream count is decided there and nowhere here.
-    Returns the L S-vectors of desired symbols of each round, round by round.
-    """
-    field = matrix.field
-    q = field.q
-    layers = matrix.cauchy_cols
-    decoder = decoder_for(matrix)
-    if len(set(map(len, observations))) != 1:
-        raise ValueError("every observation row must hold the same number of rounds")
-    decoded: list[int] = []  # row-major L*k x S: round j+1, layer l+1 at row L*j + l
-    streams = 1  # when there are no rounds
-    for rk in range(len(observations[0])):
-        ys = [obs[rk] for obs in observations]
-        streams = len(ys[0])
-        if not streams or len(set(map(len, ys))) != 1:
-            raise ValueError(
-                "every observation row must hold the same number of streams, at least one"
-            )
-        y = [v for row in ys for v in row]  # row-major rows x S
-        if rk:  # round 1 has no earlier contribution
-            known = FieldMatrix._of_flat(field, decoded, streams)
-            y = map(sub, y, decoder.offsets(rk).mul(known).flat)
-        observed = FieldMatrix._of_flat(field, [v % q for v in y], streams)
-        decoded += decoder.solve(observed, num_errors).flat[:layers * streams]
-    return [tuple(decoded[i:i + streams]) for i in range(0, len(decoded), streams)]
-
-
 def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[int]:
     """Recover all ell desired symbols from >= N-U well-formed answer bundles.
 
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle is an erasure unless its server index is an int in 1..N (not a
-    bool) and it holds exactly K_c ints in [0, q); of the rest, exactly N-U
-    are consumed (the lowest server indices), and DecodingFailure is raised
-    when fewer remain.
+    A bundle is an erasure unless its server index is an int in 1..N and its
+    scalars are a tuple or list of exactly K_c ints in [0, q), where no int
+    is a bool; of the rest, exactly N-U are consumed (the lowest server
+    indices), and DecodingFailure is raised when fewer remain.
     """
-    kc, q = params.code_dim, points.field.q
+    kc, field, q = params.code_dim, points.field, points.field.q
     by_server = _normalize_answers(answers, params.num_servers)
     well_formed = sorted(
         n
         for n, ab in by_server.items()
-        if len(ab.scalars) == kc
-        and all(isinstance(v, int) and 0 <= v < q for v in ab.scalars)
+        if isinstance(ab.scalars, (tuple, list))
+        and len(ab.scalars) == kc
+        and all(type(v) is int and 0 <= v < q for v in ab.scalars)  # a bool is an erasure
     )
     need = params.responsive_count
     if len(well_formed) < need:
@@ -569,8 +528,9 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
         )
     chosen = well_formed[:need]
     matrix = build_decoding_matrix(points, tuple(chosen), params.layers, params.decode_width)
-    observations = [[(v,) for v in by_server[n].scalars] for n in chosen]
-    return [s[0] for s in decode_rounds(matrix, observations, params.max_byzantine)]
+    columns = zip(*(by_server[n].scalars for n in chosen))
+    rounds = [FieldMatrix._of_flat(field, list(column), 1) for column in columns]
+    return decoder_for(matrix).decode_rounds(rounds, params.max_byzantine).flat
 
 
 def _check_dims(messages: MessageSet, params: ProtocolParams, points: EvaluationPoints):

@@ -7,15 +7,15 @@ block selector Q_theta is hidden like a query.  Each server returns
 sum_l A~_nl B~_nl Q_nl per round.  The share product is storage with the
 noise span X_eff = K_c + X_A + X_B - 1 (X_A when the library is public), so
 the layout is ``protocol.layer_count`` at X = X_eff and U = B = 0, and its
-lambda*mu entries decode as scalar streams of ``protocol.decode_rounds``.
+lambda*mu entries decode as scalar streams of ``RobustDecoder.decode_rounds``.
 
 Matrices stay flat: a ``FieldMatrix`` holds its entries row-major, so the
 A-shares come from the storage coder ``protocol.code_storage`` and the
 queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones as
 the selector) over ``flat`` vectors, and each coded vector is wrapped as a
 ``FieldMatrix`` without a copy.  The noise is drawn flat through
-``protocol.nested``.  An answer block's ``flat`` entries are the lambda*mu
-streams ``decode_rounds`` solves with one product per round.
+``protocol.nested``.  Round k's N answer blocks, flat, are the rows of the
+one matrix ``decode_rounds`` solves for round k with one product.
 
 ``PsdmmInstance`` holds one shape of A block and one of library matrix, over
 its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
@@ -36,13 +36,13 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
     code_layers,
     code_queries,
     code_storage,
-    decode_rounds,
     default_field,
     default_points,
     layer_count,
     nested,
     query_noise_exponents,
 )
+from .robust import decoder_for
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ def psdmm_decode(
 ) -> list[FieldMatrix]:
     """Recover (A_1 B_theta, ..., A_ell B_theta) from all N servers' answers.
 
-    Every server's K_c answer blocks, flattened row-major, are lambda*mu scalar
-    streams of the retrieval round decoder, all sharing one decoding matrix.
+    Round k stacks the N servers' round-k blocks, flattened row-major, as the
+    rows of one N x lambda*mu matrix of scalar streams of the round decoder.
     """
     if len(answers) != params.num_servers:
         raise ValueError("answers from all servers are required")
@@ -316,11 +316,13 @@ def psdmm_decode(
     matrix = build_decoding_matrix(
         points, tuple(range(1, params.num_servers + 1)), params.layers, params.decode_width
     )
-    observations = [[y.flat for y in rounds] for rounds in answers]
-    return [
-        FieldMatrix._of_flat(points.field, list(block), params.cols_b)
-        for block in decode_rounds(matrix, observations, 0)
+    field, size = points.field, params.rows_a * params.cols_b
+    by_round = [
+        FieldMatrix._of_flat(field, [v for y in blocks for v in y.flat], size)
+        for blocks in zip(*answers)
     ]
+    decoded = decoder_for(matrix).decode_rounds(by_round, 0)
+    return [FieldMatrix._of_flat(field, row, params.cols_b) for row in decoded.data]
 
 
 @dataclass(frozen=True)

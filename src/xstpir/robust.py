@@ -26,20 +26,22 @@ observations, or DecodingFailure is raised.  Any such codeword is the unique
 one within distance num_errors of the observations (by the minimum distance),
 and Gao's algorithm finds every codeword within (rows - width)/2 >= num_errors,
 so the output equals that of subset consensus (solve every width-row square
-system, re-encode, accept a candidate agreeing on rows - num_errors rows; kept
-as ``RobustDecoder.candidates``) on every input, in polynomial time.
+system, re-encode, accept a candidate agreeing on rows - num_errors rows) on
+every input, in polynomial time.
 
-``RobustDecoder.solve`` is the one solve: its observations are a rows x S
-residue matrix, one column per stream (S = 1 for retrieval, lambda*mu for
-PSDMM), each column corrected on its own and all of them solved with one
-product by the square inverse.  Whether that product is one ``matvec`` or a
-packed product is ``FieldMatrix.mul``'s choice, by the operand's shape.
+``RobustDecoder.decode_rounds`` is the one round decoder (successive decoding
+with interference cancellation), for retrieval and PSDMM alike: each round is
+a rows x S residue matrix, one column per stream (S = 1 for retrieval,
+lambda*mu for PSDMM), and ``RobustDecoder.solve`` corrects each column on its
+own and solves all of them with one product by the square inverse.  Whether
+that product is one ``matvec`` or a packed product is ``FieldMatrix.mul``'s
+choice, by the operand's shape.
 
 Everything a decoder needs besides the observations is a per-matrix
 constant, built once and kept on the memoized ``RobustDecoder``: the square
 inverse, Gao's interpolation and codeword tables, and the offset matrices
-O_k of ``protocol.decode_rounds`` (round k+1's known contribution of the
-earlier rounds, read off the matrix's Cauchy entries).
+O_k (round k+1's known contribution of the earlier rounds, read off the
+matrix's Cauchy entries).
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class RobustDecoder:
     def candidates(self, observed):
         """Yield (subset, solution, agreement count) for every width-subset.
 
-        The subset-consensus reference: not used by ``solve``.
+        Used by no decode; kept because ``perfbench/tracing.py`` patches it.
         """
         m = self.matrix
         data = self._full.data
@@ -159,8 +161,9 @@ class RobustDecoder:
         """O_k at k = ``rounds`` >= 1: the rows x L*k matrix of (1/(f_l - a_n))^(k-j+1).
 
         Entry [n][L*j + l] weighs the earlier round j+1's desired symbol of
-        layer l+1 in row n's round-(k+1) observation.  Built once per k from
-        the matrix's Cauchy entries (no new inverse) and kept.
+        layer l+1 in row n's round-(k+1) observation, the row order of
+        ``decode_rounds``'s symbols.  Built once per k from the matrix's
+        Cauchy entries (no new inverse) and kept.
         """
         o = self._offsets.get(rounds)
         if o is None:
@@ -174,6 +177,29 @@ class RobustDecoder:
             ]
             o = self._offsets[rounds] = FieldMatrix._of_flat(m.field, flat, layers * rounds)
         return o
+
+    def decode_rounds(self, rounds, num_errors: int) -> FieldMatrix:
+        """The L*K_c x S desired symbols, row L*k + l for round k+1, layer l+1.
+
+        ``rounds[k]`` is round k+1's rows x S residue matrix, one column per
+        stream.  Round k+1 subtracts the earlier rounds' known contribution,
+        sum_l sum_(j<k) c_lj / (f_l - a_n)^(k-j+1), as one product of
+        ``offsets(k)`` by the symbols decoded so far, then keeps the first L
+        rows of one ``solve``, up to num_errors corrupted rows per stream.
+        """
+        m = self.matrix
+        field, streams = m.field, rounds[0].cols if rounds else 0
+        if not rounds or any((r.rows, r.cols, r.field) != (m.rows, streams, field) for r in rounds):
+            raise ValueError(f"need one or more rounds, each {m.rows} x S over GF({field.q})")
+        q, keep = field.q, m.cauchy_cols * streams
+        decoded = self.solve(rounds[0], num_errors).flat[:keep]
+        for k in range(1, len(rounds)):
+            known = self.offsets(k).mul(FieldMatrix._of_flat(field, decoded, streams))
+            observed = FieldMatrix._of_flat(
+                field, [(y - o) % q for y, o in zip(rounds[k].flat, known.flat)], streams
+            )
+            decoded += self.solve(observed, num_errors).flat[:keep]
+        return FieldMatrix._of_flat(field, decoded, streams)
 
     def solve(self, observed: FieldMatrix, num_errors: int) -> FieldMatrix:
         """The width x S coefficients of rows x S residue observations.

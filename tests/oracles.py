@@ -200,7 +200,7 @@ def interference_offset(
 ) -> int:
     """Known contribution of rounds < round_k to this server's round-k answer.
 
-    Scalar reference for the offsets of ``protocol.decode_rounds``:
+    Scalar reference for the offsets of ``RobustDecoder.decode_rounds``:
     sum_l sum_(k<round_k) decoded[(l,k)] / (f_l - a_n)^(round_k-k+1), with
     each inverse taken afresh; a missing earlier symbol is a ValueError.
     """
@@ -283,20 +283,27 @@ def evaluate_matrix_coefficients(coeffs, points, layer: int, server: int):
     return total
 
 
-def consensus_decode(matrix: DecodingMatrix, observed, b: int):
-    """Subset consensus: the first width-row solution agreeing on >= rows - b rows.
+def consensus_candidates(matrix: DecodingMatrix, observed):
+    """Yield (subset, solution, agreement count) for every width-row subset.
 
-    Scans the width-row subsets in lexicographic order, solving each square
-    system by elimination and re-encoding over every row; returns None when no
-    candidate reaches the threshold.
+    Scans the subsets in lexicographic order, solving each square system by
+    elimination and re-encoding over every row.
     """
     full = matrix.matrix()
     for subset in combinations(range(matrix.rows), matrix.width):
         x = solve(full.row_submatrix(subset), [observed[i] for i in subset])
-        agree = sum(e == y for e, y in zip(full.matvec(x), observed))
-        if agree >= matrix.rows - b:
-            return x
-    return None
+        yield subset, x, sum(e == y for e, y in zip(full.matvec(x), observed))
+
+
+def consensus_decode(matrix: DecodingMatrix, observed, b: int):
+    """Subset consensus: the first width-row solution agreeing on >= rows - b rows.
+
+    None when no candidate of ``consensus_candidates`` reaches the threshold.
+    """
+    return next(
+        (x for _, x, agree in consensus_candidates(matrix, observed) if agree >= matrix.rows - b),
+        None,
+    )
 
 
 def enumerate_audit(cfg, points: EvaluationPoints, shape, views) -> AuditVerdict:

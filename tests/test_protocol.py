@@ -10,9 +10,7 @@ import pytest
 import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
-from xstpir.protocol import (
-    InfeasibleParamsError, coded_share, coefficient_table, decode_rounds, nested,
-)
+from xstpir.protocol import InfeasibleParamsError, coded_share, coefficient_table, nested
 import xstpir.psdmm as pm
 from xstpir.robust import DecodingFailure, decoder_for
 
@@ -690,11 +688,12 @@ def test_decode_requires_enough_answers():
 def test_decode_treats_malformed_bundle_as_erasure():
     """U = 1 and all six answer: server 3's malformed bundle is the erasure.
 
-    Malformed: K_c + 1 scalars, or a scalar that is not an int in [0, q).
-    A bundle whose server index is not an int in 1..N is an erasure too: 0,
-    N + 1, a string, None, a bool or an unhashable list.  Beside the six it
-    is ignored, also twice over, and with only servers 1..4 it leaves too
-    few answers.
+    Malformed: K_c + 1 scalars, a scalar that is not an int in [0, q) (a
+    bool among them), or scalars that are not a tuple or list (None, an int,
+    an iterator).  A bundle whose server index is not an int in 1..N is an
+    erasure too: 0, N + 1, a string, None, a bool or an unhashable list.
+    Beside the six it is ignored, also twice over, and with only servers
+    1..4 it leaves too few answers.
     """
     p = xp.derive_params(6, 2, 1, 1, max_unresponsive=1, num_messages=2)
     f, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
@@ -704,7 +703,10 @@ def test_decode_treats_malformed_bundle_as_erasure():
         assert xp.decode(answers + [extra, extra], pts, p) == list(msgs.messages[1])
         with pytest.raises(DecodingFailure):
             xp.decode(answers[:4] + [extra], pts, p)
-    for scalars in (good + (1,), (f.q, good[1]), (good[0], -1), (good[0], None)):
+    for scalars in (
+        good + (1,), (f.q, good[1]), (good[0], -1), (good[0], None), (True, good[1]),
+        None, 7, iter(good),
+    ):
         answers[2] = xp.AnswerBundle(3, scalars)
         assert xp.decode(answers, pts, p) == list(msgs.messages[1])
     answers[4] = xp.AnswerBundle(5, answers[4].scalars[:1])
@@ -744,16 +746,19 @@ def _offset(matrix, desired, k: int, q: int) -> list[int]:
     ]
 
 
-def _per_stream_solves(matrix, observations, num_errors: int, q: int):
+def _per_stream_solves(matrix, rounds, num_errors: int, q: int):
     """``decode_rounds``'s output from one ``decoder_for(matrix).solve`` per stream and round."""
-    layers, rounds, streams = matrix.cauchy_cols, len(observations[0]), len(observations[0][0])
+    layers, streams = matrix.cauchy_cols, rounds[0].cols
     desired = [[] for _ in range(streams)]  # [stream][round]: the L desired symbols
-    for k in range(rounds):
+    for k, observed in enumerate(rounds):
         for s, past in enumerate(desired):
             off = _offset(matrix, past, k, q)
-            ys = [(obs[k][s] - o) % q for obs, o in zip(observations, off)]
+            ys = [(y - o) % q for y, o in zip(observed.flat[s::streams], off)]
             past.append(solve_column(decoder_for(matrix), ys, num_errors)[:layers])
-    return [tuple(past[k][l] for past in desired) for k in range(rounds) for l in range(layers)]
+    return FieldMatrix(
+        matrix.field,
+        [[past[k][l] for past in desired] for k in range(len(rounds)) for l in range(layers)],
+    )
 
 
 @pytest.mark.parametrize("num_errors", [0, 2])
@@ -772,34 +777,43 @@ def test_decode_rounds_batches_streams_like_per_stream_solves(streams, num_error
     matrix = build_decoding_matrix(pts, tuple(range(1, rows + 1)), layers, width)
     xs = [[f.random_vector(rng, width) for _ in range(streams)] for _ in range(rounds)]
     desired = [[xs[k][s][:layers] for k in range(rounds)] for s in range(streams)]
-    observations = [[[0] * streams for _ in range(rounds)] for _ in range(rows)]
+    observations = [[[0] * streams for _ in range(rows)] for _ in range(rounds)]  # [round][row]
     for s in range(streams):
         for k in range(rounds):
             off = _offset(matrix, desired[s], k, q)
             for r, row in enumerate(matrix.entries):
-                observations[r][k][s] = (sum(a * b for a, b in zip(row, xs[k][s])) + off[r]) % q
+                observations[k][r][s] = (sum(a * b for a, b in zip(row, xs[k][s])) + off[r]) % q
         for r in rng.sample(range(rows), num_errors):
             for k in range(rounds):
-                observations[r][k][s] = (observations[r][k][s] + rng.randrange(1, q)) % q
-    truth = [
-        tuple(xs[k][s][l] for s in range(streams)) for k in range(rounds) for l in range(layers)
-    ]
-    assert decode_rounds(matrix, observations, num_errors) == truth
-    assert _per_stream_solves(matrix, observations, num_errors, q) == truth
+                observations[k][r][s] = (observations[k][r][s] + rng.randrange(1, q)) % q
+    observed = [FieldMatrix(f, per_round) for per_round in observations]
+    truth = FieldMatrix(
+        f, [[xs[k][s][l] for s in range(streams)] for k in range(rounds) for l in range(layers)]
+    )
+    assert decoder_for(matrix).decode_rounds(observed, num_errors) == truth
+    assert _per_stream_solves(matrix, observed, num_errors, q) == truth
 
 
 def test_decode_rounds_rejects_unequal_rows():
-    """A row with another number of streams or rounds raises, not truncates."""
+    """A round with another number of rows, streams or field, or no round, raises."""
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)
     pts = xp.default_points(p)
     matrix = build_decoding_matrix(pts, (1, 2, 3, 4), p.layers, p.decode_width)
-    good = [[(1, 2, 3), (4, 5, 6)] for _ in range(4)]
-    decode_rounds(matrix, good, 0)
-    for bad in ([(1, 2), (4, 5, 6)], [(1, 2, 3), (4, 5)], [(1, 2, 3)], [(1, 2, 3)] * 3):
-        with pytest.raises(ValueError, match="same number of"):
-            decode_rounds(matrix, good[:3] + [bad], 0)
-    with pytest.raises(ValueError, match="same number of"):  # no streams at all
-        decode_rounds(matrix, [[(), ()]] * 4, 0)
+    decoder = decoder_for(matrix)
+
+    def rounds(*shapes, field=pts.field):
+        return [FieldMatrix(field, [[1] * cols for _ in range(rows)]) for rows, cols in shapes]
+
+    decoder.decode_rounds(rounds((4, 3), (4, 3)), 0)
+    for bad in (
+        rounds((4, 2), (4, 3)), rounds((4, 3), (4, 2)), rounds((4, 3), (3, 3)),
+        rounds((4, 3), (4, 3), (1, 3)), rounds((3, 3), (3, 3)), rounds((5, 3), (5, 3)),
+        rounds((4, 3), (4, 3), field=PrimeField(smallest_prime_geq(pts.field.q + 1))),
+    ):
+        with pytest.raises(ValueError, match="one or more rounds"):
+            decoder.decode_rounds(bad, 0)
+    with pytest.raises(ValueError, match="one or more rounds"):
+        decoder.decode_rounds([], 0)
 
 
 def test_download_accounting():

@@ -5,12 +5,12 @@ from random import Random
 
 import pytest
 
-from oracles import consensus_decode, solve, solve_column
+from oracles import consensus_candidates, consensus_decode, solve, solve_column
 from xstpir import sim
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
 from xstpir.protocol import derive_params
-from xstpir.robust import DecodingFailure, RobustDecoder, decoder_for
+from xstpir.robust import DecodingFailure, decoder_for
 
 
 def tall_matrix(q=13, rows=6, width=4, layers=2, seed=3):
@@ -100,7 +100,6 @@ def test_candidate_uniqueness_within_budget():
     """Every width-subset reaching the threshold decodes to the same vector."""
     rng = Random(12)
     m = tall_matrix(q=17, rows=7, width=5, layers=2, seed=6)
-    dec = RobustDecoder(m)
     x = [rng.randrange(17) for _ in range(5)]
     y = m.matrix().matvec(x)
     for trial in range(30):
@@ -109,7 +108,7 @@ def test_candidate_uniqueness_within_budget():
         corrupted[pos] = (corrupted[pos] + rng.randrange(1, 17)) % 17
         winners = {
             tuple(sol)
-            for _, sol, agree in dec.candidates(corrupted)
+            for _, sol, agree in consensus_candidates(m, corrupted)
             if agree >= 7 - 1
         }
         assert winners == {tuple(x)}
