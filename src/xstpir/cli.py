@@ -72,8 +72,10 @@ def _int_list(text: str) -> list[int]:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(".."))
+            if hi < lo:
+                raise ValueError(f"empty range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out

@@ -22,17 +22,14 @@ code's per-point constants: ``coefficient_table`` builds each (points,
 exponents) table once, ``default_points`` hands out one points object per
 (field, L, N), and the coders read every coefficient from the tables.
 
-``coded_share`` takes one coefficient row per output and packs along the
-longer side of its input, so that few big-int products and one reduction do
-the work: vectors at least as long as the number of outputs (bulk,
-byzantine, PSDMM) are packed once each, and every output is one product per term and one
-reduction; shorter vectors (the desk scale, K <= 3 < N) would pay that
-reduction per output on 1 to 3 entries, so each term's coefficient column is
-packed across the outputs instead, every vector entry is one product per
-term, and one reduction takes every output.  Slots are whole 64-bit words,
-reduced by ``linalg._word_slots``, the package's one exact reduction, whose
-docstring holds the proof; ``FieldMatrix.mul`` reads its outputs back
-through the same step.
+``coded_share`` takes one coefficient row per output.  Vectors at least as
+long as the number of outputs (bulk, byzantine, PSDMM) are packed once each,
+so that every output is one big-int product per term and one reduction.
+Slots are whole 64-bit words, reduced by ``linalg._word_slots``, the
+package's one exact reduction, whose docstring holds the proof;
+``FieldMatrix.mul`` reads its outputs back through the same step.  Shorter
+vectors (the desk scale, K <= 3 < N) would pay that reduction per output on
+1 to 3 entries, so each of their outputs is a plain dot product per entry.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``RobustDecoder.decode_rounds``, which owns the round loop and the order of
@@ -304,39 +301,27 @@ def coded_share(coefficients, vectors, q: int) -> list[list[int]]:
     """[sum_e c_e v_e mod q for each row (c_e) of ``coefficients``], entry by entry.
 
     Each coefficient row holds one residue per vector of ``vectors``, which
-    must be non-empty and of equal lengths (``ValueError`` otherwise); the
-    vectors are reduced on entry, so any ints may come in.  The packing
-    follows the shape (the module docstring says why), with every slot
-    reduced by ``linalg._word_slots``:
+    must be non-empty and of equal lengths (``ValueError`` otherwise); any
+    ints may come in, since the vectors are reduced on entry to the packed
+    path and every short-path sum is exact before its ``% q``.  The kernel
+    follows the shape (the module docstring says why):
     - vectors no shorter than the outputs (bulk, byzantine and PSDMM, with
       K >= 32 > N): each vector is packed once, one slot per entry, and each
-      output is one product per term and one reduction;
-    - shorter vectors (the desk scale, K <= 3 < N): each term's coefficient
-      column is packed once, one slot per output, each vector entry is one
-      product per term, and one reduction takes all outputs * length slots.
-    Either way no slot exceeds terms * (q-1)^2.
+      output is one product per term and one reduction by
+      ``linalg._word_slots``; no slot exceeds terms * (q-1)^2;
+    - shorter vectors (the desk scale, K <= 3 < N): each output entry is a
+      plain dot product of the row with that entry's terms, reduced mod q.
     """
     if not vectors:
         raise ValueError("coded_share needs at least one term vector")
     outputs, terms, length = len(coefficients), len(vectors), len(vectors[0])
-    if len(set(map(len, vectors))) != 1:  # one-word slots: slice assignment would resize
+    if len(set(map(len, vectors))) != 1:  # zip would truncate, slice assignment resize
         raise ValueError("term vectors must have equal lengths")
     if set(map(len, coefficients)) - {terms}:  # zip would drop the unmatched terms
         raise ValueError("each coefficient row must hold one coefficient per term vector")
     if 0 < length < outputs:
-        words, lo, zero, reduce = _word_slots(q, terms, outputs * length)
-        columns = []
-        for column in zip(*coefficients):
-            slots = zero[:words * outputs]
-            slots[lo::words] = array("Q", column)
-            columns.append(int.from_bytes(slots, _ORDER))
-        entries = zip(*[[v % q for v in vec] for vec in vectors])
-        step = 64 * words * outputs  # entry j's outputs take slots j*outputs..
-        x = 0
-        for j, entry in enumerate(entries):
-            x += sum(map(mul, entry, columns)) << (j * step)
-        flat = reduce(x)
-        return [flat[n::outputs] for n in range(outputs)]
+        entries = list(zip(*vectors))
+        return [[sum(map(mul, row, entry)) % q for entry in entries] for row in coefficients]
     words, lo, zero, reduce = _word_slots(q, terms, length)
     packed = []
     for vec in vectors:
@@ -488,16 +473,19 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
 
 
 def _normalize_answers(answers, num_servers: int) -> dict[int, AnswerBundle]:
-    """The bundles by server index, erasing every bundle whose index is not an int in 1..N."""
+    """The bundles by server index, erasing every bundle whose index is not an
+    int in 1..N, and every index that more than one bundle claims."""
     bundles = answers.values() if isinstance(answers, dict) else answers
-    out = {}
+    out, repeated = {}, set()
     for ab in bundles:
         n = ab.server
         if type(n) is not int or not 1 <= n <= num_servers:  # a bool, a str, None, a list
             continue
         if n in out:
-            raise ValueError(f"duplicate answer bundle for server {n}")
+            repeated.add(n)
         out[n] = ab
+    for n in repeated:
+        del out[n]
     return out
 
 
@@ -507,10 +495,12 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle is an erasure unless its server index is an int in 1..N and its
-    scalars are a tuple or list of exactly K_c ints in [0, q), where no int
-    is a bool; of the rest, exactly N-U are consumed (the lowest server
-    indices), and DecodingFailure is raised when fewer remain.
+    A bundle is an erasure unless its server index is an int in 1..N that no
+    other bundle claims, and its scalars are a tuple or list of exactly K_c
+    ints in [0, q), where no int is a bool; two bundles for one server, even
+    identical ones, erase that server.  Of the rest, exactly N-U are consumed
+    (the lowest server indices), and DecodingFailure is raised when fewer
+    remain.
     """
     kc, field, q = params.code_dim, points.field, points.field.q
     by_server = _normalize_answers(answers, params.num_servers)

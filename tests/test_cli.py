@@ -240,6 +240,18 @@ def test_rates_xstpir_skips_infeasible_and_rejects_invalid(capsys):
         assert code == 1 and out == "" and err
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--N", "8..4"], ["rates", "--N", "9..5"]])
+def test_reversed_range_exits_1(capsys, argv):
+    """A range a..b with b < a is an error, not an empty grid that passes."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == "" and argv[2] in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:2], "4,6..5"])  # also beside a valid list entry
+    assert exc.value.code == 1
+
+
 def test_psdmm_subcommand(tmp_path, capsys):
     out = tmp_path / "p.json"
     code, _, err = run(

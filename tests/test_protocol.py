@@ -274,14 +274,18 @@ def test_coded_share_matches_oracle_at_worst_case_carries(q):
                 assert coded_share(coefficients, vectors, q) == want
 
 
-# Shapes (entries per vector, outputs): the first four have more outputs than
-# entries and take the packing across outputs, the rest one packing per vector.
-SHAPES = [(1, 2), (1, 20), (2, 8), (3, 4), (3, 20), (2, 2), (3, 1), (17, 4)]
+# Shapes (entries per vector, outputs): the first four and (13, 14) have more
+# outputs than entries and take the short path, the rest the packed path;
+# (13, 14) and (14, 14) sit on both sides of that rule at N = 14.
+SHAPES = [
+    (1, 2), (1, 20), (2, 8), (3, 4), (3, 20), (2, 2), (3, 1), (17, 4), (13, 14), (14, 14),
+]
 
 
 @pytest.mark.parametrize("q", [2, 5, Q31, smallest_prime_geq(2**40), 2**64 - 59])
 def test_coded_share_orientations_match_oracle_at_worst_case_carries(q):
-    """Both packings equal the per-entry sum, also with every slot at terms * (q-1)^2."""
+    """The short path and the packed path equal the per-entry sum, also with
+    every packed slot at terms * (q-1)^2."""
     rng = Random(q + 1)
     for length, outputs in SHAPES:
         for exponents in ([-1], [-3, -1, 1], [-1, 1, 3, 5], [-2, 0, 3]):
@@ -297,7 +301,8 @@ def test_coded_share_orientations_match_oracle_at_worst_case_carries(q):
 
 @pytest.mark.parametrize("length, outputs", SHAPES)
 def test_coded_share_reduces_caller_vectors_in_both_orientations(length, outputs):
-    """Entries below 0 and at or above q still give the residues of the exact sums."""
+    """Entries below 0 and at or above q still give the residues of the exact
+    sums, on the short path and the packed path."""
     for q in (5, Q31):
         rng = Random(q * length + outputs)
         coefficients = [[rng.randrange(q) for _ in range(3)] for _ in range(outputs)]
@@ -313,7 +318,8 @@ def test_coded_share_reduces_caller_vectors_in_both_orientations(length, outputs
 
 @pytest.mark.parametrize("outputs", [1, 6])
 def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
-    """Vectors of other lengths raise, whichever is first, rather than truncate."""
+    """Vectors of other lengths raise, whichever is first, rather than truncate,
+    on the packed path (1 output) and the short path (6 outputs)."""
     coefficients = [[1, 2]] * outputs
     for lengths in ((3, 2), (2, 3), (1, 2), (2, 1)):
         vectors = [[1] * n for n in lengths]
@@ -325,8 +331,8 @@ def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
 def test_coded_share_rejects_unmatched_coefficients_and_no_vectors_in_both_orientations(outputs):
     """A coefficient row with a coefficient too few or too many, or no vector, raises.
 
-    Two vectors of length 2 are packed per output at 1 output, and across
-    the outputs at 6; either way zip would drop the unmatched terms.
+    Two vectors of length 2 take the packed path at 1 output and the short
+    path at 6; either way zip would drop the unmatched terms.
     """
     vectors = [[1, 2], [5, 5]]
     assert coded_share([[1, 1]] * outputs, vectors, 7) == [[6, 0]] * outputs
@@ -693,11 +699,19 @@ def test_decode_treats_malformed_bundle_as_erasure():
     an iterator).  A bundle whose server index is not an int in 1..N is an
     erasure too: 0, N + 1, a string, None, a bool or an unhashable list.
     Beside the six it is ignored, also twice over, and with only servers
-    1..4 it leaves too few answers.
+    1..4 it leaves too few answers.  A second bundle for server 3, before or
+    after its own, conflicting, malformed or identical, erases server 3; beside
+    servers 2..6 only, that leaves too few answers.
     """
     p = xp.derive_params(6, 2, 1, 1, max_unresponsive=1, num_messages=2)
     f, pts, msgs, _, _, _, _, answers = fresh_instance(p, seed=4, theta=2)
     good = answers[2].scalars
+    wrong = tuple((v + 1) % f.q for v in good)
+    for twin in (xp.AnswerBundle(3, wrong), xp.AnswerBundle(3, None), answers[2]):
+        for delivered in (answers + [twin], [twin] + answers):
+            assert xp.decode(delivered, pts, p) == list(msgs.messages[1])
+        with pytest.raises(DecodingFailure):
+            xp.decode(answers[1:] + [twin], pts, p)
     for stray in (0, p.num_servers + 1, "7", "3", None, True, [3]):
         extra = xp.AnswerBundle(stray, good)
         assert xp.decode(answers + [extra, extra], pts, p) == list(msgs.messages[1])
