@@ -44,7 +44,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .field import PrimeField
 
@@ -104,15 +104,15 @@ class FieldMatrix:
     """Dense rows x cols matrix of residues sharing one PrimeField, stored flat.
 
     ``flat`` holds the rows * cols residues row-major; ``data`` derives fresh
-    row lists from it.  The constructor reduces every entry mod q: caller data
-    enters here.  Results the package computes as residues are wrapped as they
-    are through ``_of_flat``.
+    row lists from it.  The constructor reduces every entry mod q (a float is
+    a ``TypeError``): caller data enters here.  Results the package computes
+    as residues are wrapped as they are through ``_of_flat``.
     """
 
     __slots__ = ("field", "rows", "cols", "flat")
 
     def __init__(self, field: PrimeField, data):
-        rows = [[v % field.q for v in row] for row in data]
+        rows = [[index(v) % field.q for v in row] for row in data]
         if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(rows[0])
@@ -239,8 +239,8 @@ class EvaluationPoints:
 
     def __post_init__(self):
         q = self.field.q
-        object.__setattr__(self, "f", tuple(v % q for v in self.f))
-        object.__setattr__(self, "alpha", tuple(v % q for v in self.alpha))
+        object.__setattr__(self, "f", tuple(index(v) % q for v in self.f))
+        object.__setattr__(self, "alpha", tuple(index(v) % q for v in self.alpha))
         pts = self.f + self.alpha
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")

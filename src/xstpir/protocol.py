@@ -15,7 +15,9 @@ This module owns the code layout: ``layer_count`` is the one layout rule,
 ``code_storage`` the one storage coder (data on d^(-K_c..-1), X noise layers
 on d^(0..X-1)) and ``code_queries`` the one query coder (the selector on
 d^(K_c-k), T noise layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
-this code at X = X_eff and U = B = 0.
+this code at X = X_eff and U = B = 0.  The storage coder takes the ell data
+vectors in message order and is the one place that puts the (L(k-1)+l)-th
+on layer l's term d^(-(K_c-k+1)); the decoder returns them in that order.
 
 The coefficients d^e depend only on the evaluation points, so they are the
 code's per-point constants: ``coefficient_table`` builds each (points,
@@ -40,8 +42,8 @@ round, cut from the chosen answers, and reads the ell symbols off its
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
 return, unreduced again.  In this module only ``MessageSet`` reduces caller
-data; ``decode`` checks the answers instead and erases every bundle that
-holds anything but K_c residues.
+data; ``decode`` checks the answers instead and erases every entry that is
+not a bundle of K_c residues.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import prod
-from operator import mul
+from operator import index, mul
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import _ORDER, EvaluationPoints, FieldMatrix, _word_slots, build_decoding_matrix
@@ -172,11 +174,11 @@ def nested(shape, vector) -> tuple:
 
 @dataclass(frozen=True)
 class MessageSet:
-    """K messages of ell symbols each, with the dual per-column view W_lk.
+    """K messages of ell symbols each.
 
-    The constructor reduces every symbol mod q: caller data enters here.
-    ``random`` draws residues, and wraps them as they are through
-    ``_of_residues``.
+    The constructor reduces every symbol mod q (a float is a ``TypeError``):
+    caller data enters here.  ``random`` draws residues, and wraps them as
+    they are through ``_of_residues``.
     """
 
     field: PrimeField
@@ -187,7 +189,7 @@ class MessageSet:
     def __post_init__(self):
         q = self.field.q
         ell = self.layers * self.code_dim
-        msgs = tuple(tuple(v % q for v in m) for m in self.messages)
+        msgs = tuple(tuple(index(v) % q for v in m) for m in self.messages)
         if not msgs or any(len(m) != ell for m in msgs):
             raise ValueError(f"every message must hold exactly {ell} symbols")
         object.__setattr__(self, "messages", msgs)
@@ -195,16 +197,6 @@ class MessageSet:
     @property
     def num_messages(self) -> int:
         return len(self.messages)
-
-    @property
-    def message_len(self) -> int:
-        return self.layers * self.code_dim
-
-    def symbol_position(self, l: int, k: int) -> int:
-        """0-based position of the (l, k) symbol inside a message: L(k-1)+l-1."""
-        if not (1 <= l <= self.layers and 1 <= k <= self.code_dim):
-            raise ValueError("layer or round index out of range")
-        return self.layers * (k - 1) + l - 1
 
     @classmethod
     def _of_residues(cls, field: PrimeField, layers: int, code_dim: int, messages) -> "MessageSet":
@@ -377,19 +369,20 @@ def query_noise_exponents(code_dim: int, count: int) -> range:
     return range(code_dim, code_dim + count)
 
 
-def code_storage(points, code_dim: int, security: int, column, noise, length: int, wrap=tuple):
+def code_storage(points, code_dim: int, security: int, columns, noise, wrap=tuple):
     """The storage coder, [server][layer]: sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
 
-    For the L = len(points.f) layers, ``column(l, k)`` is C_lk and the L x X
-    noise holds Z_lx, all vectors of ``length`` entries.
+    ``columns`` holds the ell = L * K_c data vectors in message order, for
+    the L = len(points.f) layers: C_lk is the (L(k-1)+l)-th, so layer l's
+    K_c data terms are ``columns[l-1::L]`` (``ValueError`` on another count).
+    The L x X noise holds Z_lx, vectors as long as the columns.
     """
     layers = len(points.f)
+    if len(columns) != layers * code_dim:
+        raise ValueError(f"storage needs L * K_c = {layers * code_dim} data vectors")
     check_noise(noise, (layers, security), "storage noise must be L x X vectors")
-    terms = (
-        [column(l, k) for k in range(1, code_dim + 1)] + list(noise[l - 1])
-        for l in range(1, layers + 1)
-    )
-    return code_layers(points, range(-code_dim, security), terms, length, wrap)
+    terms = ([*columns[l::layers], *noise[l]] for l in range(layers))
+    return code_layers(points, range(-code_dim, security), terms, len(columns[0]), wrap)
 
 
 def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int, wrap=tuple):
@@ -421,13 +414,12 @@ def encode_storage(
 
     Share vector: S_nl = sum_k W_lk / (f_l - a_n)^(K_c-k+1)
                          + sum_x (f_l - a_n)^(x-1) Z_lx.
-    Every column W_lk is read from one transpose of the messages.
+    The messages are transposed once, into the ell columns W_lk in message
+    order, which ``code_storage`` places on the layers.
     """
-    _check_dims(messages, params, points)
-    columns = list(zip(*messages.messages))  # [position] -> K-vector, transposed once
+    _check_dims(messages, params, points, noise)
     shares = code_storage(
-        points, params.code_dim, params.security,
-        lambda l, k: columns[messages.symbol_position(l, k)], noise.z, params.num_messages,
+        points, params.code_dim, params.security, list(zip(*messages.messages)), noise.z
     )
     return [ServerStorage(n, s, points.field) for n, s in enumerate(shares, 1)]
 
@@ -444,6 +436,8 @@ def gen_queries(
     """
     if not 1 <= theta <= params.num_messages:
         raise ValueError(f"theta must be in 1..{params.num_messages}")
+    if noise.field != points.field:
+        raise ValueError("noise and points live in different fields")
     queries = code_queries(
         points, params.code_dim, params.privacy, (theta - 1,), noise.zp, params.num_messages
     )
@@ -472,18 +466,19 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
     return AnswerBundle(storage.server, tuple(scalars))
 
 
-def _normalize_answers(answers, num_servers: int) -> dict[int, AnswerBundle]:
-    """The bundles by server index, erasing every bundle whose index is not an
-    int in 1..N, and every index that more than one bundle claims."""
+def _scalars_by_server(answers, num_servers: int) -> dict:
+    """Each entry's ``scalars`` (None if it has none) by server index, erasing
+    every entry whose ``server`` is not an int in 1..N (or that has none:
+    None, an int, a tuple), and every index that more than one entry claims."""
     bundles = answers.values() if isinstance(answers, dict) else answers
     out, repeated = {}, set()
     for ab in bundles:
-        n = ab.server
+        n = getattr(ab, "server", None)
         if type(n) is not int or not 1 <= n <= num_servers:  # a bool, a str, None, a list
             continue
         if n in out:
             repeated.add(n)
-        out[n] = ab
+        out[n] = getattr(ab, "scalars", None)
     for n in repeated:
         del out[n]
     return out
@@ -495,21 +490,21 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     Rounds are decoded in order; each round solves for the full width
     coefficient vector (tolerating up to B corrupted scalars), keeps its first
     L entries as the desired symbols, and discards the interference slots.
-    A bundle is an erasure unless its server index is an int in 1..N that no
-    other bundle claims, and its scalars are a tuple or list of exactly K_c
+    An entry is an erasure unless its ``server`` is an int in 1..N that no
+    other entry claims, and its ``scalars`` are a tuple or list of exactly K_c
     ints in [0, q), where no int is a bool; two bundles for one server, even
     identical ones, erase that server.  Of the rest, exactly N-U are consumed
     (the lowest server indices), and DecodingFailure is raised when fewer
     remain.
     """
     kc, field, q = params.code_dim, points.field, points.field.q
-    by_server = _normalize_answers(answers, params.num_servers)
+    scalars = _scalars_by_server(answers, params.num_servers)
     well_formed = sorted(
         n
-        for n, ab in by_server.items()
-        if isinstance(ab.scalars, (tuple, list))
-        and len(ab.scalars) == kc
-        and all(type(v) is int and 0 <= v < q for v in ab.scalars)  # a bool is an erasure
+        for n, s in scalars.items()
+        if isinstance(s, (tuple, list))
+        and len(s) == kc
+        and all(type(v) is int and 0 <= v < q for v in s)  # a bool is an erasure
     )
     need = params.responsive_count
     if len(well_formed) < need:
@@ -518,17 +513,17 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
         )
     chosen = well_formed[:need]
     matrix = build_decoding_matrix(points, tuple(chosen), params.layers, params.decode_width)
-    columns = zip(*(by_server[n].scalars for n in chosen))
+    columns = zip(*(scalars[n] for n in chosen))
     rounds = [FieldMatrix._of_flat(field, list(column), 1) for column in columns]
     return decoder_for(matrix).decode_rounds(rounds, params.max_byzantine).flat
 
 
-def _check_dims(messages: MessageSet, params: ProtocolParams, points: EvaluationPoints):
+def _check_dims(messages: MessageSet, params: ProtocolParams, points: EvaluationPoints, noise):
     if messages.layers != params.layers or messages.code_dim != params.code_dim:
         raise ValueError("message layout does not match the parameters")
     if messages.num_messages != params.num_messages:
         raise ValueError("message count does not match the parameters")
     if len(points.f) != params.layers or len(points.alpha) != params.num_servers:
         raise ValueError("evaluation point counts do not match the parameters")
-    if messages.field != points.field:
-        raise ValueError("messages and points live in different fields")
+    if not messages.field == noise.field == points.field:
+        raise ValueError("messages, noise and points live in different fields")

@@ -10,10 +10,11 @@ the layout is ``protocol.layer_count`` at X = X_eff and U = B = 0, and its
 lambda*mu entries decode as scalar streams of ``RobustDecoder.decode_rounds``.
 
 Matrices stay flat: a ``FieldMatrix`` holds its entries row-major, so the
-A-shares come from the storage coder ``protocol.code_storage`` and the
-queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones as
-the selector) over ``flat`` vectors, and each coded vector is wrapped as a
-``FieldMatrix`` without a copy.  The noise is drawn flat through
+A-shares come from the storage coder ``protocol.code_storage``, handed the
+ell blocks' ``flat`` vectors in block order as it takes message symbols, and
+the queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones
+as the selector), and each coded vector is wrapped as a ``FieldMatrix``
+without a copy.  The noise is drawn flat through
 ``protocol.nested``.  Round k's N answer blocks, flat, are the rows of the
 one matrix ``decode_rounds`` solves for round k with one product.
 
@@ -150,10 +151,6 @@ class PsdmmInstance:
         """[B_1 B_2 ... B_M], chi x M*mu."""
         return _side_by_side(self.b_library)
 
-    def a_block(self, params: PsdmmParams, l: int, k: int) -> FieldMatrix:
-        """A_lk = A_(L(k-1)+l), 1-based."""
-        return self.a_blocks[params.layers * (k - 1) + l - 1]
-
     @classmethod
     def random(cls, field: PrimeField, params: PsdmmParams, rng) -> "PsdmmInstance":
         return cls(
@@ -201,15 +198,17 @@ def _check_blocks(blocks, count: int, rows: int, cols: int, field: PrimeField, w
 def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[tuple[FieldMatrix, ...]]:
-    """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx."""
+    """Per-server confidential shares: A~_nl = sum_k A_lk/d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
+
+    A_lk is block L(k-1)+l, placed by ``protocol.code_storage``.
+    """
     _check_blocks(
         inst.a_blocks, params.block_count, params.rows_a, params.inner_dim, points.field,
         "A blocks",
     )
     return code_storage(
-        points, params.code_dim, params.security_a, lambda l, k: inst.a_block(params, l, k).flat,
-        noise.a_noise, params.rows_a * params.inner_dim,
-        partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim),
+        points, params.code_dim, params.security_a, [m.flat for m in inst.a_blocks],
+        noise.a_noise, partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim),
     )
 
 
@@ -299,10 +298,10 @@ def psdmm_decode(
     Round k stacks the N servers' round-k blocks, flattened row-major, as the
     rows of one N x lambda*mu matrix of scalar streams of the round decoder.
     """
-    if len(answers) != params.num_servers:
+    if not isinstance(answers, (list, tuple)) or len(answers) != params.num_servers:
         raise ValueError("answers from all servers are required")
     for rounds in answers:
-        if len(rounds) != params.code_dim:
+        if not isinstance(rounds, (list, tuple)) or len(rounds) != params.code_dim:
             raise ValueError(f"every server must answer {params.code_dim} rounds")
         if any(
             not isinstance(y, FieldMatrix)

@@ -36,7 +36,9 @@ def diff(points: EvaluationPoints, l: int, server: int) -> int:
 
 def layer_vector(messages: MessageSet, l: int, k: int) -> list[int]:
     """W_lk: the (L(k-1)+l)-th symbol of every message, as a length-K row."""
-    pos = messages.symbol_position(l, k)
+    if not (1 <= l <= messages.layers and 1 <= k <= messages.code_dim):
+        raise ValueError("layer or round index out of range")
+    pos = messages.layers * (k - 1) + l - 1
     return [m[pos] for m in messages.messages]
 
 
@@ -251,8 +253,9 @@ def share_product_coefficients(inst, noise, params, layer: int):
     product collects all pairs.
     """
     kc = params.code_dim
-    a_terms = [
-        (-(kc - k + 1), inst.a_block(params, layer, k)) for k in range(1, kc + 1)
+    a_terms = [  # A_lk is block L(k-1)+l
+        (-(kc - k + 1), inst.a_blocks[params.layers * (k - 1) + layer - 1])
+        for k in range(1, kc + 1)
     ] + [
         (x - 1, reshape(inst.field, noise.a_noise[layer - 1][x - 1], params.inner_dim))
         for x in range(1, params.security_a + 1)

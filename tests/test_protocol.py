@@ -4,13 +4,16 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
-from xstpir.protocol import InfeasibleParamsError, coded_share, coefficient_table, nested
+from xstpir.protocol import (
+    InfeasibleParamsError, code_storage, coded_share, coefficient_table, nested,
+)
 import xstpir.psdmm as pm
 from xstpir.robust import DecodingFailure, decoder_for
 
@@ -104,8 +107,7 @@ def test_message_set_dual_views_agree():
     for l in range(1, p.layers + 1):
         for k in range(1, p.code_dim + 1):
             vec = layer_vector(msgs, l, k)
-            pos = msgs.symbol_position(l, k)
-            assert pos == p.layers * (k - 1) + l - 1
+            pos = p.layers * (k - 1) + l - 1
             assert vec == [m[pos] for m in msgs.messages]
     with pytest.raises(ValueError):
         layer_vector(msgs, 0, 1)
@@ -117,6 +119,24 @@ def test_message_set_shape_checked():
     f = xp.PrimeField(5)
     with pytest.raises(ValueError):
         xp.MessageSet(f, 1, 2, ((1, 2, 3),))  # ell = 2, got 3 symbols
+
+
+def test_caller_data_enters_as_residues():
+    """``MessageSet``, ``EvaluationPoints`` and ``FieldMatrix(...)`` reduce int-likes
+    (bools too) mod q, and refuse a float, which ``%`` would keep, or a str."""
+    f = xp.PrimeField(5)
+    assert xp.MessageSet(f, 1, 2, ((True, 7), (-1, 4))).messages == ((1, 2), (4, 4))
+    assert EvaluationPoints(f, (True,), (7, -2)) == EvaluationPoints(f, (1,), (2, 3))
+    assert FieldMatrix(f, [[9, False]]).flat == [4, 0]
+    for bad in (1.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            xp.MessageSet(f, 1, 2, ((bad, 2), (3, 4)))
+        with pytest.raises(TypeError):
+            EvaluationPoints(f, (bad,), (2, 3))
+        with pytest.raises(TypeError):
+            EvaluationPoints(f, (1,), (2, bad))
+        with pytest.raises(TypeError):
+            FieldMatrix(f, [[bad, 1], [2, 3]])
 
 
 # ------------------------------------------------------------------- storage
@@ -180,6 +200,33 @@ def test_encode_storage_dimension_checks():
     msgs3 = xp.MessageSet.random(f, other, Random(0))
     with pytest.raises(ValueError):
         xp.encode_storage(msgs3, xp.StorageNoise.random(f, p, Random(0)), pts, p)
+
+
+def test_noise_from_another_field_is_refused():
+    """GF(7) noise at GF(5) points: its residues taken mod 5 are not uniform."""
+    p = xp.derive_params(4, 2, 1, 1, num_messages=2)
+    f, g = xp.PrimeField(5), xp.PrimeField(7)
+    pts = xp.default_points(p, f)
+    msgs = xp.MessageSet.random(f, p, Random(0))
+    with pytest.raises(ValueError, match="different fields"):
+        xp.encode_storage(msgs, xp.StorageNoise.random(g, p, Random(0)), pts, p)
+    with pytest.raises(ValueError, match="different fields"):
+        xp.gen_queries(1, xp.QueryNoise.random(g, p, Random(0)), pts, p)
+
+
+def test_code_storage_takes_one_column_per_message_symbol():
+    """L * K_c columns in message order: one fewer or one more is refused."""
+    p = xp.derive_params(5, 2, 1, 1, num_messages=2)  # L = 2, ell = 4
+    f = xp.default_field(p)
+    pts = xp.default_points(p, f)
+    msgs = xp.MessageSet.random(f, p, Random(2))
+    zn = xp.StorageNoise.random(f, p, Random(3))
+    columns = list(zip(*msgs.messages))
+    shares = code_storage(pts, p.code_dim, p.security, columns, zn.z)
+    assert shares == [s.shares for s in xp.encode_storage(msgs, zn, pts, p)]
+    for count in (p.message_len - 1, p.message_len + 1):
+        with pytest.raises(ValueError, match="data vectors"):
+            code_storage(pts, p.code_dim, p.security, (columns * 2)[:count], zn.z)
 
 
 # ------------------------------------------------------------------- queries
@@ -697,7 +744,9 @@ def test_decode_treats_malformed_bundle_as_erasure():
     Malformed: K_c + 1 scalars, a scalar that is not an int in [0, q) (a
     bool among them), or scalars that are not a tuple or list (None, an int,
     an iterator).  A bundle whose server index is not an int in 1..N is an
-    erasure too: 0, N + 1, a string, None, a bool or an unhashable list.
+    erasure too: 0, N + 1, a string, None, a bool or an unhashable list; so
+    is a bundle with no scalars, and an entry that is no bundle at all (None,
+    an int, a bare (server, scalars) pair), also as a dict value.
     Beside the six it is ignored, also twice over, and with only servers
     1..4 it leaves too few answers.  A second bundle for server 3, before or
     after its own, conflicting, malformed or identical, erases server 3; beside
@@ -717,6 +766,17 @@ def test_decode_treats_malformed_bundle_as_erasure():
         assert xp.decode(answers + [extra, extra], pts, p) == list(msgs.messages[1])
         with pytest.raises(DecodingFailure):
             xp.decode(answers[:4] + [extra], pts, p)
+    five = answers[:2] + answers[3:]
+    for entry in (None, 7, (3, good), SimpleNamespace(server=3)):
+        for delivered in (five + [entry], [entry] + five):
+            assert xp.decode(delivered, pts, p) == list(msgs.messages[1])
+        with pytest.raises(DecodingFailure):
+            xp.decode(five[1:] + [entry], pts, p)
+    by_server = {ab.server: ab for ab in five}
+    assert xp.decode({3: None, **by_server}, pts, p) == list(msgs.messages[1])
+    del by_server[1]
+    with pytest.raises(DecodingFailure):
+        xp.decode({3: None, **by_server}, pts, p)
     for scalars in (
         good + (1,), (f.q, good[1]), (good[0], -1), (good[0], None), (True, good[1]),
         None, 7, iter(good),

@@ -194,7 +194,7 @@ def test_share_a_mds_recovery():
                     rhs = [shares[n - 1][l - 1].data[i][j] for n in chosen]
                     sol = solve(system, rhs)
                     for k in range(1, kc + 1):
-                        assert sol[k - 1] == inst.a_block(p, l, k).data[i][j]
+                        assert sol[k - 1] == inst.a_blocks[p.layers * (k - 1) + l - 1].data[i][j]
 
 
 def test_share_secrecy_by_enumeration():
@@ -468,6 +468,11 @@ def test_answer_shape_validation():
         pm.psdmm_decode([[wide]] + answers[1:], pts, p)
     with pytest.raises(ValueError):
         pm.psdmm_decode([[]] + answers[1:], pts, p)  # server 1 misses its round
+    with pytest.raises(ValueError, match="from all servers"):
+        pm.psdmm_decode(None, pts, p)
+    for first in (None, answers[0][0], 5):  # no round list, a bare block, an int
+        with pytest.raises(ValueError, match="rounds"):
+            pm.psdmm_decode([first] + answers[1:], pts, p)
 
 
 # ----------------------------------------------------------- boundary checks

@@ -7,6 +7,7 @@ here in seconds.
 
 import hashlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -116,3 +117,42 @@ def test_package_does_not_import_numpy():
         capture_output=True, text=True, check=True, env={"PYTHONPATH": src}, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_workload_outputs_keep_their_digests():
+    """Byzantine ops 0..8 (op 7 over budget), bulk op 0 and psdmm op 0 keep their bytes.
+
+    At seed 1, byzantine pins each transcript's JSON, bulk the answer scalars
+    and the decode, psdmm the answer blocks and the decoded blocks, so a
+    change meant to leave the outputs alone is held to the same sha256.
+    """
+    workloads = _load("workloads")
+    byzantine, bulk, psdmm = (
+        workloads.WORKLOADS[name](seed=1) for name in ("byzantine", "bulk", "psdmm")
+    )
+    for w in (byzantine, bulk, psdmm):
+        w.setup()
+    assert [_sha256(byzantine.op(byzantine.inputs(i)).to_json()) for i in range(9)] == [
+        "5c66c0688ac958d83dc51677503170d2b58f06fe3302ff538cd56a1f88878dae",
+        "357bd8b9202878137bfeb341f820c270d0a5d1091325371712e30fb33913a860",
+        "3f6d46775465ffd5a29204b5f83e80f91258930c96f9d403dc0bc8f6f2e689dd",
+        "e5963f30a1bb132e547a0c7f1ae5e4b1de96f8b3182944290b6e37b65af86c69",
+        "4812f2f091abef57d94daadd5607b093c2ce791a85813d85cf21fac4fbae23d4",
+        "c8761a26db591338e21bfa8b9f6ead293028c1f479811d22f84c81d9bfb37769",
+        "bb533d7db47b98239465269460c292f384cb80da797fc4922270029d3cdcb68b",
+        "388d1c9e92f1d9f3a3f8854df55d9c4f3382ab8a1070c9b932fb7f6c9be5c027",
+        "8b4e3f1755b16816207b57be7132e4911f085edb26830714893b648a3359c313",
+    ]
+    answers, decoded = bulk.op(bulk.inputs(0))
+    assert _sha256(json.dumps([[a.scalars for a in answers], decoded])) == (
+        "f5ae6d5904a406d16a84256b7980b0d6f3bc961efe84a6e244b56e7ddcbb35db"
+    )
+    _, blocks, products = psdmm.op(psdmm.inputs(0))
+    blocks = [[y.data for y in rounds] for rounds in blocks]
+    assert _sha256(json.dumps([blocks, [m.data for m in products]])) == (
+        "0706eb73047b61fdb0b975330e105522bb683af954055eca61d2c53380b41278"
+    )
