@@ -106,10 +106,7 @@ def _audit(cfg: AuditConfig, points: EvaluationPoints, shape, views) -> AuditVer
         ys = []
         for z in zs:
             observed = view(nested(shape, lambda _: z))  # z holds exactly prod(shape) entries
-            y = [observed[n - 1] for n in cfg.colluding]
-            while not isinstance(y[0], int):
-                y = [v for part in y for v in part]
-            ys.append(y)
+            ys.append([v for n in cfg.colluding for v in observed[n - 1]])
         affine.append((ys[0], [[(v - o) % q for v, o in zip(y, ys[0])] for y in ys[1:]]))
     (ya, ma), (yb, mb) = affine[0], affine[-1]
     offset = [(b - a) % q for a, b in zip(ya, yb)]
@@ -144,7 +141,7 @@ def audit_storage_security(
         points = default_points(p)
     views = [
         lambda z, m=m: [
-            s.shares for s in encode_storage(m, StorageNoise(points.field, z), points, p)
+            s.shares.flat for s in encode_storage(m, StorageNoise(points.field, z), points, p)
         ]
         for m in (msgs_a, msgs_b)
     ]
@@ -175,7 +172,7 @@ def audit_query_privacy(
         points = default_points(p)
     views = [
         lambda zp, th=th: [
-            qb.rounds for qb in gen_queries(th, QueryNoise(points.field, zp), points, p)
+            qb.rounds.flat for qb in gen_queries(th, QueryNoise(points.field, zp), points, p)
         ]
         for th in dict.fromkeys(theta_pair)
     ]

@@ -11,12 +11,14 @@ every kernel returns residues in [0, q) (``coded_share`` and everything
 built from it, the selector update of the queries, server answers, matrix
 products and decodes), so nothing downstream reduces them again.
 Caller data is reduced once, where it enters the library: ``MessageSet``,
+the noise objects (``StorageNoise``, ``QueryNoise`` and ``PsdmmNoise``),
 ``EvaluationPoints`` and ``FieldMatrix(...)``, each through
 ``operator.index``, so an int-like (a bool) enters and a float or a str
 raises ``TypeError``.  Residues the package draws (``random_vector``) are
-not caller data: ``MessageSet.random`` and the random matrices wrap them as
-they are.  Caller answers are checked, not reduced: ``protocol.decode``
-erases every bundle holding anything but residues.
+not caller data: ``random`` of the messages and of the noise objects, and
+the random matrices, wrap them as they are.  Caller answers are checked, not
+reduced: ``protocol.decode`` erases every bundle holding anything but
+residues.
 """
 
 from __future__ import annotations

@@ -33,6 +33,18 @@ package's one exact reduction, whose docstring holds the proof;
 vectors (the desk scale, K <= 3 < N) would pay that reduction per output on
 1 to 3 entries, so each of their outputs is a plain dot product per entry.
 
+Storage and queries are ``FieldMatrix``, one per server, whose field is the
+bundle's.  Server n's ``ServerStorage.shares`` is the L x K matrix whose row
+l is S_nl, and its ``QueryBundle.rounds`` the K_c x L*K matrix whose row k
+is [Q_n1k ... Q_nLk], the L layer vectors side by side.  The coders yield
+one layer at a time, and ``encode_storage`` and ``gen_queries`` join each
+into the servers' matrices as it comes.  Round k's answer
+sum_l S_nl . Q_nlk is row k times the stored rows joined, so
+``server_answer`` is one ``FieldMatrix.mul`` by the L*K x 1 column of
+``shares.flat``.  It reads a query row as vectors of the stored K: a row
+that is no whole number of them is refused as a length mismatch, and one of
+another number as a layer-count mismatch.
+
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``RobustDecoder.decode_rounds``, which owns the round loop and the order of
 the decoded symbols; ``decode`` hands it one rows x 1 ``FieldMatrix`` per
@@ -41,9 +53,9 @@ round, cut from the chosen answers, and reads the ell symbols off its
 
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
-return, unreduced again.  In this module only ``MessageSet`` reduces caller
-data; ``decode`` checks the answers instead and erases every entry that is
-not a bundle of K_c residues.
+return, unreduced again.  In this module only ``MessageSet`` and the noise
+objects reduce caller data, through ``residues``; ``decode`` checks the
+answers instead and erases every entry that is not a bundle of K_c residues.
 """
 
 from __future__ import annotations
@@ -172,13 +184,33 @@ def nested(shape, vector) -> tuple:
     return tuple(level)
 
 
+def residues(q: int, data, depth: int) -> tuple:
+    """``data``, nested ``depth`` deep, as tuples of ``operator.index(v) % q``.
+
+    Caller data enters the package here, so a float or a str raises ``TypeError``.
+    """
+    if depth == 1:
+        return tuple(index(v) % q for v in data)
+    return tuple(residues(q, part, depth - 1) for part in data)
+
+
+def _of_residues(cls, *values):
+    """The frozen dataclass ``cls`` holding ``values`` as they are, past its reduction.
+
+    ``random`` draws residues, so it wraps them here and pays no reduction.
+    """
+    obj = cls.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values))  # past the frozen __setattr__
+    return obj
+
+
 @dataclass(frozen=True)
 class MessageSet:
     """K messages of ell symbols each.
 
-    The constructor reduces every symbol mod q (a float is a ``TypeError``):
-    caller data enters here.  ``random`` draws residues, and wraps them as
-    they are through ``_of_residues``.
+    The constructor reduces every symbol through ``residues``: caller data
+    enters here.  ``random`` draws residues, and wraps them as they are
+    through ``_of_residues``.
     """
 
     field: PrimeField
@@ -187,9 +219,8 @@ class MessageSet:
     messages: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        q = self.field.q
         ell = self.layers * self.code_dim
-        msgs = tuple(tuple(index(v) % q for v in m) for m in self.messages)
+        msgs = residues(self.field.q, self.messages, 2)
         if not msgs or any(len(m) != ell for m in msgs):
             raise ValueError(f"every message must hold exactly {ell} symbols")
         object.__setattr__(self, "messages", msgs)
@@ -199,28 +230,26 @@ class MessageSet:
         return len(self.messages)
 
     @classmethod
-    def _of_residues(cls, field: PrimeField, layers: int, code_dim: int, messages) -> "MessageSet":
-        """Wrap K tuples of ell residues each as they are, without reducing them again."""
-        m = cls.__new__(cls)
-        for name, value in zip(("field", "layers", "code_dim", "messages"),
-                               (field, layers, code_dim, messages)):
-            object.__setattr__(m, name, value)
-        return m
-
-    @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "MessageSet":
         """K messages of ell uniform symbols, drawn in one ``random_vector`` call."""
         shape = (params.num_messages, params.message_len)
         vectors = nested(shape, partial(field.random_vector, rng))
-        return cls._of_residues(field, params.layers, params.code_dim, vectors)
+        return _of_residues(cls, field, params.layers, params.code_dim, vectors)
 
 
 @dataclass(frozen=True)
 class StorageNoise:
-    """L x X uniform row vectors of length K protecting the stored data."""
+    """L x X uniform row vectors of length K protecting the stored data.
+
+    The constructor reduces every entry through ``residues``; ``random``
+    wraps its draws as they are.
+    """
 
     field: PrimeField
     z: tuple[tuple[tuple[int, ...], ...], ...]  # [l][x] -> K-vector
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", residues(self.field.q, self.z, 3))
 
     @staticmethod
     def shape(params: ProtocolParams) -> tuple[int, int, int]:
@@ -228,15 +257,23 @@ class StorageNoise:
 
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "StorageNoise":
-        return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
+        draw = partial(field.random_vector, rng)
+        return _of_residues(cls, field, nested(cls.shape(params), draw))
 
 
 @dataclass(frozen=True)
 class QueryNoise:
-    """L x T x K_c uniform column vectors of length K protecting the queries."""
+    """L x T x K_c uniform column vectors of length K protecting the queries.
+
+    The constructor reduces every entry through ``residues``; ``random``
+    wraps its draws as they are.
+    """
 
     field: PrimeField
     zp: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] -> K-vector
+
+    def __post_init__(self):
+        object.__setattr__(self, "zp", residues(self.field.q, self.zp, 4))
 
     @staticmethod
     def shape(params: ProtocolParams) -> tuple[int, int, int, int]:
@@ -244,7 +281,8 @@ class QueryNoise:
 
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "QueryNoise":
-        return cls(field, nested(cls.shape(params), partial(field.random_vector, rng)))
+        draw = partial(field.random_vector, rng)
+        return _of_residues(cls, field, nested(cls.shape(params), draw))
 
 
 @dataclass(frozen=True)
@@ -252,8 +290,7 @@ class ServerStorage:
     """The L coded share vectors S_n1..S_nL held by one server, as residues."""
 
     server: int
-    shares: tuple[tuple[int, ...], ...]  # [l] -> K-vector
-    field: PrimeField
+    shares: FieldMatrix  # L x K: row l-1 is S_nl
 
 
 @dataclass(frozen=True)
@@ -261,8 +298,7 @@ class QueryBundle:
     """All K_c rounds of query vectors for one server (sent in one shot), as residues."""
 
     server: int
-    rounds: tuple[tuple[tuple[int, ...], ...], ...]  # [round][l] -> K-vector
-    field: PrimeField
+    rounds: FieldMatrix  # K_c x L*K: row k-1 is [Q_n1k ... Q_nLk], the layers side by side
 
 
 @dataclass(frozen=True)
@@ -324,23 +360,22 @@ def coded_share(coefficients, vectors, q: int) -> list[list[int]]:
     return [reduce(sum(map(mul, row, packed))) for row in coefficients]
 
 
-def code_layers(points: EvaluationPoints, exponents, terms, length: int, wrap=tuple, selector=None):
-    """[server][layer]: ``wrap`` of sum_e d^e v_e mod q, d = f_l - a_n, over layer l's terms.
+def code_layers(points: EvaluationPoints, exponents, terms, length: int, selector=None):
+    """Layer by layer, [server]: the list sum_e d^e v_e mod q, d = f_l - a_n, over layer l's terms.
 
     ``terms`` yields each layer's term vectors of ``length`` entries, paired
     with ``exponents``; a layer with none codes to zero vectors.  Every d^e
     is read from ``coefficient_table``.
     ``selector = (e, positions)`` stands for a 0/1 vector (e_theta, or Q_theta
     flattened) on the term d^e: d^e is added at its few nonzero positions
-    instead of coding it as a dense term.  Each layer is wrapped as soon as it
-    is coded.
+    instead of coding it as a dense term.  Each layer is yielded as soon as it
+    is coded, so a caller that joins the layers holds one layer at a time.
     """
     q = points.field.q
     table = coefficient_table(points, tuple(exponents))
     if selector is not None:
         e, positions = selector
         picks = coefficient_table(points, (e,))
-    per_layer = []  # [layer][server]
     for l, vectors in enumerate(terms):
         if vectors:
             shares = coded_share(table[l], vectors, q)
@@ -350,8 +385,7 @@ def code_layers(points: EvaluationPoints, exponents, terms, length: int, wrap=tu
             for (c,), share in zip(picks[l], shares):
                 for j in positions:
                     share[j] = (share[j] + c) % q
-        per_layer.append([wrap(share) for share in shares])
-    return list(zip(*per_layer))
+        yield shares
 
 
 def check_noise(noise, shape, message: str) -> None:
@@ -369,8 +403,8 @@ def query_noise_exponents(code_dim: int, count: int) -> range:
     return range(code_dim, code_dim + count)
 
 
-def code_storage(points, code_dim: int, security: int, columns, noise, wrap=tuple):
-    """The storage coder, [server][layer]: sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
+def code_storage(points, code_dim: int, security: int, columns, noise):
+    """The storage coder, [layer][server]: sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
 
     ``columns`` holds the ell = L * K_c data vectors in message order, for
     the L = len(points.f) layers: C_lk is the (L(k-1)+l)-th, so layer l's
@@ -382,26 +416,35 @@ def code_storage(points, code_dim: int, security: int, columns, noise, wrap=tupl
         raise ValueError(f"storage needs L * K_c = {layers * code_dim} data vectors")
     check_noise(noise, (layers, security), "storage noise must be L x X vectors")
     terms = ([*columns[l::layers], *noise[l]] for l in range(layers))
-    return code_layers(points, range(-code_dim, security), terms, len(columns[0]), wrap)
+    return code_layers(points, range(-code_dim, security), terms, len(columns[0]))
 
 
-def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int, wrap=tuple):
-    """The query coder, [server][round][layer]: d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
+def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int):
+    """The query coder, [round][layer][server]: d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
 
     E is the 0/1 selector with ones at ``positions``; the L x T x K_c noise
-    holds Z'_ltk, vectors of ``length`` entries.
+    holds Z'_ltk, vectors of ``length`` entries (``ValueError`` otherwise).
     """
-    shape = (len(points.f), privacy, code_dim)
-    check_noise(noise, shape, "query noise must be L x T x K_c vectors")
+    shape = (len(points.f), privacy, code_dim, length)
+    check_noise(noise, shape, f"query noise must be L x T x K_c vectors of {length} entries")
     exponents = query_noise_exponents(code_dim, privacy)
-    per_round = [  # [round][server][layer]
+    return (
         code_layers(
-            points, exponents, ([zt[rk - 1] for zt in zl] for zl in noise), length, wrap,
+            points, exponents, [[zt[rk - 1] for zt in zl] for zl in noise], length,
             (code_dim - rk, positions),
         )
         for rk in range(1, code_dim + 1)
-    ]
-    return list(zip(*per_round))
+    )
+
+
+def _bundles(cls, points: EvaluationPoints, rows: int, cols: int, layers) -> list:
+    """[server]: ``cls(n, m)``, the coded layers copied as they come into m, rows x cols."""
+    flats = [[0] * (rows * cols) for _ in points.alpha]  # whole: grown lists raised peak RSS
+    for i, shares in enumerate(layers):
+        at = slice(i * len(shares[0]), (i + 1) * len(shares[0]))
+        for flat, share in zip(flats, shares):
+            flat[at] = share
+    return [cls(n, FieldMatrix._of_flat(points.field, m, cols)) for n, m in enumerate(flats, 1)]
 
 
 def encode_storage(
@@ -421,7 +464,7 @@ def encode_storage(
     shares = code_storage(
         points, params.code_dim, params.security, list(zip(*messages.messages)), noise.z
     )
-    return [ServerStorage(n, s, points.field) for n, s in enumerate(shares, 1)]
+    return _bundles(ServerStorage, points, params.layers, params.num_messages, shares)
 
 
 def gen_queries(
@@ -432,38 +475,30 @@ def gen_queries(
 ) -> list[QueryBundle]:
     """Round-k query vector: (f_l - a_n)^(K_c-k) e_theta plus T noise layers.
 
-    Q_nl = (f_l - a_n)^(K_c-k) e_theta + sum_t (f_l - a_n)^(K_c+t-1) Z'_lt.
+    Q_nlk = (f_l - a_n)^(K_c-k) e_theta + sum_t (f_l - a_n)^(K_c+t-1) Z'_ltk.
     """
     if not 1 <= theta <= params.num_messages:
         raise ValueError(f"theta must be in 1..{params.num_messages}")
     if noise.field != points.field:
         raise ValueError("noise and points live in different fields")
-    queries = code_queries(
-        points, params.code_dim, params.privacy, (theta - 1,), noise.zp, params.num_messages
-    )
-    return [QueryBundle(n, rounds, points.field) for n, rounds in enumerate(queries, 1)]
+    k = params.num_messages
+    queries = code_queries(points, params.code_dim, params.privacy, (theta - 1,), noise.zp, k)
+    layers = (layer for rnd in queries for layer in rnd)  # round by round
+    return _bundles(QueryBundle, points, params.code_dim, params.layers * k, layers)
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
-    """Honest answer: one inner product sum_l S_nl . Q_nl per query round."""
+    """Honest answer: round k's sum_l S_nl . Q_nlk, all K_c rounds as one product."""
     if storage.server != queries.server:
         raise ValueError("storage and query bundle belong to different servers")
-    if storage.field != queries.field:
+    if storage.shares.field != queries.rounds.field:
         raise ValueError("storage and queries live in different fields")
-    if not queries.rounds or any(
-        len(per_layer) != len(storage.shares) for per_layer in queries.rounds
-    ):
+    if queries.rounds.cols % storage.shares.cols:
+        raise ValueError("share and query vector lengths differ")
+    if queries.rounds.cols != storage.shares.rows * storage.shares.cols:
         raise ValueError("query layer count must match stored share count")
-    q = storage.field.q
-    scalars = []
-    for per_layer in queries.rounds:
-        acc = 0
-        for s, qv in zip(storage.shares, per_layer):
-            if len(s) != len(qv):
-                raise ValueError("share and query vector lengths differ")
-            acc += sum(map(mul, s, qv))
-        scalars.append(acc % q)
-    return AnswerBundle(storage.server, tuple(scalars))
+    answers = queries.rounds.mul(FieldMatrix._of_flat(storage.shares.field, storage.shares.flat, 1))
+    return AnswerBundle(storage.server, tuple(answers.flat))
 
 
 def _scalars_by_server(answers, num_servers: int) -> dict:

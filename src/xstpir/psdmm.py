@@ -42,6 +42,8 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
     layer_count,
     nested,
     query_noise_exponents,
+    residues,
+    _of_residues,
 )
 from .robust import decoder_for
 
@@ -168,17 +170,30 @@ class PsdmmInstance:
 
 @dataclass(frozen=True)
 class PsdmmNoise:
-    """All noise matrices, flattened row-major: A-share, B-share, and query layers."""
+    """All noise matrices, flattened row-major: A-share, B-share, and query layers.
 
+    The constructor reduces every entry through ``protocol.residues``;
+    ``random`` wraps its draws as they are.
+    """
+
+    field: PrimeField
     a_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x] lambda x chi
     b_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x'] chi x M*mu
     query_noise: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] M*mu x mu
+
+    def __post_init__(self):
+        q = self.field.q
+        object.__setattr__(self, "a_noise", residues(q, self.a_noise, 3))
+        object.__setattr__(self, "b_noise", residues(q, self.b_noise, 3))
+        object.__setattr__(self, "query_noise", residues(q, self.query_noise, 4))
 
     @classmethod
     def random(cls, field: PrimeField, params: PsdmmParams, rng) -> "PsdmmNoise":
         draw = partial(field.random_vector, rng)
         layers, wide = params.layers, params.library_size * params.cols_b
-        return cls(
+        return _of_residues(
+            cls,
+            field,
             nested((layers, params.security_a, params.rows_a * params.inner_dim), draw),
             nested((layers, params.security_b, params.inner_dim * wide), draw),
             nested((layers, params.privacy, params.code_dim, wide * params.cols_b), draw),
@@ -206,10 +221,10 @@ def share_a(
         inst.a_blocks, params.block_count, params.rows_a, params.inner_dim, points.field,
         "A blocks",
     )
-    return code_storage(
-        points, params.code_dim, params.security_a, [m.flat for m in inst.a_blocks],
-        noise.a_noise, partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim),
-    )
+    columns = [m.flat for m in inst.a_blocks]
+    shares = code_storage(points, params.code_dim, params.security_a, columns, noise.a_noise)
+    wrap = partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim)
+    return [tuple(map(wrap, layers)) for layers in zip(*shares)]
 
 
 def share_b(
@@ -228,13 +243,14 @@ def share_b(
     if not params.shared_library:
         return [(b,) * params.layers for _ in range(params.num_servers)]
     flat_b = b.flat
-    return code_layers(
+    shares = code_layers(
         points,
         [0, *query_noise_exponents(params.code_dim, xb)],
         ([flat_b, *zl] for zl in noise.b_noise),
         len(flat_b),
-        partial(FieldMatrix._of_flat, points.field, cols=b.cols),
     )
+    wrap = partial(FieldMatrix._of_flat, points.field, cols=b.cols)
+    return [tuple(map(wrap, layers)) for layers in zip(*shares)]
 
 
 def psdmm_query(
@@ -249,10 +265,11 @@ def psdmm_query(
         raise ValueError(f"theta must be in 1..{params.library_size}")
     mu = params.cols_b
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
-    return code_queries(
-        points, params.code_dim, params.privacy, ones, noise.query_noise,
-        params.library_size * mu * mu, partial(FieldMatrix._of_flat, points.field, cols=mu),
-    )
+    length = params.library_size * mu * mu
+    queries = code_queries(points, params.code_dim, params.privacy, ones, noise.query_noise, length)
+    per_round = [list(zip(*layers)) for layers in queries]  # [round][server][layer]
+    wrap = partial(FieldMatrix._of_flat, points.field, cols=mu)
+    return [tuple(tuple(map(wrap, layers)) for layers in rounds) for rounds in zip(*per_round)]
 
 
 def psdmm_answer(

@@ -17,6 +17,7 @@ from itertools import combinations
 from random import Random
 
 from .field import PrimeField
+from .linalg import FieldMatrix
 from .protocol import (
     AnswerBundle,
     InfeasibleParamsError,
@@ -105,8 +106,8 @@ class SessionTranscript:
     role_seeds: dict[str, int]
     adversary: AdversaryConfig
     messages: tuple[tuple[int, ...], ...]
-    storages: tuple[tuple[tuple[int, ...], ...], ...]     # [server-1][l] -> K-vector
-    queries: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [server-1][round][l]
+    storages: tuple[FieldMatrix, ...]  # [server-1]: L x K, ServerStorage.shares
+    queries: tuple[FieldMatrix, ...]   # [server-1]: K_c x L*K, QueryBundle.rounds
     answers: tuple[tuple[int, ...] | None, ...]           # delivered; None if silent
     decoded: tuple[int, ...] | None
     ok: bool
@@ -114,7 +115,7 @@ class SessionTranscript:
     rates: RateReport | None
 
     def to_dict(self) -> dict:
-        p = self.params
+        p, k = self.params, self.params.num_messages
         return {
             "scheme": "xstpir",
             "params": {
@@ -135,9 +136,10 @@ class SessionTranscript:
             "role_seeds": dict(self.role_seeds),
             "adversary": self.adversary.to_dict(),
             "messages": [list(m) for m in self.messages],
-            "storages": [[list(v) for v in s] for s in self.storages],
+            "storages": [s.data for s in self.storages],
             "queries": [
-                [[list(v) for v in layer] for layer in rounds] for rounds in self.queries
+                [[row[i:i + k] for i in range(0, len(row), k)] for row in rounds.data]
+                for rounds in self.queries
             ],
             "answers": [list(a) if a is not None else None for a in self.answers],
             "decoded": list(self.decoded) if self.decoded is not None else None,

@@ -132,7 +132,8 @@ def recover_messages(storages, points: EvaluationPoints, params: ProtocolParams)
     for l in range(1, layers + 1):
         rows = [coded_share(diff(points, l, st.server), exponents, units, q) for st in storages]
         for j, message in enumerate(symbols):
-            unknowns = solve(FieldMatrix(field, rows), [st.shares[l - 1][j] for st in storages])
+            rhs = [st.shares.data[l - 1][j] for st in storages]
+            unknowns = solve(FieldMatrix(field, rows), rhs)
             assert unknowns is not None, "the storage coefficient rows are singular"
             for k in range(kc):
                 message[layers * k + l - 1] = unknowns[k]
@@ -313,9 +314,10 @@ def enumerate_audit(cfg, points: EvaluationPoints, shape, views) -> AuditVerdict
     """Enumerate every noise tensor of ``shape``; compare the views' distributions.
 
     The reference of ``audit._audit``, with its signature: each view maps a
-    noise tensor to the N servers' observations, the colluding servers' joint
-    observation is counted per view, and the audit passes when every view has
-    the same distribution.  It takes q^free view calls per view.
+    noise tensor to the N servers' observations, one flat list each; the
+    colluding servers' joint observation is counted per view, and the audit
+    passes when every view has the same distribution.  It takes q^free view
+    calls per view.
     """
     q = points.field.q
     free = prod(shape)
@@ -324,7 +326,7 @@ def enumerate_audit(cfg, points: EvaluationPoints, shape, views) -> AuditVerdict
         dist: Counter = Counter()
         for flat in product(range(q), repeat=free):
             observed = view(nested(shape, partial(islice, iter(flat))))
-            dist[tuple(observed[n - 1] for n in cfg.colluding)] += 1
+            dist[tuple(tuple(observed[n - 1]) for n in cfg.colluding)] += 1
         dists.append(dist)
     return AuditVerdict(
         target=cfg.target,

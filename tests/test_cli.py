@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, config files, exit codes, output formats."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -325,3 +326,51 @@ def test_library_parity_with_cli(tmp_path, capsys):
     adv = AdversaryConfig((), (), "random", seed=derive_seed(3, "corruption"))
     direct = run_session(p, adv, 2, 3)
     assert out.read_text() == direct.to_json()
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# README's nine CLI commands, each with its --out replaced by a temporary file:
+# (argv, exit code, sha256 of stdout, of stderr, of the --out file)
+README_COMMANDS = [
+    ("retrieve --N 4 --Kc 2 --X 1 --T 1 --K 3 --theta 2 --seed 7", 0, _EMPTY,
+     "528e5b7ba5684d42edf355497b1a92ca1faf2999ee011a06788495972c57aaa4",
+     "77e02dcb7d592adf0d87f297b46836473d236cb7e1d9efd35531c856fb2e7090"),
+    ("retrieve --N 8 --Kc 2 --X 1 --T 1 --U 1 --B 1 --K 2 --unresponsive 3 --byzantine 6"
+     " --policy adversarial-replay", 0, _EMPTY,
+     "df170d7763e34cf08f9647a68775d4492504bc5439b833d8d36b987f1a4c0e89",
+     "24cbdef1cbbb68395a7d91c1d31d70ee87358f97daecf085455c8c16785d2007"),
+    ("sweep --N 4..6 --Kc 1,2 --X 0,1 --T 1 --K 2 --seeds 3", 0, _EMPTY,
+     "8a1621fac1d619c8cf13a36ca3bb2657576202859367738cd33bea61d7ce1f8d",
+     "8104fee42baf270bcef874d2d7ee3e6fd4915cc7f4493b4a84c7545daf862217"),
+    ("sweep --N 6 --Kc 1 --X 1 --T 1 --U 1 --B 1 --K 2 --mode placements"
+     " --policies random,constant,adversarial-replay --draws 50", 0, _EMPTY,
+     "12e19b076d9868112480f986090e464f32891a92de25c7379349d69b44efa3d2",
+     "acfdab7db6f29260b4caec5208b094ce3e4c111bd731be5bd2efda190e44145a"),
+    ("audit --target storage --N 4 --Kc 2 --X 1 --T 1 --K 2 --colluding 2", 0, _EMPTY, _EMPTY,
+     "d5c17a18d7cd39594f31e5b79b835cbaca408e793511ca76f2a46343c6caee8e"),
+    ("audit --target privacy --N 4 --Kc 1 --X 1 --T 1 --K 2 --colluding 1,3 --thetas 1,2"
+     " --expect-fail", 0, _EMPTY, _EMPTY,
+     "d8d56d20a55656abcb3ff965f781988523fba754bc97f92aa1e01955271b7d10"),
+    ("psdmm --N 6 --T 1 --XA 1 --XB 1 --M 2 --Kc 1 --lam 2 --chi 2 --mu 2 --theta 2", 0, _EMPTY,
+     "d3a5e5a6f3ef9e430292f48d68e6e3e8feeebfc45a64a1173b64235e4a9d3e5b",
+     "179be71314bf930d8e36132888f8c23fb5b40ae72b86ee281aa357c289987018"),
+    ("rates --scheme xstpir --N 4..12 --Kc 2 --X 1 --T 1", 0, _EMPTY, _EMPTY,
+     "b8fdcf689a4d26bb12df471ac64cb2bc30e79f8c672951246c195c888439cc0f"),
+    ("rates --scheme psdmm --N 10 --XA 1 --XB 0 --T 1", 0, _EMPTY, _EMPTY,
+     "d4eff23ea727020448fc177cea7a2412a98b4cb6d85fd39354a06eefdcfdefc7"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_sha, err_sha, file_sha", README_COMMANDS,
+    ids=[f"{argv.split()[0]}{i}" for i, (argv, *_) in enumerate(README_COMMANDS)],
+)
+def test_readme_commands_keep_their_bytes(tmp_path, capsys, argv, code, out_sha, err_sha, file_sha):
+    """Each README command keeps its exit code, stdout, stderr and --out file, byte for byte."""
+    path = tmp_path / "out"
+    got, out, err = run(capsys, *argv.split(), "--out", str(path))
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    assert (got, digest(out.encode()), digest(err.encode()), digest(path.read_bytes())) == (
+        code, out_sha, err_sha, file_sha
+    )

@@ -1,5 +1,6 @@
 """The retrieval scheme: parameters, encoding, queries, answers, decoding."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -122,15 +123,29 @@ def test_message_set_shape_checked():
 
 
 def test_caller_data_enters_as_residues():
-    """``MessageSet``, ``EvaluationPoints`` and ``FieldMatrix(...)`` reduce int-likes
-    (bools too) mod q, and refuse a float, which ``%`` would keep, or a str."""
+    """``MessageSet``, the three noise objects, ``EvaluationPoints`` and
+    ``FieldMatrix(...)`` reduce int-likes (bools too) mod q, and refuse a float,
+    which ``%`` would keep, or a str."""
     f = xp.PrimeField(5)
     assert xp.MessageSet(f, 1, 2, ((True, 7), (-1, 4))).messages == ((1, 2), (4, 4))
+    assert xp.StorageNoise(f, (((True, 7), (-1, 4)),)).z == (((1, 2), (4, 4)),)
+    assert xp.QueryNoise(f, ((((9, -6),),),)).zp == ((((4, 4),),),)
+    assert pm.PsdmmNoise(f, (((6,),),), (((-1,),),), ((((True,),),),)) == pm.PsdmmNoise(
+        f, (((1,),),), (((4,),),), ((((1,),),),)
+    )
     assert EvaluationPoints(f, (True,), (7, -2)) == EvaluationPoints(f, (1,), (2, 3))
     assert FieldMatrix(f, [[9, False]]).flat == [4, 0]
     for bad in (1.5, 2.0, "3"):
         with pytest.raises(TypeError):
             xp.MessageSet(f, 1, 2, ((bad, 2), (3, 4)))
+        with pytest.raises(TypeError):  # at K < N a float used to reach the shares
+            xp.StorageNoise(f, (((bad, 2),),))
+        with pytest.raises(TypeError):
+            xp.QueryNoise(f, ((((1, 2), (bad, 4)),),))
+        for a, b, qn in (([((bad,),)], [()], [()]), ([()], [((bad,),)], [()]),
+                         ([()], [()], [(((bad,),),)])):
+            with pytest.raises(TypeError):
+                pm.PsdmmNoise(f, a, b, qn)
         with pytest.raises(TypeError):
             EvaluationPoints(f, (bad,), (2, 3))
         with pytest.raises(TypeError):
@@ -150,7 +165,7 @@ def test_encode_storage_frozen_example():
     msgs = xp.MessageSet(f, 1, 2, ((1, 3), (2, 4)))  # W11=(1,2), W12=(3,4)
     zn = xp.StorageNoise(f, (((0, 1),),))
     storages = xp.encode_storage(msgs, zn, pts, p)
-    assert [s.shares[0] for s in storages] == [(3, 4), (0, 2), (3, 1), (4, 2)]
+    assert [s.shares.data[0] for s in storages] == [[3, 4], [0, 2], [3, 1], [4, 2]]
 
 
 def test_encode_storage_without_noise_layers():
@@ -165,15 +180,15 @@ def test_encode_storage_without_noise_layers():
     for s in storages:
         for l in range(1, p.layers + 1):
             d = diff(pts, l, s.server)
-            want = tuple(
+            want = [
                 sum(
                     pow(d, (q - 2) * (p.code_dim - k + 1), q) * layer_vector(msgs, l, k)[j]
                     for k in range(1, p.code_dim + 1)
                 )
                 % q
                 for j in range(2)
-            )
-            assert s.shares[l - 1] == want
+            ]
+            assert s.shares.data[l - 1] == want
 
 
 def test_mds_recovery_from_any_subset():
@@ -214,6 +229,22 @@ def test_noise_from_another_field_is_refused():
         xp.gen_queries(1, xp.QueryNoise.random(g, p, Random(0)), pts, p)
 
 
+def test_query_noise_of_another_length_is_refused():
+    """Query noise vectors must hold K entries (M*mu*mu for PSDMM), not one more or fewer."""
+    p = xp.derive_params(4, 2, 1, 1, num_messages=2)
+    f = xp.PrimeField(5)
+    pts = xp.default_points(p, f)
+    for vectors in (((1, 2, 3), (4, 5, 6)), ((1,), (4,))):
+        with pytest.raises(ValueError, match="query noise must be L x T x K_c vectors of 2"):
+            xp.gen_queries(1, xp.QueryNoise(f, ((vectors,),)), pts, p)
+    pp = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
+    g = pm.default_field(pp)
+    noise = pm.PsdmmNoise.random(g, pp, Random(0))
+    longer = tuple(tuple(tuple(v + v[:1] for v in zt) for zt in zl) for zl in noise.query_noise)
+    with pytest.raises(ValueError, match="query noise must be L x T x K_c vectors of 8"):
+        pm.psdmm_query(1, replace(noise, query_noise=longer), pm.default_points(pp, g), pp)
+
+
 def test_code_storage_takes_one_column_per_message_symbol():
     """L * K_c columns in message order: one fewer or one more is refused."""
     p = xp.derive_params(5, 2, 1, 1, num_messages=2)  # L = 2, ell = 4
@@ -223,7 +254,9 @@ def test_code_storage_takes_one_column_per_message_symbol():
     zn = xp.StorageNoise.random(f, p, Random(3))
     columns = list(zip(*msgs.messages))
     shares = code_storage(pts, p.code_dim, p.security, columns, zn.z)
-    assert shares == [s.shares for s in xp.encode_storage(msgs, zn, pts, p)]
+    assert [list(layers) for layers in zip(*shares)] == [  # [layer][server] -> [server][layer]
+        s.shares.data for s in xp.encode_storage(msgs, zn, pts, p)
+    ]
     for count in (p.message_len - 1, p.message_len + 1):
         with pytest.raises(ValueError, match="data vectors"):
             code_storage(pts, p.code_dim, p.security, (columns * 2)[:count], zn.z)
@@ -246,8 +279,7 @@ def test_gen_queries_frozen_example():
         4: ((2, 0, 6), (1, 4, 5)),
     }
     for qb in bundles:
-        assert qb.rounds[0][0] == expected[qb.server][0]
-        assert qb.rounds[1][0] == expected[qb.server][1]
+        assert qb.rounds.data == [list(v) for v in expected[qb.server]]  # L = 1: a layer per row
 
 
 def test_final_round_exposes_selector_unscaled():
@@ -258,11 +290,12 @@ def test_final_round_exposes_selector_unscaled():
     qn = xp.QueryNoise(f, tuple(() for _ in range(p.layers)))
     bundles = xp.gen_queries(2, qn, pts, p)
     for qb in bundles:
+        first, last = qb.rounds.data[0], qb.rounds.data[-1]
         for l in range(p.layers):
             # bare scaled selector; final round unscaled
-            assert qb.rounds[-1][l] == (0, 1, 0)
+            assert last[3 * l:3 * l + 3] == [0, 1, 0]
             d = diff(pts, l + 1, qb.server)
-            assert qb.rounds[0][l] == (0, d % f.q, 0)
+            assert first[3 * l:3 * l + 3] == [0, d % f.q, 0]
 
 
 def test_gen_queries_theta_range():
@@ -439,6 +472,7 @@ def test_random_objects_equal_their_constructed_forms(q):
     draw = ref(3)  # the three noises come from one stream, in this order
     wide = pp.library_size * pp.cols_b
     assert pm.PsdmmNoise.random(f, pp, Random(3)) == pm.PsdmmNoise(
+        f,
         oracles.nested((pp.layers, pp.security_a, pp.rows_a * pp.inner_dim), draw),
         oracles.nested((pp.layers, pp.security_b, pp.inner_dim * wide), draw),
         oracles.nested((pp.layers, pp.privacy, pp.code_dim, wide * pp.cols_b), draw),
@@ -510,12 +544,13 @@ def test_storage_queries_and_answers_are_residues(shape, smallest_q):
         ),
     )
     storages = xp.encode_storage(msgs, zn, pts, p)
-    assert all(_residues(vec, q) for s in storages for vec in s.shares)
+    assert all(_residues(s.shares.flat, q) for s in storages)
     for theta in range(1, p.num_messages + 1):
         queries = xp.gen_queries(theta, qn, pts, p)
-        assert all(_residues(vec, q) for qb in queries for rnd in qb.rounds for vec in rnd)
+        assert all(_residues(qb.rounds.flat, q) for qb in queries)
         if not p.privacy:  # round K_c holds e_theta at exponent K_c - k = 0 alone
-            assert all(vec[theta - 1] == 1 for qb in queries for vec in qb.rounds[-1])
+            k = p.num_messages
+            assert all(set(qb.rounds.data[-1][theta - 1::k]) == {1} for qb in queries)
         answers = [xp.server_answer(s, qb) for s, qb in zip(storages, queries)]
         assert all(_residues(a.scalars, q) for a in answers)
         assert xp.decode(answers, pts, p) == list(msgs.messages[theta - 1])
@@ -526,19 +561,43 @@ def test_storage_queries_and_answers_are_residues(shape, smallest_q):
 
 def test_answer_single_term_inner_product():
     f = xp.PrimeField(29)
-    s = xp.ServerStorage(1, ((2, 3),), f)
-    qb = xp.QueryBundle(1, (((4, 5),),), f)
+    s = xp.ServerStorage(1, FieldMatrix(f, [[2, 3]]))
+    qb = xp.QueryBundle(1, FieldMatrix(f, [[4, 5]]))
     assert xp.server_answer(s, qb).scalars == (23,)  # 2*4 + 3*5
     f5 = xp.PrimeField(5)
     assert xp.server_answer(
-        xp.ServerStorage(1, ((2, 3),), f5), xp.QueryBundle(1, (((4, 5),),), f5)
+        xp.ServerStorage(1, FieldMatrix(f5, [[2, 3]])),
+        xp.QueryBundle(1, FieldMatrix(f5, [[4, 5]])),
     ).scalars == (3,)  # reduced mod 5
     with pytest.raises(ValueError):
-        xp.server_answer(xp.ServerStorage(2, ((2, 3),), f), qb)
+        xp.server_answer(xp.ServerStorage(2, FieldMatrix(f, [[2, 3]])), qb)
     with pytest.raises(ValueError):
-        xp.server_answer(xp.ServerStorage(1, ((2, 3), (1, 1)), f), qb)
+        xp.server_answer(xp.ServerStorage(1, FieldMatrix(f, [[2, 3], [1, 1]])), qb)
     with pytest.raises(ValueError):
-        xp.server_answer(xp.ServerStorage(1, ((2, 3),), f5), qb)
+        xp.server_answer(xp.ServerStorage(1, FieldMatrix(f5, [[2, 3]])), qb)
+
+
+def test_server_answer_refuses_bundles_that_do_not_match():
+    """Another server, another field, another layer count or another K: each is refused."""
+    f = PrimeField(11)
+
+    def bundles(*args, field=f):
+        p = xp.derive_params(*args)
+        _, _, _, _, _, storages, queries, _ = fresh_instance(p, seed=1, field=field)
+        return storages, queries
+
+    storages, queries = bundles(4, 2, 1, 1, 0, 0, 2)  # L = 1, K = 2
+    with pytest.raises(ValueError, match="^storage and query bundle belong to different servers$"):
+        xp.server_answer(storages[0], queries[1])
+    _, other_field = bundles(4, 2, 1, 1, 0, 0, 2, field=PrimeField(13))
+    with pytest.raises(ValueError, match="^storage and queries live in different fields$"):
+        xp.server_answer(storages[0], other_field[0])
+    two_layers, _ = bundles(5, 2, 1, 1, 0, 0, 2)  # L = 2, K = 2
+    with pytest.raises(ValueError, match="^query layer count must match stored share count$"):
+        xp.server_answer(two_layers[0], queries[0])
+    _, three_messages = bundles(4, 2, 1, 1, 0, 0, 3)  # L = 1, K = 3
+    with pytest.raises(ValueError, match="^share and query vector lengths differ$"):
+        xp.server_answer(storages[0], three_messages[0])
 
 
 def test_answer_four_term_decomposition():
@@ -588,15 +647,14 @@ def test_answer_linearity_by_superposition():
     rng = Random(99)
     s1 = storages[0]
     s2 = xp.ServerStorage(
-        1, tuple(tuple(rng.randrange(q) for _ in row) for row in s1.shares), f
+        1, FieldMatrix(f, [[rng.randrange(q) for _ in row] for row in s1.shares.data])
     )
     s_sum = xp.ServerStorage(
         1,
-        tuple(
-            tuple((a + b) % q for a, b in zip(r1, r2))
-            for r1, r2 in zip(s1.shares, s2.shares)
-        ),
-        f,
+        FieldMatrix(f, [
+            [(a + b) % q for a, b in zip(r1, r2)]
+            for r1, r2 in zip(s1.shares.data, s2.shares.data)
+        ]),
     )
     qb = queries[0]
     a1, a2 = xp.server_answer(s1, qb), xp.server_answer(s2, qb)
@@ -606,23 +664,14 @@ def test_answer_linearity_by_superposition():
     )
     # linear in the query side too
     qb2 = xp.QueryBundle(
-        1,
-        tuple(
-            tuple(tuple(rng.randrange(q) for _ in vec) for vec in layer)
-            for layer in qb.rounds
-        ),
-        f,
+        1, FieldMatrix(f, [[rng.randrange(q) for _ in row] for row in qb.rounds.data])
     )
     qb_sum = xp.QueryBundle(
         1,
-        tuple(
-            tuple(
-                tuple((a + b) % q for a, b in zip(v1, v2))
-                for v1, v2 in zip(l1, l2)
-            )
-            for l1, l2 in zip(qb.rounds, qb2.rounds)
-        ),
-        f,
+        FieldMatrix(f, [
+            [(a + b) % q for a, b in zip(r1, r2)]
+            for r1, r2 in zip(qb.rounds.data, qb2.rounds.data)
+        ]),
     )
     b1, b2 = xp.server_answer(s1, qb), xp.server_answer(s1, qb2)
     b_sum = xp.server_answer(s1, qb_sum)

@@ -113,13 +113,12 @@ def test_honest_server_purity():
     p = xp.derive_params(8, 2, 1, 1, 1, 1, num_messages=2)
     adv = AdversaryConfig((3,), (6,), "random", seed=2)
     t = run_session(p, adv, 1, 4)
-    field = xp.PrimeField(t.q)
     for n in range(1, p.num_servers + 1):
         if n in adv.unresponsive:
             assert t.answers[n - 1] is None
             continue
-        storage = xp.ServerStorage(n, t.storages[n - 1], field)
-        bundle = xp.QueryBundle(n, t.queries[n - 1], field)
+        storage = xp.ServerStorage(n, t.storages[n - 1])
+        bundle = xp.QueryBundle(n, t.queries[n - 1])
         recomputed = xp.server_answer(storage, bundle).scalars
         if n in adv.byzantine:
             assert t.answers[n - 1] != recomputed  # random policy: real errors
