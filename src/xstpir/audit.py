@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 import json
 import sys
@@ -29,6 +29,7 @@ from .protocol import (
     encode_storage,
     gen_queries,
     nested,
+    _of_residues,
 )
 
 
@@ -139,10 +140,9 @@ def audit_storage_security(
         raise ValueError("no storage secrecy is claimed at X = 0")
     if points is None:
         points = default_points(p)
+    noise = partial(_of_residues, StorageNoise, points.field)  # the unit tensors are residues
     views = [
-        lambda z, m=m: [
-            s.shares.flat for s in encode_storage(m, StorageNoise(points.field, z), points, p)
-        ]
+        lambda z, m=m: [s.shares.flat for s in encode_storage(m, noise(z), points, p)]
         for m in (msgs_a, msgs_b)
     ]
     return _audit(cfg, points, StorageNoise.shape(p), views)
@@ -170,10 +170,9 @@ def audit_query_privacy(
             raise ValueError(f"theta must be in 1..{p.num_messages}")
     if points is None:
         points = default_points(p)
+    noise = partial(_of_residues, QueryNoise, points.field)  # the unit tensors are residues
     views = [
-        lambda zp, th=th: [
-            qb.rounds.flat for qb in gen_queries(th, QueryNoise(points.field, zp), points, p)
-        ]
+        lambda zp, th=th: [qb.rounds.flat for qb in gen_queries(th, noise(zp), points, p)]
         for th in dict.fromkeys(theta_pair)
     ]
     return _audit(cfg, points, QueryNoise.shape(p), views)

@@ -6,19 +6,19 @@ on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
 
 Residue contract: q < 2^64, so every residue fits one 64-bit word (the
 ``array("Q")`` words that ``protocol.coded_share`` and ``FieldMatrix.mul``
-pack, and that ``linalg._word_slots``, their one reduction, reads back), and
-every kernel returns residues in [0, q) (``coded_share`` and everything
-built from it, the selector update of the queries, server answers, matrix
-products and decodes), so nothing downstream reduces them again.
-Caller data is reduced once, where it enters the library: ``MessageSet``,
-the noise objects (``StorageNoise``, ``QueryNoise`` and ``PsdmmNoise``),
-``EvaluationPoints`` and ``FieldMatrix(...)``, each through
-``operator.index``, so an int-like (a bool) enters and a float or a str
-raises ``TypeError``.  Residues the package draws (``random_vector``) are
-not caller data: ``random`` of the messages and of the noise objects, and
-the random matrices, wrap them as they are.  Caller answers are checked, not
-reduced: ``protocol.decode`` erases every bundle holding anything but
-residues.
+pack, and read back from ``linalg._word_slots``, their one reduction), and
+every kernel returns residues in [0, q) (``coded_share``, which packs a
+vector of residues as it is, and everything built from it, the selector
+update of the queries, server answers, matrix products and decodes), so
+nothing downstream reduces them again.  Caller data is reduced once, where
+it enters the library: ``MessageSet``, the noise objects (``StorageNoise``,
+``QueryNoise`` and ``PsdmmNoise``), ``EvaluationPoints`` and
+``FieldMatrix(...)``, each through ``operator.index``, so an int-like (a
+bool) enters and a float or a str raises ``TypeError``.  Residues the
+package makes are not caller data: the ``random`` draws of the messages,
+the noise objects and the matrices, and the audits' 0/1 noise tensors, are
+wrapped as they are.  Caller answers are checked, not reduced:
+``protocol.decode`` erases every bundle holding anything but residues.
 """
 
 from __future__ import annotations

@@ -64,7 +64,8 @@ def _word_slots(q: int, terms: int, length: int):
     64-bit words in native order, the low one at word ``lo`` of the slot;
     ``zero`` is an empty array("Q") of all the slots, to copy.  For an int x
     read from such words (``int.from_bytes`` in native order), each slot at
-    most top = terms * (q-1)^2, ``reduce(x)`` is the list of every slot mod q.
+    most top = terms * (q-1)^2, ``reduce(x)`` is the bytes of every slot mod q,
+    read back, also joined, by ``memoryview(...).cast("Q")[lo::words]``.
 
     It is one round-up Barrett step for all slots at once:
     r = x - (((x * m) >> s) & mask) * q with s = bit_length(top) +
@@ -89,9 +90,8 @@ def _word_slots(q: int, terms: int, length: int):
     slot_mask = ((1 << (top // q).bit_length()) - 1).to_bytes(8 * words, _ORDER)
     mask = int.from_bytes(slot_mask * length, _ORDER)
 
-    def reduce(x: int) -> list[int]:
-        x -= (((x * m) >> s) & mask) * q
-        return memoryview(x.to_bytes(size, _ORDER)).cast("Q")[lo::words].tolist()
+    def reduce(x: int) -> bytes:
+        return (x - (((x * m) >> s) & mask) * q).to_bytes(size, _ORDER)
 
     return words, lo, array("Q", bytes(size)), reduce
 
@@ -170,11 +170,12 @@ class FieldMatrix:
             sum(map(mul, left[i:i + inner], packed)).to_bytes(size, _ORDER)
             for i in range(0, rows * inner, inner)
         ])
-        words, _, zero, reduce = _word_slots(q, inner, rows * cols)
+        words, lo, zero, reduce = _word_slots(q, inner, rows * cols)
         wide = bytearray(zero)
         for j in range(slot):
             wide[_byte(j, 8 * words)::8 * words] = sums[_byte(j, slot)::slot]
-        return FieldMatrix._of_flat(self.field, reduce(from_bytes(wide, _ORDER)), cols)
+        flat = memoryview(reduce(from_bytes(wide, _ORDER))).cast("Q")[lo::words].tolist()
+        return FieldMatrix._of_flat(self.field, flat, cols)
 
     def matvec(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:

@@ -7,14 +7,15 @@ expose exactly the L desired symbols (W_lk e_theta) on the terms
 1/(f_l - a_n), with every remaining product collapsing onto the shared span
 1, a_n, ..., a_n^(K_c+X+T-2).
 
-Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n,
-computed by ``coded_share`` for every d that shares the same term vectors
-(one layer, all servers) in one call; ``code_layers`` codes every layer for
-every server, adding a 0/1 selector as d^e at its few nonzero positions.
-This module owns the code layout: ``layer_count`` is the one layout rule,
-``code_storage`` the one storage coder (data on d^(-K_c..-1), X noise layers
-on d^(0..X-1)) and ``code_queries`` the one query coder (the selector on
-d^(K_c-k), T noise layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
+Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n.
+``code_layers`` codes server by server: it hands ``coded_share`` every block
+(a storage layer, or one round's layer of the queries) with one coefficient
+table, takes back each server's whole flat list, and adds a 0/1 selector as
+d^e at its few nonzero positions.  This module owns the code layout:
+``layer_count`` is the one layout rule, ``code_storage`` the one storage
+coder (data on d^(-K_c..-1), X noise layers on d^(0..X-1)) and
+``code_queries`` the one query coder (the selector on d^(K_c-k), T noise
+layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
 this code at X = X_eff and U = B = 0.  The storage coder takes the ell data
 vectors in message order and is the one place that puts the (L(k-1)+l)-th
 on layer l's term d^(-(K_c-k+1)); the decoder returns them in that order.
@@ -24,21 +25,20 @@ code's per-point constants: ``coefficient_table`` builds each (points,
 exponents) table once, ``default_points`` hands out one points object per
 (field, L, N), and the coders read every coefficient from the tables.
 
-``coded_share`` takes one coefficient row per output.  Vectors at least as
-long as the number of outputs (bulk, byzantine, PSDMM) are packed once each,
-so that every output is one big-int product per term and one reduction.
-Slots are whole 64-bit words, reduced by ``linalg._word_slots``, the
-package's one exact reduction, whose docstring holds the proof;
-``FieldMatrix.mul`` reads its outputs back through the same step.  Shorter
-vectors (the desk scale, K <= 3 < N) would pay that reduction per output on
-1 to 3 entries, so each of their outputs is a plain dot product per entry.
+``coded_share`` packs each term vector at least as long as the number of
+outputs (bulk, byzantine, PSDMM) once, as it is when it holds residues, so
+that every output is one big-int product per term and one reduction per
+block.  Slots are whole 64-bit words, reduced by ``linalg._word_slots``, the
+package's one exact reduction, whose docstring holds the proof; each output's
+reduced blocks are read back in one piece, as ``FieldMatrix.mul`` reads its
+own.  Shorter vectors (the desk scale, K <= 3 < N) would pay that reduction
+on 1 to 3 entries, so each of their outputs is a plain dot product per entry.
 
 Storage and queries are ``FieldMatrix``, one per server, whose field is the
-bundle's.  Server n's ``ServerStorage.shares`` is the L x K matrix whose row
-l is S_nl, and its ``QueryBundle.rounds`` the K_c x L*K matrix whose row k
-is [Q_n1k ... Q_nLk], the L layer vectors side by side.  The coders yield
-one layer at a time, and ``encode_storage`` and ``gen_queries`` join each
-into the servers' matrices as it comes.  Round k's answer
+bundle's: each wraps that server's flat list from the coder as it is.
+Server n's ``ServerStorage.shares`` is the L x K matrix whose row l is S_nl,
+and its ``QueryBundle.rounds`` the K_c x L*K matrix whose row k is
+[Q_n1k ... Q_nLk], the L layer vectors side by side.  Round k's answer
 sum_l S_nl . Q_nlk is row k times the stored rows joined, so
 ``server_answer`` is one ``FieldMatrix.mul`` by the L*K x 1 column of
 ``shares.flat``.  It reads a query row as vectors of the stored K: a row
@@ -64,6 +64,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from math import prod
 from operator import index, mul
 
@@ -197,7 +198,7 @@ def residues(q: int, data, depth: int) -> tuple:
 def _of_residues(cls, *values):
     """The frozen dataclass ``cls`` holding ``values`` as they are, past its reduction.
 
-    ``random`` draws residues, so it wraps them here and pays no reduction.
+    ``random`` draws residues, and the audits' noise tensors are 0/1, so they pay no reduction.
     """
     obj = cls.__new__(cls)
     vars(obj).update(zip(cls.__dataclass_fields__, values))  # past the frozen __setattr__
@@ -325,67 +326,71 @@ def coefficient_table(points: EvaluationPoints, exponents: tuple[int, ...]):
     )
 
 
-def coded_share(coefficients, vectors, q: int) -> list[list[int]]:
-    """[sum_e c_e v_e mod q for each row (c_e) of ``coefficients``], entry by entry.
-
-    Each coefficient row holds one residue per vector of ``vectors``, which
-    must be non-empty and of equal lengths (``ValueError`` otherwise); any
-    ints may come in, since the vectors are reduced on entry to the packed
-    path and every short-path sum is exact before its ``% q``.  The kernel
-    follows the shape (the module docstring says why):
-    - vectors no shorter than the outputs (bulk, byzantine and PSDMM, with
-      K >= 32 > N): each vector is packed once, one slot per entry, and each
-      output is one product per term and one reduction by
-      ``linalg._word_slots``; no slot exceeds terms * (q-1)^2;
-    - shorter vectors (the desk scale, K <= 3 < N): each output entry is a
-      plain dot product of the row with that entry's terms, reduced mod q.
-    """
-    if not vectors:
-        raise ValueError("coded_share needs at least one term vector")
-    outputs, terms, length = len(coefficients), len(vectors), len(vectors[0])
-    if len(set(map(len, vectors))) != 1:  # zip would truncate, slice assignment resize
-        raise ValueError("term vectors must have equal lengths")
-    if set(map(len, coefficients)) - {terms}:  # zip would drop the unmatched terms
-        raise ValueError("each coefficient row must hold one coefficient per term vector")
-    if 0 < length < outputs:
-        entries = list(zip(*vectors))
-        return [[sum(map(mul, row, entry)) % q for entry in entries] for row in coefficients]
-    words, lo, zero, reduce = _word_slots(q, terms, length)
-    packed = []
-    for vec in vectors:
-        slots = zero[:]
+def _pack(vec, q: int, words: int, lo: int, zero: array) -> int:
+    """``vec`` in a copy of the slots ``zero``, as it is if it holds residues, else reduced."""
+    slots = zero[:]
+    try:  # a negative entry raises OverflowError
+        slots[lo::words] = array("Q", vec if max(vec, default=0) < q else [v % q for v in vec])
+    except OverflowError:
         slots[lo::words] = array("Q", [v % q for v in vec])
-        packed.append(int.from_bytes(slots, _ORDER))
-    # each output reduced as it is formed: holding every unreduced sum costs memory
-    return [reduce(sum(map(mul, row, packed))) for row in coefficients]
+    return int.from_bytes(slots, _ORDER)
+
+
+def coded_share(table, blocks, q: int) -> list[list[int]]:
+    """[output]: the flat list of every block's sum_e c_e v_e mod q, block after block.
+
+    Block b's term vectors take the rows ``table[b % len(table)]``, one per
+    output, so a query's rounds cycle through the layers of one table.  All
+    vectors have one length, and each row one coefficient per vector of a
+    block, which holds one or more (``ValueError`` otherwise).  Any ints may
+    come in: a vector of residues is packed as it is, any other reduced, and
+    each short-path sum is exact before its ``% q``.  The module docstring
+    says why vectors no shorter than the outputs are packed (no slot exceeds
+    terms * (q-1)^2) and shorter ones take plain dot products.
+    """
+    terms = set(map(len, blocks)) | set(map(len, chain.from_iterable(table)))
+    lengths = set(map(len, chain.from_iterable(blocks)))
+    if len(terms) != 1 or 0 in terms or len(lengths) != 1:  # zip would drop or truncate
+        raise ValueError("need term vectors of one length and a coefficient per vector per row")
+    (terms,), (length,), outputs = terms, lengths, len(table[0])
+    rows = [table[b % len(table)] for b in range(len(blocks))]
+    if 0 < length < outputs:
+        entries = [(c, entry) for c, vectors in zip(rows, blocks) for entry in zip(*vectors)]
+        # the copy is sized exactly, the comprehension's list is not: desk's transcripts keep them
+        return [[sum(map(mul, c[n], entry)) % q for c, entry in entries][:] for n in range(outputs)]
+    words, lo, zero, reduce = _word_slots(q, terms, length)
+    packed = [[_pack(vec, q, words, lo, zero) for vec in vectors] for vectors in blocks]
+    return [
+        memoryview(b"".join([reduce(sum(map(mul, c[n], ints))) for c, ints in zip(rows, packed)]))
+        .cast("Q")[lo::words].tolist()
+        for n in range(outputs)
+    ]
 
 
 def code_layers(points: EvaluationPoints, exponents, terms, length: int, selector=None):
-    """Layer by layer, [server]: the list sum_e d^e v_e mod q, d = f_l - a_n, over layer l's terms.
+    """[server]: the flat list of every block's sum_e d^e v_e mod q, d = f_l - a_n.
 
-    ``terms`` yields each layer's term vectors of ``length`` entries, paired
-    with ``exponents``; a layer with none codes to zero vectors.  Every d^e
-    is read from ``coefficient_table``.
-    ``selector = (e, positions)`` stands for a 0/1 vector (e_theta, or Q_theta
-    flattened) on the term d^e: d^e is added at its few nonzero positions
-    instead of coding it as a dense term.  Each layer is yielded as soon as it
-    is coded, so a caller that joins the layers holds one layer at a time.
+    ``terms`` holds each block's term vectors of ``length`` entries, paired
+    with ``exponents`` (with none, every block codes to zeros); block b is
+    on layer b mod L, in round b // L.  Every d^e is read from
+    ``coefficient_table``.  ``selector = (rounds, positions)`` stands for a
+    0/1 vector (e_theta, or Q_theta flattened) on d^e, e = rounds[b // L] in
+    block b: d^e is added at its few nonzero positions, not coded densely.
     """
-    q = points.field.q
-    table = coefficient_table(points, tuple(exponents))
+    q, layers = points.field.q, len(points.f)
+    if exponents:
+        flats = coded_share(coefficient_table(points, tuple(exponents)), terms, q)
+    else:
+        flats = [[0] * (len(terms) * length) for _ in points.alpha]
     if selector is not None:
-        e, positions = selector
-        picks = coefficient_table(points, (e,))
-    for l, vectors in enumerate(terms):
-        if vectors:
-            shares = coded_share(table[l], vectors, q)
-        else:
-            shares = [[0] * length for _ in points.alpha]
-        if selector is not None:
-            for (c,), share in zip(picks[l], shares):
+        rounds, positions = selector
+        picks = coefficient_table(points, tuple(rounds))
+        for n, flat in enumerate(flats):
+            for b in range(len(terms)):
+                c = picks[b % layers][n][b // layers]
                 for j in positions:
-                    share[j] = (share[j] + c) % q
-        yield shares
+                    flat[b * length + j] = (flat[b * length + j] + c) % q
+    return flats
 
 
 def check_noise(noise, shape, message: str) -> None:
@@ -404,7 +409,7 @@ def query_noise_exponents(code_dim: int, count: int) -> range:
 
 
 def code_storage(points, code_dim: int, security: int, columns, noise):
-    """The storage coder, [layer][server]: sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
+    """The storage coder, [server]: layer by layer, sum_k C_lk / d^(K_c-k+1) + sum_x d^(x-1) Z_lx.
 
     ``columns`` holds the ell = L * K_c data vectors in message order, for
     the L = len(points.f) layers: C_lk is the (L(k-1)+l)-th, so layer l's
@@ -415,36 +420,23 @@ def code_storage(points, code_dim: int, security: int, columns, noise):
     if len(columns) != layers * code_dim:
         raise ValueError(f"storage needs L * K_c = {layers * code_dim} data vectors")
     check_noise(noise, (layers, security), "storage noise must be L x X vectors")
-    terms = ([*columns[l::layers], *noise[l]] for l in range(layers))
+    terms = [[*columns[l::layers], *noise[l]] for l in range(layers)]
     return code_layers(points, range(-code_dim, security), terms, len(columns[0]))
 
 
 def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int):
-    """The query coder, [round][layer][server]: d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
+    """The query coder, [server]: by round, then layer, d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
 
     E is the 0/1 selector with ones at ``positions``; the L x T x K_c noise
     holds Z'_ltk, vectors of ``length`` entries (``ValueError`` otherwise).
     """
     shape = (len(points.f), privacy, code_dim, length)
     check_noise(noise, shape, f"query noise must be L x T x K_c vectors of {length} entries")
-    exponents = query_noise_exponents(code_dim, privacy)
-    return (
-        code_layers(
-            points, exponents, [[zt[rk - 1] for zt in zl] for zl in noise], length,
-            (code_dim - rk, positions),
-        )
-        for rk in range(1, code_dim + 1)
+    terms = [[zt[k] for zt in zl] for k in range(code_dim) for zl in noise]
+    return code_layers(
+        points, query_noise_exponents(code_dim, privacy), terms, length,
+        (range(code_dim - 1, -1, -1), positions),
     )
-
-
-def _bundles(cls, points: EvaluationPoints, rows: int, cols: int, layers) -> list:
-    """[server]: ``cls(n, m)``, the coded layers copied as they come into m, rows x cols."""
-    flats = [[0] * (rows * cols) for _ in points.alpha]  # whole: grown lists raised peak RSS
-    for i, shares in enumerate(layers):
-        at = slice(i * len(shares[0]), (i + 1) * len(shares[0]))
-        for flat, share in zip(flats, shares):
-            flat[at] = share
-    return [cls(n, FieldMatrix._of_flat(points.field, m, cols)) for n, m in enumerate(flats, 1)]
 
 
 def encode_storage(
@@ -461,10 +453,11 @@ def encode_storage(
     order, which ``code_storage`` places on the layers.
     """
     _check_dims(messages, params, points, noise)
-    shares = code_storage(
+    flats = code_storage(
         points, params.code_dim, params.security, list(zip(*messages.messages)), noise.z
     )
-    return _bundles(ServerStorage, points, params.layers, params.num_messages, shares)
+    wrap = partial(FieldMatrix._of_flat, points.field, cols=params.num_messages)
+    return [ServerStorage(n, wrap(flat)) for n, flat in enumerate(flats, 1)]
 
 
 def gen_queries(
@@ -482,9 +475,9 @@ def gen_queries(
     if noise.field != points.field:
         raise ValueError("noise and points live in different fields")
     k = params.num_messages
-    queries = code_queries(points, params.code_dim, params.privacy, (theta - 1,), noise.zp, k)
-    layers = (layer for rnd in queries for layer in rnd)  # round by round
-    return _bundles(QueryBundle, points, params.code_dim, params.layers * k, layers)
+    flats = code_queries(points, params.code_dim, params.privacy, (theta - 1,), noise.zp, k)
+    wrap = partial(FieldMatrix._of_flat, points.field, cols=params.layers * k)
+    return [QueryBundle(n, wrap(flat)) for n, flat in enumerate(flats, 1)]
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:

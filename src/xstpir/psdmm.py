@@ -13,10 +13,10 @@ Matrices stay flat: a ``FieldMatrix`` holds its entries row-major, so the
 A-shares come from the storage coder ``protocol.code_storage``, handed the
 ell blocks' ``flat`` vectors in block order as it takes message symbols, and
 the queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones
-as the selector), and each coded vector is wrapped as a ``FieldMatrix``
-without a copy.  The noise is drawn flat through
-``protocol.nested``.  Round k's N answer blocks, flat, are the rows of the
-one matrix ``decode_rounds`` solves for round k with one product.
+as the selector); each server's blocks are cut from the flat list the coder
+returns for it.  The noise is drawn flat through ``protocol.nested``, and
+must be over the points' field.  Round k's N answer blocks, flat, are the
+rows of the one matrix ``decode_rounds`` solves for round k with one product.
 
 ``PsdmmInstance`` holds one shape of A block and one of library matrix, over
 its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
@@ -210,6 +210,18 @@ def _check_blocks(blocks, count: int, rows: int, cols: int, field: PrimeField, w
         raise ValueError(f"need {count} {what} of {rows}x{cols} over GF({field.q})")
 
 
+def _check_field(noise: PsdmmNoise, points: EvaluationPoints) -> None:
+    if noise.field != points.field:  # residues of another field, taken mod q, are not uniform
+        raise ValueError("noise and points live in different fields")
+
+
+def _cut(field: PrimeField, flat: list[int], rows: int, cols: int) -> tuple[FieldMatrix, ...]:
+    """The coded blocks of one server's ``flat``, each a rows x cols matrix."""
+    size = rows * cols
+    wrap = partial(FieldMatrix._of_flat, field, cols=cols)
+    return tuple(wrap(flat[i:i + size]) for i in range(0, len(flat), size))
+
+
 def share_a(
     inst: PsdmmInstance, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
 ) -> list[tuple[FieldMatrix, ...]]:
@@ -221,10 +233,10 @@ def share_a(
         inst.a_blocks, params.block_count, params.rows_a, params.inner_dim, points.field,
         "A blocks",
     )
+    _check_field(noise, points)
     columns = [m.flat for m in inst.a_blocks]
-    shares = code_storage(points, params.code_dim, params.security_a, columns, noise.a_noise)
-    wrap = partial(FieldMatrix._of_flat, points.field, cols=params.inner_dim)
-    return [tuple(map(wrap, layers)) for layers in zip(*shares)]
+    flats = code_storage(points, params.code_dim, params.security_a, columns, noise.a_noise)
+    return [_cut(points.field, flat, params.rows_a, params.inner_dim) for flat in flats]
 
 
 def share_b(
@@ -238,19 +250,14 @@ def share_b(
         inst.b_library, params.library_size, params.inner_dim, params.cols_b, points.field,
         "library matrices",
     )
+    _check_field(noise, points)
     b, xb = inst.b_concat, params.security_b
     check_noise(noise.b_noise, (params.layers, xb), "library noise must be L x X_B matrices")
     if not params.shared_library:
         return [(b,) * params.layers for _ in range(params.num_servers)]
-    flat_b = b.flat
-    shares = code_layers(
-        points,
-        [0, *query_noise_exponents(params.code_dim, xb)],
-        ([flat_b, *zl] for zl in noise.b_noise),
-        len(flat_b),
-    )
-    wrap = partial(FieldMatrix._of_flat, points.field, cols=b.cols)
-    return [tuple(map(wrap, layers)) for layers in zip(*shares)]
+    exponents = [0, *query_noise_exponents(params.code_dim, xb)]
+    flats = code_layers(points, exponents, [[b.flat, *zl] for zl in noise.b_noise], len(b.flat))
+    return [_cut(points.field, flat, b.rows, b.cols) for flat in flats]
 
 
 def psdmm_query(
@@ -263,13 +270,13 @@ def psdmm_query(
     """
     if not 1 <= theta <= params.library_size:
         raise ValueError(f"theta must be in 1..{params.library_size}")
-    mu = params.cols_b
+    _check_field(noise, points)
+    mu, layers = params.cols_b, params.layers
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
     length = params.library_size * mu * mu
-    queries = code_queries(points, params.code_dim, params.privacy, ones, noise.query_noise, length)
-    per_round = [list(zip(*layers)) for layers in queries]  # [round][server][layer]
-    wrap = partial(FieldMatrix._of_flat, points.field, cols=mu)
-    return [tuple(tuple(map(wrap, layers)) for layers in rounds) for rounds in zip(*per_round)]
+    flats = code_queries(points, params.code_dim, params.privacy, ones, noise.query_noise, length)
+    blocks = [_cut(points.field, flat, params.library_size * mu, mu) for flat in flats]
+    return [tuple(b[i:i + layers] for i in range(0, len(b), layers)) for b in blocks]
 
 
 def psdmm_answer(

@@ -1,5 +1,6 @@
 """The retrieval scheme: parameters, encoding, queries, answers, decoding."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -253,10 +254,8 @@ def test_code_storage_takes_one_column_per_message_symbol():
     msgs = xp.MessageSet.random(f, p, Random(2))
     zn = xp.StorageNoise.random(f, p, Random(3))
     columns = list(zip(*msgs.messages))
-    shares = code_storage(pts, p.code_dim, p.security, columns, zn.z)
-    assert [list(layers) for layers in zip(*shares)] == [  # [layer][server] -> [server][layer]
-        s.shares.data for s in xp.encode_storage(msgs, zn, pts, p)
-    ]
+    flats = code_storage(pts, p.code_dim, p.security, columns, zn.z)
+    assert flats == [s.shares.flat for s in xp.encode_storage(msgs, zn, pts, p)]
     for count in (p.message_len - 1, p.message_len + 1):
         with pytest.raises(ValueError, match="data vectors"):
             code_storage(pts, p.code_dim, p.security, (columns * 2)[:count], zn.z)
@@ -326,7 +325,7 @@ def test_coded_share_returns_residues(q):
             vectors = [
                 [-q - 1, -1, q, 2 * q + 3, rng.randrange(-3 * q, 4 * q)] for _ in exponents
             ]
-            got = coded_share([[pow(d, e, q) for e in exponents]], vectors, q)[0]
+            got = coded_share([[[pow(d, e, q) for e in exponents]]], [vectors], q)[0]
             assert _residues(got, q)
             assert got == [
                 sum(pow(d, e, q) * v[j] for e, v in zip(exponents, vectors)) % q
@@ -351,7 +350,7 @@ def test_coded_share_matches_oracle_at_worst_case_carries(q):
             for vectors in (worst, mixed):
                 want = [oracles.coded_share(d, exponents, vectors, q) for d in ds]
                 coefficients = [[pow(d, e, q) for e in exponents] for d in ds]
-                assert coded_share(coefficients, vectors, q) == want
+                assert coded_share([coefficients], [vectors], q) == want
 
 
 # Shapes (entries per vector, outputs): the first four and (13, 14) have more
@@ -376,7 +375,7 @@ def test_coded_share_orientations_match_oracle_at_worst_case_carries(q):
             for ds, vectors in ((worst_ds, worst), (mixed_ds, mixed), (worst_ds, mixed)):
                 coefficients = [[pow(d, e, q) for e in exponents] for d in ds]
                 want = [oracles.coded_share(d, exponents, vectors, q) for d in ds]
-                assert coded_share(coefficients, vectors, q) == want
+                assert coded_share([coefficients], [vectors], q) == want
 
 
 @pytest.mark.parametrize("length, outputs", SHAPES)
@@ -388,7 +387,7 @@ def test_coded_share_reduces_caller_vectors_in_both_orientations(length, outputs
         coefficients = [[rng.randrange(q) for _ in range(3)] for _ in range(outputs)]
         pool = [-q - 1, -1, q, 2 * q + 3, 7 * q - 1]
         vectors = [[rng.choice(pool) for _ in range(length)] for _ in range(3)]
-        got = coded_share(coefficients, vectors, q)
+        got = coded_share([coefficients], [vectors], q)
         assert all(_residues(share, q) for share in got)
         assert got == [
             [sum(c * v[j] for c, v in zip(row, vectors)) % q for j in range(length)]
@@ -404,7 +403,7 @@ def test_coded_share_rejects_unequal_lengths_in_both_orientations(outputs):
     for lengths in ((3, 2), (2, 3), (1, 2), (2, 1)):
         vectors = [[1] * n for n in lengths]
         with pytest.raises(ValueError):
-            coded_share(coefficients, vectors, 7)
+            coded_share([coefficients], [vectors], 7)
 
 
 @pytest.mark.parametrize("outputs", [1, 6])
@@ -415,14 +414,84 @@ def test_coded_share_rejects_unmatched_coefficients_and_no_vectors_in_both_orien
     path at 6; either way zip would drop the unmatched terms.
     """
     vectors = [[1, 2], [5, 5]]
-    assert coded_share([[1, 1]] * outputs, vectors, 7) == [[6, 0]] * outputs
+    assert coded_share([[[1, 1]] * outputs], [vectors], 7) == [[6, 0]] * outputs
     for rows in ([[1]] * outputs, [[1, 1, 1]] * outputs, [[1, 1]] * (outputs - 1) + [[1]]):
         with pytest.raises(ValueError):
-            coded_share(rows, vectors, 7)
+            coded_share([rows], [vectors], 7)
     with pytest.raises(ValueError):
-        coded_share([[1, 1]] * (outputs + 2), [[1, 2]], 7)
-    with pytest.raises(ValueError):
-        coded_share([[1]] * outputs, [], 7)
+        coded_share([[[1, 1]] * (outputs + 2)], [[[1, 2]]], 7)
+    for rows in ([[1]] * outputs, [[]] * outputs):
+        with pytest.raises(ValueError):
+            coded_share([rows], [[]], 7)
+
+
+def _exact_sums(row, vectors, q):
+    return [sum(c * v[j] for c, v in zip(row, vectors)) % q for j in range(len(vectors[0]))]
+
+
+@pytest.mark.parametrize("q", [5, Q31])
+def test_coded_share_packs_residues_as_they_are_and_reduces_the_rest(q):
+    """On the packed path, one entry >= q or < 0 (also past 64 bits) sends its
+    vector through the reduction; every vector gives the residues of the exact sums."""
+    rng = Random(q)
+    coefficients = [[rng.randrange(q) for _ in range(2)] for _ in range(3)]
+    residues = [[rng.randrange(q) for _ in range(17)] for _ in range(2)]
+    want = coded_share([coefficients], [residues], q)
+    assert want == [_exact_sums(row, residues, q) for row in coefficients]
+    for bad in (q, 2 * q + 3, 2**64 + 5, -1, -q - 1, -(2**70)):
+        vectors = [residues[0], residues[1][:5] + [residues[1][5] + bad] + residues[1][6:]]
+        got = coded_share([coefficients], [vectors], q)
+        assert got == [_exact_sums(row, vectors, q) for row in coefficients]
+        assert (got == want) == (bad % q == 0)
+
+
+# (N, K_c, X, T, U, B, K): the short path (K < N) and the packed path (K >= N),
+# each at T = 0 (query blocks with no noise term), at X = 0 and at K_c = 2.
+CODER_SHAPES = [
+    (6, 2, 1, 0, 0, 0, 3), (5, 2, 0, 0, 0, 0, 2), (6, 2, 0, 1, 0, 0, 2), (4, 1, 1, 1, 0, 0, 1),
+    (5, 2, 1, 0, 0, 0, 7), (6, 2, 0, 1, 0, 0, 8), (7, 2, 1, 1, 1, 0, 9), (5, 1, 1, 1, 0, 1, 40),
+]
+
+
+@pytest.mark.parametrize("smallest_q", [True, False])
+@pytest.mark.parametrize("shape", CODER_SHAPES)
+def test_each_server_flat_matches_the_oracle_coded_vectors(shape, smallest_q):
+    """Server n's storage flat is S_n1..S_nL and its query flat Q_n1k..Q_nLk
+    round by round, each ``oracles.coded_share`` of that layer's terms."""
+    p = xp.derive_params(*shape)
+    field = xp.default_field(p) if smallest_q else xp.PrimeField(Q31)
+    field, pts, msgs, zn, qn, storages, _, _ = fresh_instance(p, sum(shape), field)
+    q, kc, layers = field.q, p.code_dim, range(1, p.layers + 1)
+    storage_exponents = [-(kc - k + 1) for k in range(1, kc + 1)] + list(range(p.security))
+    for theta in range(1, p.num_messages + 1):
+        selector = [int(j == theta - 1) for j in range(p.num_messages)]
+        for st, qb in zip(storages, xp.gen_queries(theta, qn, pts, p)):
+            d = partial(diff, pts, server=st.server)
+            assert st.shares.flat == [
+                v for l in layers for v in oracles.coded_share(
+                    d(l), storage_exponents,
+                    [layer_vector(msgs, l, k) for k in range(1, kc + 1)] + list(zn.z[l - 1]), q,
+                )
+            ]
+            assert qb.rounds.flat == [
+                v for k in range(1, kc + 1) for l in layers for v in oracles.coded_share(
+                    d(l), [kc - k, *range(kc, kc + p.privacy)],
+                    [selector] + [zt[k - 1] for zt in qn.zp[l - 1]], q,
+                )
+            ]
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 2, 1, 1, 0, 0, 3), (6, 2, 1, 0, 0, 0, 2), (10, 2, 1, 1, 0, 0, 40)]
+)
+def test_each_server_flat_is_allocated_exactly(shape):
+    """No storage or query flat over-allocates: desk's 870 transcripts per op
+    keep these lists, on the short path (K < N), the zero path (T = 0) and the
+    packed path."""
+    p = xp.derive_params(*shape)
+    *_, storages, queries, _ = fresh_instance(p, 1)
+    flats = [s.shares.flat for s in storages] + [qb.rounds.flat for qb in queries]
+    assert all(sys.getsizeof(flat) == sys.getsizeof([0] * len(flat)) for flat in flats)
 
 
 NESTED_SHAPES = [(3, 4), (1, 1), (2, 3, 5), (2, 1, 2, 3), (4, 0, 3), (3, 2, 0), (0, 2, 2), (2, 0)]

@@ -543,6 +543,22 @@ def test_instance_and_shares_reject_another_field():
             share(foreign, noise, pts, p)
 
 
+def test_shares_and_queries_reject_noise_of_another_field():
+    """GF(13) noise at GF(11) points was coded without complaint, though its
+    residues taken mod 11 are not uniform."""
+    p = BOUNDARY
+    field, pts, inst, _ = build_instance(p, seed=29)
+    other = PrimeField(smallest_prime_geq(field.q + 1))
+    assert (field.q, other.q) == (11, 13)
+    foreign = pm.PsdmmNoise.random(other, p, Random(30))
+    message = "^noise and points live in different fields$"
+    for share in (pm.share_a, pm.share_b):
+        with pytest.raises(ValueError, match=message):
+            share(inst, foreign, pts, p)
+    with pytest.raises(ValueError, match=message):
+        pm.psdmm_query(1, foreign, pts, p)
+
+
 def test_decode_rejects_answer_blocks_of_another_field_or_type():
     p = BOUNDARY
     field, pts, inst, noise = build_instance(p, seed=24)

@@ -156,3 +156,23 @@ def test_workload_outputs_keep_their_digests():
     assert _sha256(json.dumps([blocks, [m.data for m in products]])) == (
         "0706eb73047b61fdb0b975330e105522bb683af954055eca61d2c53380b41278"
     )
+
+
+def test_workload_setups_keep_their_digests():
+    """Bulk's stored shares and psdmm's library shares keep their bytes.
+
+    At seed 1, bulk pins ``shares.flat`` of every server (the packed storage
+    path with three terms) and psdmm ``.flat`` of every B-share block (the
+    blocks ``share_b`` cuts), which the op digests reach only through the
+    answers.
+    """
+    workloads = _load("workloads")
+    bulk, psdmm = (workloads.WORKLOADS[name](seed=1) for name in ("bulk", "psdmm"))
+    bulk.setup()
+    psdmm.setup()
+    assert _sha256(json.dumps([s.shares.flat for s in bulk.storages])) == (
+        "a09bfd4617c0a239bb1b4b0cb9a812cc3ecb75cc617703583bf6345a7e98c18c"
+    )
+    assert _sha256(json.dumps([[m.flat for m in blocks] for blocks in psdmm.b_shares])) == (
+        "f0650f9602b65c5b4ea325cba2bc677253ec1bf4d350ce708a02f63fa97205aa"
+    )
