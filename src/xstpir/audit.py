@@ -155,6 +155,7 @@ def audit_query_privacy(
 ) -> AuditVerdict:
     """Exact check that colluding queries are identically distributed for two indices.
 
+    ``theta_pair`` must hold exactly two indices (``ValueError`` otherwise).
     Storage is generated independently of the desired index and of the query
     noise (the seed split in the simulator keeps the streams separate), so the
     joint observed-by-colluders test reduces to this query marginal.  Equal
@@ -165,6 +166,8 @@ def audit_query_privacy(
         raise ValueError("config target is not query-privacy")
     if p.privacy == 0:
         raise ValueError("no query privacy is claimed at T = 0")
+    if len(theta_pair) != 2:
+        raise ValueError("theta_pair must name exactly two indices")
     for th in theta_pair:
         if not 1 <= th <= p.num_messages:
             raise ValueError(f"theta must be in 1..{p.num_messages}")

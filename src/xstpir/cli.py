@@ -173,8 +173,6 @@ def cmd_audit(args) -> int:
         verdict = audit_storage_security(cfg, msgs_a, msgs_b, points)
     else:
         cfg = AuditConfig(params, colluding, "query-privacy")
-        if len(args.thetas) != 2:
-            raise ValueError("--thetas must name exactly two indices")
         verdict = audit_query_privacy(cfg, tuple(args.thetas), points)
     _write_or_print(verdict.to_json(), args.out)
     if verdict.passed or args.expect_fail:

@@ -4,26 +4,28 @@ Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
 and draws uniform random vectors; the rest of the package does its arithmetic
 on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
 
-Residue contract: q < 2^64, so every residue fits one 64-bit word (the
-``array("Q")`` words that ``protocol.coded_share`` and ``FieldMatrix.mul``
-pack, and read back from ``linalg._word_slots``, their one reduction), and
-every kernel returns residues in [0, q) (``coded_share``, which packs a
-vector of residues as it is, and everything built from it, the selector
-update of the queries, server answers, matrix products and decodes), so
-nothing downstream reduces them again.  Caller data is reduced once, where
-it enters the library: ``MessageSet``, the noise objects (``StorageNoise``,
-``QueryNoise`` and ``PsdmmNoise``), ``EvaluationPoints`` and
-``FieldMatrix(...)``, each through ``operator.index``, so an int-like (a
-bool) enters and a float or a str raises ``TypeError``.  Residues the
-package makes are not caller data: the ``random`` draws of the messages,
-the noise objects and the matrices, and the audits' 0/1 noise tensors, are
-wrapped as they are.  Caller answers are checked, not reduced:
-``protocol.decode`` erases every bundle holding anything but residues.
+Residue contract: q < 2^64, so every residue fits one 64-bit word, and the
+contract has two owners.  ``PrimeField.residues`` reduces what enters: caller
+data is reduced once, where it enters the library (``MessageSet``, the noise
+objects ``StorageNoise``, ``QueryNoise`` and ``PsdmmNoise``,
+``EvaluationPoints`` and ``FieldMatrix(...)``), through ``operator.index``,
+so an int-like (a bool) enters and a float or a str raises ``TypeError``.
+``linalg`` packs, reduces and reads back every product: ``_word_slots`` is
+the one word-slot layout and exact reduction behind both packed kernels,
+``FieldMatrix.mul`` and ``coded_share``.  Every kernel returns residues in
+[0, q) (``coded_share``, and everything built from it, the selector update
+of the queries, server answers, matrix products and decodes), so nothing
+downstream reduces them again.  Residues the package makes are not caller
+data: the ``random`` draws of the messages, the noise objects and the
+matrices, and the audits' 0/1 noise tensors, are wrapped as they are.
+Caller answers are checked, not reduced: ``protocol.decode`` erases every
+bundle holding anything but residues.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from operator import index
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -92,6 +94,15 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.q})"
+
+    def residues(self, data, depth: int) -> tuple:
+        """``data``, nested ``depth`` deep, as tuples of residues, each entry taken
+        through ``operator.index``: caller data enters here, and a float or a
+        str raises ``TypeError``."""
+        if depth == 1:
+            q = self.q
+            return tuple(index(v) % q for v in data)
+        return tuple(self.residues(part, depth - 1) for part in data)
 
     def random_vector(self, rng, n: int) -> list[int]:
         """n uniform residues: the values, and the rng state after, of n ``rng.randrange(q)``.

@@ -17,22 +17,25 @@ it is, without a copy.
 ``FieldMatrix.inverse`` and the audits' ranks; it uses first-nonzero
 pivoting, since arithmetic is exact and pivot magnitude is irrelevant.
 
-``FieldMatrix.mul`` is the package's one product, and the one place that
-tells a single column from several: a one-column right operand (one stream of
-a decoding round) goes through ``matvec``'s plain dot products, which at
-decoder sizes take a third to a fifth of the time of packing one column.
-For every other shape ``mul`` packs each row of its right operand into one
-Python int, one fixed-width byte slot per entry, and reads each left row as
-a slice of ``flat``.  A slot is the byte length of ``inner * (q - 1)**2``,
-the largest sum of ``inner`` products of residues, so a row of the left
-operand times the packed rows, summed, carries out of no slot.  Both ends
-are a fixed number of C-level steps per matrix: every right entry goes into
-one ``array("Q")`` whose low byte planes are copied into the slots with
-strided slice assignment, and every output slot is copied the same way into
-the whole-word slots of ``_word_slots``, whose one Barrett step reduces all
-``rows * cols`` outputs at once.  The width follows q and the inner
-dimension, so any prime q works.
-The kernel is pure Python on purpose: importing numpy next to the package
+Every packed product lives here.  ``_word_slots`` is the one slot layout:
+each entry gets a slot of whole 64-bit words in native order, and it hands
+out ``pack`` (a vector into the slots, as it is when it holds residues, else
+reduced), ``reduce`` (one Barrett step for every slot of a packed sum) and
+``read`` (the residues of reduced bytes, joined).  Its two kernels each have
+a shape rule.  ``FieldMatrix.mul``, the package's one product, sends a
+one-column right operand (a decoding round's stream) to ``matvec``'s dot
+products, at decoder sizes a third to a fifth of the time of packing it;
+any other shape packs each right row into one int of byte slots as long as
+``inner * (q - 1)**2``, the largest sum of ``inner`` products of residues,
+so a left row (a slice of ``flat``) times the packed rows carries out of no
+slot, and strided copies of byte planes take entries in and outputs out to
+``_word_slots``.  ``coded_share``, the coder of storage and queries, packs
+each term vector no shorter than the number of outputs (bulk, byzantine,
+PSDMM) once, so an output is one big-int product per term and one
+``reduce`` per block, read back in one piece; shorter vectors (the desk
+scale, K <= 3 < N) would pay that reduction on 1 to 3 entries, so theirs
+are plain dot products per entry.  The widths follow q: any prime q works.
+The kernels are pure Python on purpose: importing numpy next to the package
 raises a process's peak resident memory from about 20 MB to about 33 MB
 (``ru_maxrss``, Python 3.11, numpy 2.4), half again the peak of a whole
 Byzantine retrieval session.
@@ -44,7 +47,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, mul
+from itertools import chain
+from operator import mul
 
 from .field import PrimeField
 
@@ -58,16 +62,17 @@ def _byte(j: int, width: int) -> int:
 
 @lru_cache(maxsize=256)
 def _word_slots(q: int, terms: int, length: int):
-    """The package's one exact reduction: ``length`` slots of sums of ``terms`` products.
+    """The package's one slot layout: ``length`` slots of sums of ``terms`` products.
 
-    Returns (words, lo, zero, reduce).  Each entry gets a slot of ``words``
-    64-bit words in native order, the low one at word ``lo`` of the slot;
-    ``zero`` is an empty array("Q") of all the slots, to copy.  For an int x
-    read from such words (``int.from_bytes`` in native order), each slot at
-    most top = terms * (q-1)^2, ``reduce(x)`` is the bytes of every slot mod q,
-    read back, also joined, by ``memoryview(...).cast("Q")[lo::words]``.
+    Returns (words, zero, pack, reduce, read).  Each entry gets a slot of
+    ``words`` 64-bit words in native order, the low one at word ``lo`` of the
+    slot; ``zero`` is an empty array("Q") of all the slots.  ``pack(vec)`` is
+    the int of the ``length`` entries of ``vec`` (reduced unless residues) in
+    a copy of ``zero``.  For an int x of such slots, each at most
+    top = terms * (q-1)^2, ``reduce(x)`` is the bytes of every slot mod q,
+    and ``read(chunks)`` the residues of such bytes, joined.
 
-    It is one round-up Barrett step for all slots at once:
+    ``reduce`` is one round-up Barrett step for all slots at once:
     r = x - (((x * m) >> s) & mask) * q with s = bit_length(top) +
     bit_length(q) and m = ceil(2^s / q).  For 0 <= x <= top < 2^(s - bit_length(q)),
     floor(x * m / 2^s) = floor(x / q) exactly, because the error term
@@ -89,11 +94,54 @@ def _word_slots(q: int, terms: int, length: int):
     size = 8 * words * length
     slot_mask = ((1 << (top // q).bit_length()) - 1).to_bytes(8 * words, _ORDER)
     mask = int.from_bytes(slot_mask * length, _ORDER)
+    zero = array("Q", bytes(size))
+
+    def pack(vec) -> int:
+        slots = zero[:]
+        try:  # a negative entry raises OverflowError
+            slots[lo::words] = array("Q", vec if max(vec, default=0) < q else [v % q for v in vec])
+        except OverflowError:
+            slots[lo::words] = array("Q", [v % q for v in vec])
+        return int.from_bytes(slots, _ORDER)
 
     def reduce(x: int) -> bytes:
         return (x - (((x * m) >> s) & mask) * q).to_bytes(size, _ORDER)
 
-    return words, lo, array("Q", bytes(size)), reduce
+    def read(chunks) -> list[int]:
+        joined = b"".join(chunks)
+        del chunks  # the caller's list dies here, so the parts and the residues never coexist
+        return memoryview(joined).cast("Q")[lo::words].tolist()
+
+    return words, zero, pack, reduce, read
+
+
+def coded_share(table, blocks, q: int) -> list[list[int]]:
+    """[output]: the flat list of every block's sum_e c_e v_e mod q, block after block.
+
+    Block b's term vectors take the rows ``table[b % len(table)]``, one per
+    output, so a query's rounds cycle through the layers of one table.  All
+    vectors have one length, and each row one coefficient per vector of a
+    block, which holds one or more (``ValueError`` otherwise).  Any ints may
+    come in: ``pack`` takes a vector of residues as it is and reduces any
+    other, and each short-path sum is exact before its ``% q``.  The module
+    docstring says which vectors are packed and which take dot products.
+    """
+    terms = set(map(len, blocks)) | set(map(len, chain.from_iterable(table)))
+    lengths = set(map(len, chain.from_iterable(blocks)))
+    if len(terms) != 1 or 0 in terms or len(lengths) != 1:  # zip would drop or truncate
+        raise ValueError("need term vectors of one length and a coefficient per vector per row")
+    (terms,), (length,), outputs = terms, lengths, len(table[0])
+    rows = [table[b % len(table)] for b in range(len(blocks))]
+    if 0 < length < outputs:
+        entries = [(c, entry) for c, vectors in zip(rows, blocks) for entry in zip(*vectors)]
+        # the copy is sized exactly, the comprehension's list is not: desk's transcripts keep them
+        return [[sum(map(mul, c[n], entry)) % q for c, entry in entries][:] for n in range(outputs)]
+    _, _, pack, reduce, read = _word_slots(q, terms, length)
+    packed = [list(map(pack, vectors)) for vectors in blocks]
+    return [
+        read([reduce(sum(map(mul, c[n], ints))) for c, ints in zip(rows, packed)])
+        for n in range(outputs)
+    ]
 
 
 class SingularMatrixError(ValueError):
@@ -104,15 +152,15 @@ class FieldMatrix:
     """Dense rows x cols matrix of residues sharing one PrimeField, stored flat.
 
     ``flat`` holds the rows * cols residues row-major; ``data`` derives fresh
-    row lists from it.  The constructor reduces every entry mod q (a float is
-    a ``TypeError``): caller data enters here.  Results the package computes
+    row lists from it.  The constructor takes every entry through
+    ``field.residues``: caller data enters here.  Results the package computes
     as residues are wrapped as they are through ``_of_flat``.
     """
 
     __slots__ = ("field", "rows", "cols", "flat")
 
     def __init__(self, field: PrimeField, data):
-        rows = [[index(v) % field.q for v in row] for row in data]
+        rows = field.residues(data, 2)
         if not rows or not rows[0]:
             raise ValueError("matrix must be non-empty")
         cols = len(rows[0])
@@ -170,11 +218,11 @@ class FieldMatrix:
             sum(map(mul, left[i:i + inner], packed)).to_bytes(size, _ORDER)
             for i in range(0, rows * inner, inner)
         ])
-        words, lo, zero, reduce = _word_slots(q, inner, rows * cols)
+        words, zero, _, reduce, read = _word_slots(q, inner, rows * cols)
         wide = bytearray(zero)
         for j in range(slot):
             wide[_byte(j, 8 * words)::8 * words] = sums[_byte(j, slot)::slot]
-        flat = memoryview(reduce(from_bytes(wide, _ORDER))).cast("Q")[lo::words].tolist()
+        flat = read([reduce(from_bytes(wide, _ORDER))])
         return FieldMatrix._of_flat(self.field, flat, cols)
 
     def matvec(self, vec: list[int]) -> list[int]:
@@ -239,9 +287,8 @@ class EvaluationPoints:
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        q = self.field.q
-        object.__setattr__(self, "f", tuple(index(v) % q for v in self.f))
-        object.__setattr__(self, "alpha", tuple(index(v) % q for v in self.alpha))
+        object.__setattr__(self, "f", self.field.residues(self.f, 1))
+        object.__setattr__(self, "alpha", self.field.residues(self.alpha, 1))
         pts = self.f + self.alpha
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be pairwise distinct")

@@ -8,15 +8,15 @@ expose exactly the L desired symbols (W_lk e_theta) on the terms
 1, a_n, ..., a_n^(K_c+X+T-2).
 
 Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n.
-``code_layers`` codes server by server: it hands ``coded_share`` every block
-(a storage layer, or one round's layer of the queries) with one coefficient
-table, takes back each server's whole flat list, and adds a 0/1 selector as
-d^e at its few nonzero positions.  This module owns the code layout:
-``layer_count`` is the one layout rule, ``code_storage`` the one storage
-coder (data on d^(-K_c..-1), X noise layers on d^(0..X-1)) and
+``code_layers`` codes server by server: it hands ``linalg.coded_share`` every
+block (a storage layer, or one round's layer of the queries) with one
+coefficient table, takes back each server's whole flat list, and adds a 0/1
+selector as d^e at its few nonzero positions.  This module owns the code
+layout: ``layer_count`` is the one layout rule, ``code_storage`` the one
+storage coder (data on d^(-K_c..-1), X noise layers on d^(0..X-1)) and
 ``code_queries`` the one query coder (the selector on d^(K_c-k), T noise
-layers on d^(K_c..K_c+T-1), every round k).  PSDMM is
-this code at X = X_eff and U = B = 0.  The storage coder takes the ell data
+layers on d^(K_c..K_c+T-1), every round k).  PSDMM is this code at
+X = X_eff and U = B = 0.  The storage coder takes the ell data
 vectors in message order and is the one place that puts the (L(k-1)+l)-th
 on layer l's term d^(-(K_c-k+1)); the decoder returns them in that order.
 
@@ -24,15 +24,6 @@ The coefficients d^e depend only on the evaluation points, so they are the
 code's per-point constants: ``coefficient_table`` builds each (points,
 exponents) table once, ``default_points`` hands out one points object per
 (field, L, N), and the coders read every coefficient from the tables.
-
-``coded_share`` packs each term vector at least as long as the number of
-outputs (bulk, byzantine, PSDMM) once, as it is when it holds residues, so
-that every output is one big-int product per term and one reduction per
-block.  Slots are whole 64-bit words, reduced by ``linalg._word_slots``, the
-package's one exact reduction, whose docstring holds the proof; each output's
-reduced blocks are read back in one piece, as ``FieldMatrix.mul`` reads its
-own.  Shorter vectors (the desk scale, K <= 3 < N) would pay that reduction
-on 1 to 3 entries, so each of their outputs is a plain dot product per entry.
 
 Storage and queries are ``FieldMatrix``, one per server, whose field is the
 bundle's: each wraps that server's flat list from the coder as it is.
@@ -54,22 +45,20 @@ round, cut from the chosen answers, and reads the ell symbols off its
 Every kernel here returns residues in [0, q) (the contract in ``field``): the
 storage and query bundles hold what ``encode_storage`` and ``gen_queries``
 return, unreduced again.  In this module only ``MessageSet`` and the noise
-objects reduce caller data, through ``residues``; ``decode`` checks the
-answers instead and erases every entry that is not a bundle of K_c residues.
+objects reduce caller data, through ``PrimeField.residues``; ``decode``
+checks the answers instead and erases every entry that is not a bundle of
+K_c residues.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
 from math import prod
-from operator import index, mul
 
 from .field import PrimeField, smallest_prime_geq
-from .linalg import _ORDER, EvaluationPoints, FieldMatrix, _word_slots, build_decoding_matrix
+from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
 from .robust import DecodingFailure, decoder_for
 
 
@@ -185,16 +174,6 @@ def nested(shape, vector) -> tuple:
     return tuple(level)
 
 
-def residues(q: int, data, depth: int) -> tuple:
-    """``data``, nested ``depth`` deep, as tuples of ``operator.index(v) % q``.
-
-    Caller data enters the package here, so a float or a str raises ``TypeError``.
-    """
-    if depth == 1:
-        return tuple(index(v) % q for v in data)
-    return tuple(residues(q, part, depth - 1) for part in data)
-
-
 def _of_residues(cls, *values):
     """The frozen dataclass ``cls`` holding ``values`` as they are, past its reduction.
 
@@ -209,8 +188,8 @@ def _of_residues(cls, *values):
 class MessageSet:
     """K messages of ell symbols each.
 
-    The constructor reduces every symbol through ``residues``: caller data
-    enters here.  ``random`` draws residues, and wraps them as they are
+    The constructor reduces every symbol through ``field.residues``: caller
+    data enters here.  ``random`` draws residues, and wraps them as they are
     through ``_of_residues``.
     """
 
@@ -221,7 +200,7 @@ class MessageSet:
 
     def __post_init__(self):
         ell = self.layers * self.code_dim
-        msgs = residues(self.field.q, self.messages, 2)
+        msgs = self.field.residues(self.messages, 2)
         if not msgs or any(len(m) != ell for m in msgs):
             raise ValueError(f"every message must hold exactly {ell} symbols")
         object.__setattr__(self, "messages", msgs)
@@ -242,15 +221,15 @@ class MessageSet:
 class StorageNoise:
     """L x X uniform row vectors of length K protecting the stored data.
 
-    The constructor reduces every entry through ``residues``; ``random``
-    wraps its draws as they are.
+    The constructor reduces every entry through ``field.residues``;
+    ``random`` wraps its draws as they are.
     """
 
     field: PrimeField
     z: tuple[tuple[tuple[int, ...], ...], ...]  # [l][x] -> K-vector
 
     def __post_init__(self):
-        object.__setattr__(self, "z", residues(self.field.q, self.z, 3))
+        object.__setattr__(self, "z", self.field.residues(self.z, 3))
 
     @staticmethod
     def shape(params: ProtocolParams) -> tuple[int, int, int]:
@@ -266,15 +245,15 @@ class StorageNoise:
 class QueryNoise:
     """L x T x K_c uniform column vectors of length K protecting the queries.
 
-    The constructor reduces every entry through ``residues``; ``random``
-    wraps its draws as they are.
+    The constructor reduces every entry through ``field.residues``;
+    ``random`` wraps its draws as they are.
     """
 
     field: PrimeField
     zp: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] -> K-vector
 
     def __post_init__(self):
-        object.__setattr__(self, "zp", residues(self.field.q, self.zp, 4))
+        object.__setattr__(self, "zp", self.field.residues(self.zp, 4))
 
     @staticmethod
     def shape(params: ProtocolParams) -> tuple[int, int, int, int]:
@@ -324,47 +303,6 @@ def coefficient_table(points: EvaluationPoints, exponents: tuple[int, ...]):
         tuple(tuple(pow((fl - a) % q, e, q) for e in exponents) for a in points.alpha)
         for fl in points.f
     )
-
-
-def _pack(vec, q: int, words: int, lo: int, zero: array) -> int:
-    """``vec`` in a copy of the slots ``zero``, as it is if it holds residues, else reduced."""
-    slots = zero[:]
-    try:  # a negative entry raises OverflowError
-        slots[lo::words] = array("Q", vec if max(vec, default=0) < q else [v % q for v in vec])
-    except OverflowError:
-        slots[lo::words] = array("Q", [v % q for v in vec])
-    return int.from_bytes(slots, _ORDER)
-
-
-def coded_share(table, blocks, q: int) -> list[list[int]]:
-    """[output]: the flat list of every block's sum_e c_e v_e mod q, block after block.
-
-    Block b's term vectors take the rows ``table[b % len(table)]``, one per
-    output, so a query's rounds cycle through the layers of one table.  All
-    vectors have one length, and each row one coefficient per vector of a
-    block, which holds one or more (``ValueError`` otherwise).  Any ints may
-    come in: a vector of residues is packed as it is, any other reduced, and
-    each short-path sum is exact before its ``% q``.  The module docstring
-    says why vectors no shorter than the outputs are packed (no slot exceeds
-    terms * (q-1)^2) and shorter ones take plain dot products.
-    """
-    terms = set(map(len, blocks)) | set(map(len, chain.from_iterable(table)))
-    lengths = set(map(len, chain.from_iterable(blocks)))
-    if len(terms) != 1 or 0 in terms or len(lengths) != 1:  # zip would drop or truncate
-        raise ValueError("need term vectors of one length and a coefficient per vector per row")
-    (terms,), (length,), outputs = terms, lengths, len(table[0])
-    rows = [table[b % len(table)] for b in range(len(blocks))]
-    if 0 < length < outputs:
-        entries = [(c, entry) for c, vectors in zip(rows, blocks) for entry in zip(*vectors)]
-        # the copy is sized exactly, the comprehension's list is not: desk's transcripts keep them
-        return [[sum(map(mul, c[n], entry)) % q for c, entry in entries][:] for n in range(outputs)]
-    words, lo, zero, reduce = _word_slots(q, terms, length)
-    packed = [[_pack(vec, q, words, lo, zero) for vec in vectors] for vectors in blocks]
-    return [
-        memoryview(b"".join([reduce(sum(map(mul, c[n], ints))) for c, ints in zip(rows, packed)]))
-        .cast("Q")[lo::words].tolist()
-        for n in range(outputs)
-    ]
 
 
 def code_layers(points: EvaluationPoints, exponents, terms, length: int, selector=None):

@@ -42,7 +42,6 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
     layer_count,
     nested,
     query_noise_exponents,
-    residues,
     _of_residues,
 )
 from .robust import decoder_for
@@ -172,7 +171,7 @@ class PsdmmInstance:
 class PsdmmNoise:
     """All noise matrices, flattened row-major: A-share, B-share, and query layers.
 
-    The constructor reduces every entry through ``protocol.residues``;
+    The constructor reduces every entry through ``field.residues``;
     ``random`` wraps its draws as they are.
     """
 
@@ -182,10 +181,10 @@ class PsdmmNoise:
     query_noise: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] M*mu x mu
 
     def __post_init__(self):
-        q = self.field.q
-        object.__setattr__(self, "a_noise", residues(q, self.a_noise, 3))
-        object.__setattr__(self, "b_noise", residues(q, self.b_noise, 3))
-        object.__setattr__(self, "query_noise", residues(q, self.query_noise, 4))
+        residues = self.field.residues
+        object.__setattr__(self, "a_noise", residues(self.a_noise, 3))
+        object.__setattr__(self, "b_noise", residues(self.b_noise, 3))
+        object.__setattr__(self, "query_noise", residues(self.query_noise, 4))
 
     @classmethod
     def random(cls, field: PrimeField, params: PsdmmParams, rng) -> "PsdmmNoise":
@@ -244,7 +243,8 @@ def share_b(
 ) -> list[tuple[FieldMatrix, ...]]:
     """Per-server library shares: B~_nl = B + sum_x' d^(K_c+x'-1) Z'_lx'.
 
-    With X_B = 0 every share is the plain concatenated library.
+    With X_B = 0 the one exponent is d^0 = 1, so every share is the plain
+    concatenated library.
     """
     _check_blocks(
         inst.b_library, params.library_size, params.inner_dim, params.cols_b, points.field,
@@ -253,8 +253,6 @@ def share_b(
     _check_field(noise, points)
     b, xb = inst.b_concat, params.security_b
     check_noise(noise.b_noise, (params.layers, xb), "library noise must be L x X_B matrices")
-    if not params.shared_library:
-        return [(b,) * params.layers for _ in range(params.num_servers)]
     exponents = [0, *query_noise_exponents(params.code_dim, xb)]
     flats = code_layers(points, exponents, [[b.flat, *zl] for zl in noise.b_noise], len(b.flat))
     return [_cut(points.field, flat, b.rows, b.cols) for flat in flats]

@@ -324,10 +324,15 @@ def sweep(
     "honest" is the single cell where the first U servers stay silent, with no
     Byzantine server, policy "random" and one draw; mode "placements"
     enumerates every disjoint (U, B) placement at the full budget, each
-    policy, `draws` draws.
+    policy, `draws` draws.  No seed, theta or policy, draws < 1, or a policy
+    outside ``CORRUPTION_POLICIES`` raise ``ValueError`` before any session.
     """
     if mode not in ("honest", "placements"):
         raise ValueError("mode must be 'honest' or 'placements'")
+    if not seeds or (thetas is not None and not thetas) or not policies or draws < 1:
+        raise ValueError("need at least one seed, theta, policy and draw")
+    if not set(policies) <= set(CORRUPTION_POLICIES):
+        raise ValueError(f"policies must be among {CORRUPTION_POLICIES}")
     cells = []
     for params in grid:
         theta_list = thetas if thetas is not None else range(1, params.num_messages + 1)

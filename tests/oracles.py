@@ -67,7 +67,7 @@ def matadd(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 
 
 def coded_share(d: int, exponents, vectors, q: int) -> list[int]:
-    """sum_e d^e v_e mod q for one d, entry by entry: the reference of ``protocol.coded_share``."""
+    """sum_e d^e v_e mod q for one d, entry by entry: the reference of ``linalg.coded_share``."""
     inv = pow(d, q - 2, q) if min(exponents) < 0 else 1
     coeffs = [pow(d, e, q) if e >= 0 else pow(inv, -e, q) for e in exponents]
     return [sum(c * v for c, v in zip(coeffs, entry)) % q for entry in zip(*vectors)]

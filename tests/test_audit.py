@@ -92,6 +92,17 @@ def test_query_audit_same_theta_trivially_passes():
     assert audit_query_privacy(cfg, (2, 1)).to_json() == audit_query_privacy(cfg, (1, 2)).to_json()
 
 
+def test_query_audit_needs_exactly_two_indices():
+    """Past the T = 1 bound the pair (1, 2) fails; one index compared nothing and passed."""
+    p = xp.derive_params(4, 1, 1, 1, num_messages=3)
+    cfg = AuditConfig(p, (1, 3), "query-privacy")
+    points = xp.default_points(p, xp.PrimeField(7))
+    assert not audit_query_privacy(cfg, (1, 2), points).passed
+    for thetas in [(), (2,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="two indices"):
+            audit_query_privacy(cfg, thetas, points)
+
+
 def test_query_audit_theta_range_checked():
     p = xp.derive_params(3, 1, 1, 1, num_messages=2)
     with pytest.raises(ValueError):

@@ -166,6 +166,25 @@ def test_audit_over_budget_fail_modes(capsys):
     assert code == 2 and "mismatch" in err
 
 
+@pytest.mark.parametrize("thetas", ["2", "1,2,3"])
+def test_audit_thetas_other_than_a_pair_exit_1(capsys, thetas):
+    code, out, err = run(
+        capsys, "audit", "--target", "privacy", "--N", "4", "--Kc", "1", "--X", "1",
+        "--T", "1", "--K", "3", "--colluding", "1,3", "--thetas", thetas,
+    )
+    assert code == 1 and out == "" and "two indices" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seeds", "0"], ["--seeds", "-2"], ["--policies", "bogus"],
+     ["--U", "1", "--B", "1", "--K", "2", "--mode", "placements", "--draws", "0"]],
+)
+def test_sweep_that_would_run_nothing_exits_1(capsys, flags):
+    code, out, err = run(capsys, "sweep", "--N", "6", "--Kc", "1", "--X", "1", "--T", "1", *flags)
+    assert code == 1 and out == "" and "error" in err
+
+
 @pytest.mark.parametrize("target", ["storage", "privacy"])
 def test_audit_at_a_31_bit_field(capsys, target):
     """N = 10 at q = 2^31 - 1: one colluder passes, three (past X = T = 1) fail."""

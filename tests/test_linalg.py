@@ -13,6 +13,7 @@ from xstpir.linalg import (
     SingularMatrixError,
     _word_slots,
     build_decoding_matrix,
+    coded_share,
 )
 
 from oracles import det, matmul
@@ -151,12 +152,31 @@ def test_word_slots_reduce_all_max_and_random_slots(q):
     for terms in range(1, 9):
         top = terms * (q - 1) ** 2
         values = [top, top, 0, top, q, q - 1] + [rng.randrange(top + 1) for _ in range(30)]
-        words, lo, zero, reduce = _word_slots(q, terms, len(values))
+        words, zero, pack, reduce, read = _word_slots(q, terms, len(values))
         assert len(zero) == words * len(values)
         x = int.from_bytes(b"".join(v.to_bytes(8 * words, _ORDER) for v in values), _ORDER)
         empty = int.from_bytes(zero, _ORDER)
         for x, want in ((x, [v % q for v in values]), (empty, [0] * len(values))):
-            assert memoryview(reduce(x)).cast("Q")[lo::words].tolist() == want
+            assert read([reduce(x)]) == want
+
+
+@pytest.mark.parametrize("q", [2, 2**31 - 1, 2**64 - 59])
+@pytest.mark.parametrize("length, outputs", [(3, 5), (5, 3), (6, 6)])
+def test_coded_share_and_mul_agree(q, length, outputs):
+    """``coded_share([rows], [vectors], q)`` is ``FieldMatrix(rows).mul(FieldMatrix(vectors))``.
+
+    Both kernels reduce and read back through ``_word_slots``, so a slip in
+    its layout shows in one against the other.  Entries all q - 1 give the
+    worst-case carries; ``length`` below ``outputs`` takes ``coded_share``'s
+    dot products, the rest its packed path, and ``mul`` packs every case.
+    """
+    rng, field = Random(q * length), PrimeField(q)
+    for terms in (1, 2, 5):
+        for draw in (lambda: q - 1, lambda: rng.randrange(q)):
+            rows = [[draw() for _ in range(terms)] for _ in range(outputs)]
+            vectors = [[draw() for _ in range(length)] for _ in range(terms)]
+            want = FieldMatrix(field, rows).mul(FieldMatrix(field, vectors)).data
+            assert coded_share([rows], [vectors], q) == want
 
 
 def test_evaluation_points_distinctness():

@@ -12,10 +12,8 @@ import pytest
 
 import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
-from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
-from xstpir.protocol import (
-    InfeasibleParamsError, code_storage, coded_share, coefficient_table, nested,
-)
+from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
+from xstpir.protocol import InfeasibleParamsError, code_storage, coefficient_table, nested
 import xstpir.psdmm as pm
 from xstpir.robust import DecodingFailure, decoder_for
 

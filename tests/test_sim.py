@@ -185,6 +185,18 @@ def test_sweep_placements_mode():
     assert s.total_sessions == 30 * 2 * 2
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(seeds=()), dict(thetas=()), dict(draws=0), dict(policies=()), dict(policies=("bogus",))],
+)
+@pytest.mark.parametrize("mode", ["honest", "placements"])
+def test_sweep_refuses_to_run_nothing(mode, kwargs):
+    """No seed, theta, policy or draw, or an unknown policy, is an error, not a pass of 0 sessions."""
+    p = xp.derive_params(6, 1, 1, 1, 1, 1, num_messages=2)
+    with pytest.raises(ValueError):
+        sweep([p], mode, **kwargs)
+
+
 def test_sweep_empty_grid():
     s = sweep([], "honest")
     assert s.cells == () and s.all_passed and s.total_sessions == 0

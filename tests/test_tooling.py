@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import xstpir
-from xstpir import audit, linalg, protocol, robust, sim
+from xstpir import audit, linalg, protocol, psdmm, robust, sim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,6 +73,14 @@ def test_desk_memos_hold_the_whole_grid():
     misses = [memo.cache_info().misses for memo in memos]
     desk.op(inp)
     assert [memo.cache_info().misses for memo in memos] == misses
+
+
+def test_field_and_linalg_alone_own_the_residue_contract():
+    """``field`` reduces what enters and ``linalg`` packs, reduces and reads back
+    every product: no other module binds the slot layout or the caller reducer."""
+    owned = {"_ORDER", "_word_slots", "_pack", "residues"}
+    for module in (protocol, psdmm, audit, sim, robust):
+        assert owned.isdisjoint(vars(module)), f"{module.__name__} binds {owned & set(vars(module))}"
 
 
 def test_silent_servers_are_not_asked_to_answer(monkeypatch):
