@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
+from itertools import chain
 import json
 import sys
 
@@ -28,7 +28,6 @@ from .protocol import (
     default_points,
     encode_storage,
     gen_queries,
-    nested,
     _of_residues,
 )
 
@@ -91,24 +90,22 @@ class AuditVerdict:
             sys.set_int_max_str_digits(limit)
 
 
-def _audit(cfg: AuditConfig, points: EvaluationPoints, shape, views) -> AuditVerdict:
-    """Compare the views, affine in a noise tensor of ``shape``, by rank.
+def _audit(cfg: AuditConfig, points: EvaluationPoints, free: int, views) -> AuditVerdict:
+    """Compare the views, affine in a flat noise of ``free`` entries, by rank.
 
-    Each view maps a noise tensor to the N servers' observations; its values at
+    Each view maps a flat noise to the N servers' observations; its values at
     z = 0 and at each unit vector give y(0) and M (one view is both a and b).
+    Each unit vector is built only for its view call, so one is alive at a time.
     The support is q^r_a + q^r_b less the intersection, a coset of dimension
     r_a + r_b - r_ab when the offset lies in colspace [M_a | M_b], else empty.
     """
     q = points.field.q
-    free = prod(shape)
-    zs = [[0] * free] + [[int(i == j) for j in range(free)] for i in range(free)]
     affine = []  # per view: y(0), then the columns of M
     for view in views:
-        ys = []
-        for z in zs:
-            observed = view(nested(shape, lambda _: z))  # z holds exactly prod(shape) entries
-            ys.append([v for n in cfg.colluding for v in observed[n - 1]])
-        affine.append((ys[0], [[(v - o) % q for v, o in zip(y, ys[0])] for y in ys[1:]]))
+        zs = chain([(0,) * free], ((0,) * i + (1,) + (0,) * (free - 1 - i) for i in range(free)))
+        ys = ([v for n in cfg.colluding for v in seen[n - 1]] for seen in map(view, zs))
+        y0 = next(ys)
+        affine.append((y0, [[(v - o) % q for v, o in zip(y, y0)] for y in ys]))
     (ya, ma), (yb, mb) = affine[0], affine[-1]
     offset = [(b - a) % q for a, b in zip(ya, yb)]
     pivots = row_reduce(list(zip(*ma, *mb, offset)), q)[1]  # of [M_a | M_b | offset]
@@ -140,12 +137,12 @@ def audit_storage_security(
         raise ValueError("no storage secrecy is claimed at X = 0")
     if points is None:
         points = default_points(p)
-    noise = partial(_of_residues, StorageNoise, points.field)  # the unit tensors are residues
+    noise = partial(_of_residues, StorageNoise, points.field)  # the unit vectors are residues
     views = [
         lambda z, m=m: [s.shares.flat for s in encode_storage(m, noise(z), points, p)]
         for m in (msgs_a, msgs_b)
     ]
-    return _audit(cfg, points, StorageNoise.shape(p), views)
+    return _audit(cfg, points, StorageNoise.size(p), views)
 
 
 def audit_query_privacy(
@@ -173,12 +170,12 @@ def audit_query_privacy(
             raise ValueError(f"theta must be in 1..{p.num_messages}")
     if points is None:
         points = default_points(p)
-    noise = partial(_of_residues, QueryNoise, points.field)  # the unit tensors are residues
+    noise = partial(_of_residues, QueryNoise, points.field)  # the unit vectors are residues
     views = [
         lambda zp, th=th: [qb.rounds.flat for qb in gen_queries(th, noise(zp), points, p)]
         for th in dict.fromkeys(theta_pair)
     ]
-    return _audit(cfg, points, QueryNoise.shape(p), views)
+    return _audit(cfg, points, QueryNoise.size(p), views)
 
 
 @dataclass(frozen=True)

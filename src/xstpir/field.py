@@ -17,7 +17,7 @@ the one word-slot layout and exact reduction behind both packed kernels,
 of the queries, server answers, matrix products and decodes), so nothing
 downstream reduces them again.  Residues the package makes are not caller
 data: the ``random`` draws of the messages, the noise objects and the
-matrices, and the audits' 0/1 noise tensors, are wrapped as they are.
+matrices, and the audits' 0/1 unit noise vectors, are wrapped as they are.
 Caller answers are checked, not reduced: ``protocol.decode`` erases every
 bundle holding anything but residues.
 """
@@ -113,7 +113,7 @@ class PrimeField:
         that ``randrange`` would not make.  The stream is consumed up to its
         n-th accepted value, so one call for n1 + n2 residues gives the values,
         and leaves the state, of a call for n1 followed by one for n2: callers
-        draw a whole object in one call (``protocol.nested``).
+        draw a whole object in one call (each noise object is one flat draw).
         """
         q = self.q
         k = q.bit_length()

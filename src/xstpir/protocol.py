@@ -19,6 +19,9 @@ layers on d^(K_c..K_c+T-1), every round k).  PSDMM is this code at
 X = X_eff and U = B = 0.  The storage coder takes the ell data
 vectors in message order and is the one place that puts the (L(k-1)+l)-th
 on layer l's term d^(-(K_c-k+1)); the decoder returns them in that order.
+Each noise object is one flat draw of uniform symbols, and the coders own
+its layout: ``noise_vectors`` cuts their term vectors from it, in row-major
+order, and refuses a noise of another total length.
 
 The coefficients d^e depend only on the evaluation points, so they are the
 code's per-point constants: ``coefficient_table`` builds each (points,
@@ -55,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import prod
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
@@ -126,13 +128,11 @@ class ProtocolParams:
 derive_params = ProtocolParams  # the constructor under its older name
 
 
-@lru_cache(maxsize=1024)  # desk-scale grids revisit their 435 tuples
 def achievable_rate(params: ProtocolParams) -> Fraction:
     """Retrieved symbols per downloaded symbol: L / (N - U)."""
     return Fraction(params.layers, params.responsive_count)
 
 
-@lru_cache(maxsize=1024)
 def comparison_rate_prior(params: ProtocolParams) -> Fraction:
     """Best previously reported rate: ours scaled by K_c / (K_c + X)."""
     return achievable_rate(params) * Fraction(
@@ -158,26 +158,10 @@ def default_points(params, field: PrimeField | None = None) -> EvaluationPoints:
 _default_points = lru_cache(maxsize=256)(EvaluationPoints.default)
 
 
-def nested(shape, vector) -> tuple:
-    """Nested tuples over ``shape`` (two axes or more), cut from the list ``vector(prod(shape))``.
-
-    The innermost vectors are cut from that one call in row-major order, so a
-    random draw and an audit's enumeration fill one layout the same way.  For
-    ``field.random_vector`` one call is exact: it gives the values, and leaves
-    the rng state, of one ``vector(shape[-1])`` call per innermost vector.  An
-    axis of size 0 gives empty tuples at its depth.
-    """
-    level = vector(prod(shape))
-    for depth in range(len(shape) - 1, 0, -1):  # tuples of shape[depth] items of the level below
-        size = shape[depth]
-        level = [tuple(level[i * size:(i + 1) * size]) for i in range(prod(shape[:depth]))]
-    return tuple(level)
-
-
 def _of_residues(cls, *values):
     """The frozen dataclass ``cls`` holding ``values`` as they are, past its reduction.
 
-    ``random`` draws residues, and the audits' noise tensors are 0/1, so they pay no reduction.
+    ``random`` draws residues, and the audits' unit noise vectors are 0/1, so they pay no reduction.
     """
     obj = cls.__new__(cls)
     vars(obj).update(zip(cls.__dataclass_fields__, values))  # past the frozen __setattr__
@@ -212,57 +196,59 @@ class MessageSet:
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "MessageSet":
         """K messages of ell uniform symbols, drawn in one ``random_vector`` call."""
-        shape = (params.num_messages, params.message_len)
-        vectors = nested(shape, partial(field.random_vector, rng))
-        return _of_residues(cls, field, params.layers, params.code_dim, vectors)
+        ell = params.message_len
+        flat = field.random_vector(rng, params.num_messages * ell)
+        rows = tuple(tuple(flat[i:i + ell]) for i in range(0, len(flat), ell))
+        return _of_residues(cls, field, params.layers, params.code_dim, rows)
 
 
 @dataclass(frozen=True)
 class StorageNoise:
-    """L x X uniform row vectors of length K protecting the stored data.
+    """The L * X * K uniform symbols protecting the stored data, flat.
 
-    The constructor reduces every entry through ``field.residues``;
-    ``random`` wraps its draws as they are.
+    They are in the order [l][x][j]: Z_lx, a K-vector, is the run from
+    ((l-1)X + x-1)K on, cut out by ``code_storage``.  The constructor reduces
+    every entry through ``field.residues``; ``random`` wraps its one draw as it is.
     """
 
     field: PrimeField
-    z: tuple[tuple[tuple[int, ...], ...], ...]  # [l][x] -> K-vector
+    z: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "z", self.field.residues(self.z, 3))
+        object.__setattr__(self, "z", self.field.residues(self.z, 1))
 
     @staticmethod
-    def shape(params: ProtocolParams) -> tuple[int, int, int]:
-        return (params.layers, params.security, params.num_messages)
+    def size(params: ProtocolParams) -> int:
+        return params.layers * params.security * params.num_messages
 
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "StorageNoise":
-        draw = partial(field.random_vector, rng)
-        return _of_residues(cls, field, nested(cls.shape(params), draw))
+        return _of_residues(cls, field, tuple(field.random_vector(rng, cls.size(params))))
 
 
 @dataclass(frozen=True)
 class QueryNoise:
-    """L x T x K_c uniform column vectors of length K protecting the queries.
+    """The L * T * K_c * K uniform symbols protecting the queries, flat.
 
-    The constructor reduces every entry through ``field.residues``;
-    ``random`` wraps its draws as they are.
+    They are in the order [l][t][round][j]: Z'_ltk, a K-vector, is the run
+    from (((l-1)T + t-1)K_c + k-1)K on, cut out by ``code_queries``.  The
+    constructor reduces every entry through ``field.residues``; ``random``
+    wraps its one draw as it is.
     """
 
     field: PrimeField
-    zp: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] -> K-vector
+    zp: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "zp", self.field.residues(self.zp, 4))
+        object.__setattr__(self, "zp", self.field.residues(self.zp, 1))
 
     @staticmethod
-    def shape(params: ProtocolParams) -> tuple[int, int, int, int]:
-        return (params.layers, params.privacy, params.code_dim, params.num_messages)
+    def size(params: ProtocolParams) -> int:
+        return params.layers * params.privacy * params.code_dim * params.num_messages
 
     @classmethod
     def random(cls, field: PrimeField, params: ProtocolParams, rng) -> "QueryNoise":
-        draw = partial(field.random_vector, rng)
-        return _of_residues(cls, field, nested(cls.shape(params), draw))
+        return _of_residues(cls, field, tuple(field.random_vector(rng, cls.size(params))))
 
 
 @dataclass(frozen=True)
@@ -331,14 +317,15 @@ def code_layers(points: EvaluationPoints, exponents, terms, length: int, selecto
     return flats
 
 
-def check_noise(noise, shape, message: str) -> None:
-    """Raise ``ValueError(message)`` unless the nested ``noise`` has ``shape``."""
-    level = [noise]
-    for depth, size in enumerate(shape):
-        if depth:
-            level = [v for t in level for v in t]
-        if any(len(t) != size for t in level):  # the coders would drop unmatched terms silently
-            raise ValueError(message)
+def noise_vectors(noise, count: int, length: int, what: str) -> list:
+    """The ``count`` term vectors of ``length`` entries, cut in order from the flat ``noise``.
+
+    Raises ``ValueError("<what> of <length> entries")`` unless ``noise`` holds
+    exactly count * length entries: the coders would drop unmatched terms silently.
+    """
+    if len(noise) != count * length:
+        raise ValueError(f"{what} of {length} entries")
+    return [noise[i:i + length] for i in range(0, count * length, length)]
 
 
 def query_noise_exponents(code_dim: int, count: int) -> range:
@@ -352,25 +339,31 @@ def code_storage(points, code_dim: int, security: int, columns, noise):
     ``columns`` holds the ell = L * K_c data vectors in message order, for
     the L = len(points.f) layers: C_lk is the (L(k-1)+l)-th, so layer l's
     K_c data terms are ``columns[l-1::L]`` (``ValueError`` on another count).
-    The L x X noise holds Z_lx, vectors as long as the columns.
+    The flat noise holds the L x X vectors Z_lx, [l][x], as long as the columns.
     """
     layers = len(points.f)
     if len(columns) != layers * code_dim:
         raise ValueError(f"storage needs L * K_c = {layers * code_dim} data vectors")
-    check_noise(noise, (layers, security), "storage noise must be L x X vectors")
-    terms = [[*columns[l::layers], *noise[l]] for l in range(layers)]
-    return code_layers(points, range(-code_dim, security), terms, len(columns[0]))
+    length = len(columns[0])
+    z = noise_vectors(noise, layers * security, length, "storage noise must be L x X vectors")
+    terms = [[*columns[l::layers], *z[l * security:(l + 1) * security]] for l in range(layers)]
+    return code_layers(points, range(-code_dim, security), terms, length)
 
 
 def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int):
     """The query coder, [server]: by round, then layer, d^(K_c-k) E + sum_t d^(K_c+t-1) Z'_ltk.
 
-    E is the 0/1 selector with ones at ``positions``; the L x T x K_c noise
-    holds Z'_ltk, vectors of ``length`` entries (``ValueError`` otherwise).
+    E is the 0/1 selector with ones at ``positions``; the flat noise holds the
+    L x T x K_c vectors Z'_ltk, [l][t][round], of ``length`` entries
+    (``ValueError`` otherwise).
     """
-    shape = (len(points.f), privacy, code_dim, length)
-    check_noise(noise, shape, f"query noise must be L x T x K_c vectors of {length} entries")
-    terms = [[zt[k] for zt in zl] for k in range(code_dim) for zl in noise]
+    layers = len(points.f)
+    what = "query noise must be L x T x K_c vectors"
+    z = noise_vectors(noise, layers * privacy * code_dim, length, what)
+    terms = [
+        [z[(l * privacy + t) * code_dim + k] for t in range(privacy)]
+        for k in range(code_dim) for l in range(layers)
+    ]
     return code_layers(
         points, query_noise_exponents(code_dim, privacy), terms, length,
         (range(code_dim - 1, -1, -1), positions),

@@ -14,9 +14,10 @@ A-shares come from the storage coder ``protocol.code_storage``, handed the
 ell blocks' ``flat`` vectors in block order as it takes message symbols, and
 the queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones
 as the selector); each server's blocks are cut from the flat list the coder
-returns for it.  The noise is drawn flat through ``protocol.nested``, and
-must be over the points' field.  Round k's N answer blocks, flat, are the
-rows of the one matrix ``decode_rounds`` solves for round k with one product.
+returns for it.  Each noise is one flat draw, which the coders cut into term
+vectors through ``protocol.noise_vectors``, and must be over the points'
+field.  Round k's N answer blocks, flat, are the rows of the one matrix
+``decode_rounds`` solves for round k with one product.
 
 ``PsdmmInstance`` holds one shape of A block and one of library matrix, over
 its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
@@ -33,14 +34,13 @@ from .field import PrimeField
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
 from .protocol import (  # noqa: F401  (default_field/default_points re-exported)
     InfeasibleParamsError,
-    check_noise,
     code_layers,
     code_queries,
     code_storage,
     default_field,
     default_points,
     layer_count,
-    nested,
+    noise_vectors,
     query_noise_exponents,
     _of_residues,
 )
@@ -169,34 +169,32 @@ class PsdmmInstance:
 
 @dataclass(frozen=True)
 class PsdmmNoise:
-    """All noise matrices, flattened row-major: A-share, B-share, and query layers.
+    """All noise matrices, flattened row-major, as three flat draws cut like the PIR noise.
 
-    The constructor reduces every entry through ``field.residues``;
-    ``random`` wraps its draws as they are.
+    ``a_noise``: L x X_A lambda x chi A-share matrices, [l][x]; ``b_noise``:
+    L x X_B chi x M*mu B-share matrices, [l][x']; ``query_noise``: L x T x K_c
+    M*mu x mu query matrices, [l][t][round].  The constructor reduces every
+    entry through ``field.residues``; ``random`` wraps its draws as they are.
     """
 
     field: PrimeField
-    a_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x] lambda x chi
-    b_noise: tuple[tuple[tuple[int, ...], ...], ...]      # [l][x'] chi x M*mu
-    query_noise: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]  # [l][t][round] M*mu x mu
+    a_noise: tuple[int, ...]
+    b_noise: tuple[int, ...]
+    query_noise: tuple[int, ...]
 
     def __post_init__(self):
-        residues = self.field.residues
-        object.__setattr__(self, "a_noise", residues(self.a_noise, 3))
-        object.__setattr__(self, "b_noise", residues(self.b_noise, 3))
-        object.__setattr__(self, "query_noise", residues(self.query_noise, 4))
+        for name in ("a_noise", "b_noise", "query_noise"):
+            object.__setattr__(self, name, self.field.residues(getattr(self, name), 1))
 
     @classmethod
     def random(cls, field: PrimeField, params: PsdmmParams, rng) -> "PsdmmNoise":
-        draw = partial(field.random_vector, rng)
         layers, wide = params.layers, params.library_size * params.cols_b
-        return _of_residues(
-            cls,
-            field,
-            nested((layers, params.security_a, params.rows_a * params.inner_dim), draw),
-            nested((layers, params.security_b, params.inner_dim * wide), draw),
-            nested((layers, params.privacy, params.code_dim, wide * params.cols_b), draw),
+        sizes = (
+            layers * params.security_a * params.rows_a * params.inner_dim,
+            layers * params.security_b * params.inner_dim * wide,
+            layers * params.privacy * params.code_dim * wide * params.cols_b,
         )
+        return _of_residues(cls, field, *(tuple(field.random_vector(rng, n)) for n in sizes))
 
 
 def _check_blocks(blocks, count: int, rows: int, cols: int, field: PrimeField, what: str):
@@ -252,9 +250,11 @@ def share_b(
     )
     _check_field(noise, points)
     b, xb = inst.b_concat, params.security_b
-    check_noise(noise.b_noise, (params.layers, xb), "library noise must be L x X_B matrices")
+    size, what = len(b.flat), "library noise must be L x X_B matrices"
+    z = noise_vectors(noise.b_noise, params.layers * xb, size, what)
+    terms = [[b.flat, *z[l * xb:(l + 1) * xb]] for l in range(params.layers)]
     exponents = [0, *query_noise_exponents(params.code_dim, xb)]
-    flats = code_layers(points, exponents, [[b.flat, *zl] for zl in noise.b_noise], len(b.flat))
+    flats = code_layers(points, exponents, terms, size)
     return [_cut(points.field, flat, b.rows, b.cols) for flat in flats]
 
 

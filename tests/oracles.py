@@ -21,12 +21,38 @@ from xstpir.protocol import MessageSet, ProtocolParams, QueryNoise, StorageNoise
 def nested(shape, vector) -> tuple:
     """Nested tuples over ``shape`` (two axes or more); innermost: ``vector(shape[-1])``.
 
-    One call per innermost vector, in row-major order: the reference of
-    ``protocol.nested``, which cuts them all from one call.
+    One call per innermost vector, in row-major order.
     """
     if len(shape) == 2:
         return tuple([tuple(vector(shape[1])) for _ in range(shape[0])])
     return tuple([nested(shape[1:], vector) for _ in range(shape[0])])
+
+
+def cut(flat, shape) -> tuple:
+    """``flat``, of exactly prod(shape) entries, as nested tuples over ``shape``, row-major."""
+    assert len(flat) == prod(shape), (len(flat), shape)
+    return nested(shape, partial(islice, iter(flat)))
+
+
+def storage_noise_terms(noise: StorageNoise, params: ProtocolParams) -> tuple:
+    """[l][x]: the K-vector Z_lx of a flat ``StorageNoise``."""
+    return cut(noise.z, (params.layers, params.security, params.num_messages))
+
+
+def query_noise_terms(noise: QueryNoise, params: ProtocolParams) -> tuple:
+    """[l][t][round]: the K-vector Z'_ltk of a flat ``QueryNoise``."""
+    shape = (params.layers, params.privacy, params.code_dim, params.num_messages)
+    return cut(noise.zp, shape)
+
+
+def psdmm_noise_terms(noise, params) -> tuple:
+    """A ``PsdmmNoise``'s three draws: [l][x], [l][x'] and [l][t][round] row-major matrices."""
+    layers, wide = params.layers, params.library_size * params.cols_b
+    return (
+        cut(noise.a_noise, (layers, params.security_a, params.rows_a * params.inner_dim)),
+        cut(noise.b_noise, (layers, params.security_b, params.inner_dim * wide)),
+        cut(noise.query_noise, (layers, params.privacy, params.code_dim, wide * params.cols_b)),
+    )
 
 
 def diff(points: EvaluationPoints, l: int, server: int) -> int:
@@ -163,15 +189,16 @@ def answer_coefficients(
     """
     kc = params.code_dim
     e_theta = [1 if j == theta - 1 else 0 for j in range(params.num_messages)]
+    z, zp = storage_noise_terms(storage_noise, params), query_noise_terms(query_noise, params)
     coeffs: dict[tuple[int, int], int] = {}
     for l in range(1, params.layers + 1):
         storage_terms = [
             (-(kc - k + 1), layer_vector(messages, l, k)) for k in range(1, kc + 1)
         ] + [
-            (x - 1, storage_noise.z[l - 1][x - 1]) for x in range(1, params.security + 1)
+            (x - 1, z[l - 1][x - 1]) for x in range(1, params.security + 1)
         ]
         query_terms = [(kc - round_k, e_theta)] + [
-            (kc + t - 1, query_noise.zp[l - 1][t - 1][round_k - 1])
+            (kc + t - 1, zp[l - 1][t - 1][round_k - 1])
             for t in range(1, params.privacy + 1)
         ]
         for e1, v1 in storage_terms:
@@ -254,15 +281,16 @@ def share_product_coefficients(inst, noise, params, layer: int):
     product collects all pairs.
     """
     kc = params.code_dim
+    a_noise, b_noise, _ = psdmm_noise_terms(noise, params)
     a_terms = [  # A_lk is block L(k-1)+l
         (-(kc - k + 1), inst.a_blocks[params.layers * (k - 1) + layer - 1])
         for k in range(1, kc + 1)
     ] + [
-        (x - 1, reshape(inst.field, noise.a_noise[layer - 1][x - 1], params.inner_dim))
+        (x - 1, reshape(inst.field, a_noise[layer - 1][x - 1], params.inner_dim))
         for x in range(1, params.security_a + 1)
     ]
     b_terms = [(0, inst.b_concat)] + [
-        (kc + x - 1, reshape(inst.field, noise.b_noise[layer - 1][x - 1], inst.b_concat.cols))
+        (kc + x - 1, reshape(inst.field, b_noise[layer - 1][x - 1], inst.b_concat.cols))
         for x in range(1, params.security_b + 1)
     ]
     coeffs = {}
@@ -310,22 +338,21 @@ def consensus_decode(matrix: DecodingMatrix, observed, b: int):
     )
 
 
-def enumerate_audit(cfg, points: EvaluationPoints, shape, views) -> AuditVerdict:
-    """Enumerate every noise tensor of ``shape``; compare the views' distributions.
+def enumerate_audit(cfg, points: EvaluationPoints, free: int, views) -> AuditVerdict:
+    """Enumerate every flat noise of ``free`` entries; compare the views' distributions.
 
     The reference of ``audit._audit``, with its signature: each view maps a
-    noise tensor to the N servers' observations, one flat list each; the
+    flat noise to the N servers' observations, one flat list each; the
     colluding servers' joint observation is counted per view, and the audit
     passes when every view has the same distribution.  It takes q^free view
     calls per view.
     """
     q = points.field.q
-    free = prod(shape)
     dists = []
     for view in views:
         dist: Counter = Counter()
         for flat in product(range(q), repeat=free):
-            observed = view(nested(shape, partial(islice, iter(flat))))
+            observed = view(flat)
             dist[tuple(tuple(observed[n - 1]) for n in cfg.colluding)] += 1
         dists.append(dist)
     return AuditVerdict(

@@ -6,7 +6,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import prod
 from random import Random
 
 import pytest
@@ -184,11 +183,11 @@ def test_rank_audit_matches_enumeration(monkeypatch):
     verdicts = []
     for k, (p, f, pts) in enumerate(tiny_schemes()):
         runs = []
-        if p.security and f.q ** prod(xp.StorageNoise.shape(p)) <= 10**3:
+        if p.security and f.q ** xp.StorageNoise.size(p) <= 10**3:
             ma = xp.MessageSet.random(f, p, Random(2 * k))
             mb = xp.MessageSet.random(f, p, Random(2 * k + 1))
             runs.append(("storage-security", partial(audit_storage_security, msgs_a=ma, msgs_b=mb)))
-        if p.privacy and f.q ** prod(xp.QueryNoise.shape(p)) <= 10**3:
+        if p.privacy and f.q ** xp.QueryNoise.size(p) <= 10**3:
             runs.append(("query-privacy", partial(audit_query_privacy, theta_pair=(1, 2))))
         for target, run in runs:
             for size in range(1, p.num_servers + 1):
@@ -208,15 +207,15 @@ def test_rank_audit_matches_enumeration_on_unequal_noise_spans():
     cfg = AuditConfig(p, (1,), "query-privacy")
     pts = xp.default_points(p, xp.PrimeField(5))
     views = [
-        lambda z: [(z[0][0], 0)],
-        lambda z: [(0, z[0][0])],
-        lambda z: [(z[0][0], z[0][1])],
+        lambda z: [(z[0], 0)],
+        lambda z: [(0, z[0])],
+        lambda z: [(z[0], z[1])],
         lambda z: [(1, 2)],
-        lambda z: [((z[0][0] + 1) % 5, 2 * z[0][0] % 5)],
+        lambda z: [((z[0] + 1) % 5, 2 * z[0] % 5)],
     ]
     for pair in combinations(views, 2):
-        rank = audit_module._audit(cfg, pts, (1, 2), list(pair))
-        assert rank.to_json() == enumerate_audit(cfg, pts, (1, 2), list(pair)).to_json()
+        rank = audit_module._audit(cfg, pts, 2, list(pair))
+        assert rank.to_json() == enumerate_audit(cfg, pts, 2, list(pair)).to_json()
 
 
 def test_rate_report_worked_examples():

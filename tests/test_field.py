@@ -88,3 +88,23 @@ def test_random_vector_is_the_randrange_stream(q):
             rng, ref = Random(seed), Random(seed)
             assert f.random_vector(rng, n) == [ref.randrange(q) for _ in range(n)]
             assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
+def test_random_vector_splits_into_consecutive_calls(q):
+    """One call for a + b residues draws what a call for a and then one for b draw.
+
+    Every noise object is one such call, which its coder cuts into term
+    vectors.  Small q rejects often (5/16 to 1/2 of all draws at q <= 11), so
+    a call that took a draw too many or too few would shift the second part
+    and the generator state; a size of 0 must draw nothing.
+    """
+    f = PrimeField(q)
+    sizes = (0, 1, 2, 3, 5, 12, 30)
+    for a in sizes:
+        for b in sizes:
+            for seed in range(8):
+                rng, ref = Random(seed), Random(seed)
+                whole = f.random_vector(rng, a + b)
+                assert whole == f.random_vector(ref, a) + f.random_vector(ref, b)
+                assert rng.getstate() == ref.getstate()

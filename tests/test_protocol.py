@@ -13,7 +13,7 @@ import pytest
 import xstpir as xp
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
-from xstpir.protocol import InfeasibleParamsError, code_storage, coefficient_table, nested
+from xstpir.protocol import InfeasibleParamsError, code_storage, coefficient_table
 import xstpir.psdmm as pm
 from xstpir.robust import DecodingFailure, decoder_for
 
@@ -127,22 +127,19 @@ def test_caller_data_enters_as_residues():
     which ``%`` would keep, or a str."""
     f = xp.PrimeField(5)
     assert xp.MessageSet(f, 1, 2, ((True, 7), (-1, 4))).messages == ((1, 2), (4, 4))
-    assert xp.StorageNoise(f, (((True, 7), (-1, 4)),)).z == (((1, 2), (4, 4)),)
-    assert xp.QueryNoise(f, ((((9, -6),),),)).zp == ((((4, 4),),),)
-    assert pm.PsdmmNoise(f, (((6,),),), (((-1,),),), ((((True,),),),)) == pm.PsdmmNoise(
-        f, (((1,),),), (((4,),),), ((((1,),),),)
-    )
+    assert xp.StorageNoise(f, (True, 7, -1, 4)).z == (1, 2, 4, 4)
+    assert xp.QueryNoise(f, (9, -6)).zp == (4, 4)
+    assert pm.PsdmmNoise(f, (6,), (-1,), (True,)) == pm.PsdmmNoise(f, (1,), (4,), (1,))
     assert EvaluationPoints(f, (True,), (7, -2)) == EvaluationPoints(f, (1,), (2, 3))
     assert FieldMatrix(f, [[9, False]]).flat == [4, 0]
     for bad in (1.5, 2.0, "3"):
         with pytest.raises(TypeError):
             xp.MessageSet(f, 1, 2, ((bad, 2), (3, 4)))
         with pytest.raises(TypeError):  # at K < N a float used to reach the shares
-            xp.StorageNoise(f, (((bad, 2),),))
+            xp.StorageNoise(f, (bad, 2))
         with pytest.raises(TypeError):
-            xp.QueryNoise(f, ((((1, 2), (bad, 4)),),))
-        for a, b, qn in (([((bad,),)], [()], [()]), ([()], [((bad,),)], [()]),
-                         ([()], [()], [(((bad,),),)])):
+            xp.QueryNoise(f, (1, 2, bad, 4))
+        for a, b, qn in (((bad,), (), ()), ((), (bad,), ()), ((), (), (bad,))):
             with pytest.raises(TypeError):
                 pm.PsdmmNoise(f, a, b, qn)
         with pytest.raises(TypeError):
@@ -162,7 +159,7 @@ def test_encode_storage_frozen_example():
     f = xp.PrimeField(5)
     pts = xp.default_points(p, f)
     msgs = xp.MessageSet(f, 1, 2, ((1, 3), (2, 4)))  # W11=(1,2), W12=(3,4)
-    zn = xp.StorageNoise(f, (((0, 1),),))
+    zn = xp.StorageNoise(f, (0, 1))
     storages = xp.encode_storage(msgs, zn, pts, p)
     assert [s.shares.data[0] for s in storages] == [[3, 4], [0, 2], [3, 1], [4, 2]]
 
@@ -173,7 +170,7 @@ def test_encode_storage_without_noise_layers():
     f = xp.default_field(p)
     pts = xp.default_points(p, f)
     msgs = xp.MessageSet.random(f, p, Random(1))
-    zn = xp.StorageNoise(f, ((), ()))
+    zn = xp.StorageNoise(f, ())
     storages = xp.encode_storage(msgs, zn, pts, p)
     q = f.q
     for s in storages:
@@ -207,7 +204,7 @@ def test_encode_storage_dimension_checks():
     f = xp.default_field(p)
     pts = xp.default_points(p, f)
     msgs = xp.MessageSet.random(f, p, Random(0))
-    bad_noise = xp.StorageNoise(f, (((1, 1), (2, 2)),))  # X=2 layers, expected 1
+    bad_noise = xp.StorageNoise(f, (1, 1, 2, 2))  # X=2 layers, expected 1
     with pytest.raises(ValueError):
         xp.encode_storage(msgs, bad_noise, pts, p)
     other = xp.derive_params(4, 2, 1, 1, num_messages=3)
@@ -233,15 +230,62 @@ def test_query_noise_of_another_length_is_refused():
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)
     f = xp.PrimeField(5)
     pts = xp.default_points(p, f)
-    for vectors in (((1, 2, 3), (4, 5, 6)), ((1,), (4,))):
+    for vectors in ((1, 2, 3, 4, 5, 6), (1, 4)):
         with pytest.raises(ValueError, match="query noise must be L x T x K_c vectors of 2"):
-            xp.gen_queries(1, xp.QueryNoise(f, ((vectors,),)), pts, p)
+            xp.gen_queries(1, xp.QueryNoise(f, vectors), pts, p)
     pp = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
     g = pm.default_field(pp)
     noise = pm.PsdmmNoise.random(g, pp, Random(0))
-    longer = tuple(tuple(tuple(v + v[:1] for v in zt) for zt in zl) for zl in noise.query_noise)
+    terms = oracles.psdmm_noise_terms(noise, pp)[2]
+    longer = tuple(u for zl in terms for zt in zl for v in zt for u in v + v[:1])
     with pytest.raises(ValueError, match="query noise must be L x T x K_c vectors of 8"):
         pm.psdmm_query(1, replace(noise, query_noise=longer), pm.default_points(pp, g), pp)
+
+
+def test_every_coder_refuses_flat_noise_one_entry_off():
+    """Each coder cuts its term vectors from a flat draw of exactly the size it
+    codes, and refuses one entry more or fewer, by name."""
+    p = xp.derive_params(5, 2, 1, 1, num_messages=3)  # L = 2
+    f = xp.default_field(p)
+    pts = xp.default_points(p, f)
+    msgs = xp.MessageSet.random(f, p, Random(0))
+    zn, qn = xp.StorageNoise.random(f, p, Random(1)), xp.QueryNoise.random(f, p, Random(2))
+    pp = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)  # L = 3, M*mu*mu = 8, chi*M*mu = 8
+    g = pm.default_field(pp)
+    ppts = pm.default_points(pp, g)
+    inst = pm.PsdmmInstance.random(g, pp, Random(3))
+    noise = pm.PsdmmNoise.random(g, pp, Random(4))
+    coders = [
+        ("z", zn, lambda z: xp.encode_storage(msgs, z, pts, p),
+         "storage noise must be L x X vectors of 3 entries"),
+        ("zp", qn, lambda z: xp.gen_queries(1, z, pts, p),
+         "query noise must be L x T x K_c vectors of 3 entries"),
+        ("a_noise", noise, lambda z: pm.share_a(inst, z, ppts, pp),
+         "storage noise must be L x X vectors of 4 entries"),
+        ("b_noise", noise, lambda z: pm.share_b(inst, z, ppts, pp),
+         "library noise must be L x X_B matrices of 8 entries"),
+        ("query_noise", noise, lambda z: pm.psdmm_query(1, z, ppts, pp),
+         "query noise must be L x T x K_c vectors of 8 entries"),
+    ]
+    for name, drawn, code, message in coders:
+        flat = getattr(drawn, name)
+        for bad in (flat[:-1], flat + flat[:1]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                code(replace(drawn, **{name: bad}))
+        code(drawn)
+
+
+def test_nested_noise_is_refused():
+    """The noise objects hold flat draws: a nested tuple, the old form, is no
+    entry that ``operator.index`` takes."""
+    f = xp.PrimeField(5)
+    with pytest.raises(TypeError):
+        xp.StorageNoise(f, (((0, 1),),))
+    with pytest.raises(TypeError):
+        xp.QueryNoise(f, ((((1, 2, 3), (4, 5, 6)),),))
+    for a, b, qn in (([((1,),)], (), ()), ((), [((1,),)], ()), ((), (), [(((1,),),)])):
+        with pytest.raises(TypeError):
+            pm.PsdmmNoise(f, a, b, qn)
 
 
 def test_code_storage_takes_one_column_per_message_symbol():
@@ -267,7 +311,7 @@ def test_gen_queries_frozen_example():
     p = xp.derive_params(4, 2, 1, 1, num_messages=3)
     f = xp.PrimeField(7)
     pts = xp.EvaluationPoints(f, (1,), (2, 3, 4, 5))
-    qn = xp.QueryNoise(f, ((((1, 2, 3), (4, 5, 6)),),))  # Z'^1=(1,2,3), Z'^2=(4,5,6)
+    qn = xp.QueryNoise(f, (1, 2, 3, 4, 5, 6))  # Z'^1=(1,2,3), Z'^2=(4,5,6)
     bundles = xp.gen_queries(2, qn, pts, p)
     expected = {
         1: ((1, 1, 3), (4, 6, 6)),
@@ -284,7 +328,7 @@ def test_final_round_exposes_selector_unscaled():
     p = xp.derive_params(5, 2, 1, 0, num_messages=3)  # T = 0: no noise at all
     f = xp.default_field(p)
     pts = xp.default_points(p, f)
-    qn = xp.QueryNoise(f, tuple(() for _ in range(p.layers)))
+    qn = xp.QueryNoise(f, ())
     bundles = xp.gen_queries(2, qn, pts, p)
     for qb in bundles:
         first, last = qb.rounds.data[0], qb.rounds.data[-1]
@@ -459,6 +503,7 @@ def test_each_server_flat_matches_the_oracle_coded_vectors(shape, smallest_q):
     p = xp.derive_params(*shape)
     field = xp.default_field(p) if smallest_q else xp.PrimeField(Q31)
     field, pts, msgs, zn, qn, storages, _, _ = fresh_instance(p, sum(shape), field)
+    z, zp = oracles.storage_noise_terms(zn, p), oracles.query_noise_terms(qn, p)
     q, kc, layers = field.q, p.code_dim, range(1, p.layers + 1)
     storage_exponents = [-(kc - k + 1) for k in range(1, kc + 1)] + list(range(p.security))
     for theta in range(1, p.num_messages + 1):
@@ -468,13 +513,13 @@ def test_each_server_flat_matches_the_oracle_coded_vectors(shape, smallest_q):
             assert st.shares.flat == [
                 v for l in layers for v in oracles.coded_share(
                     d(l), storage_exponents,
-                    [layer_vector(msgs, l, k) for k in range(1, kc + 1)] + list(zn.z[l - 1]), q,
+                    [layer_vector(msgs, l, k) for k in range(1, kc + 1)] + list(z[l - 1]), q,
                 )
             ]
             assert qb.rounds.flat == [
                 v for k in range(1, kc + 1) for l in layers for v in oracles.coded_share(
                     d(l), [kc - k, *range(kc, kc + p.privacy)],
-                    [selector] + [zt[k - 1] for zt in qn.zp[l - 1]], q,
+                    [selector] + [zt[k - 1] for zt in zp[l - 1]], q,
                 )
             ]
 
@@ -492,26 +537,6 @@ def test_each_server_flat_is_allocated_exactly(shape):
     assert all(sys.getsizeof(flat) == sys.getsizeof([0] * len(flat)) for flat in flats)
 
 
-NESTED_SHAPES = [(3, 4), (1, 1), (2, 3, 5), (2, 1, 2, 3), (4, 0, 3), (3, 2, 0), (0, 2, 2), (2, 0)]
-
-
-@pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
-def test_nested_draws_in_one_call_what_a_call_per_vector_draws(q):
-    """One ``random_vector`` call cut into the layout equals one call per innermost vector.
-
-    Small q rejects often (5/16 to 1/2 of all draws at q <= 11), so a cut
-    that took a draw too many or too few would shift every later vector and
-    the generator state; zero-size axes must give empty tuples and draw nothing.
-    """
-    f = PrimeField(q)
-    for shape in NESTED_SHAPES:
-        for seed in range(20):
-            rng, ref = Random(seed), Random(seed)
-            got = nested(shape, partial(f.random_vector, rng))
-            assert got == oracles.nested(shape, partial(f.random_vector, ref))
-            assert rng.getstate() == ref.getstate()
-
-
 @pytest.mark.parametrize("q", [2, 5, 11, 2**31 - 1])
 def test_random_objects_equal_their_constructed_forms(q):
     """Each ``random`` equals its constructor on the reference draws, which it reduces.
@@ -524,6 +549,9 @@ def test_random_objects_equal_their_constructed_forms(q):
     def ref(seed):
         return partial(f.random_vector, Random(seed))
 
+    def per_vector(draw, count, length):  # one reference call per term vector
+        return tuple(v for _ in range(count) for v in draw(length))
+
     for args in [(2, 1, 1, 0, 0, 0, 1), (4, 2, 1, 1, 0, 0, 3), (6, 2, 1, 1, 1, 0, 5)]:
         p = xp.derive_params(*args)
         for seed in range(5):
@@ -532,17 +560,17 @@ def test_random_objects_equal_their_constructed_forms(q):
             assert msgs == xp.MessageSet(f, p.layers, p.code_dim, rows)
             assert type(msgs.messages) is tuple and {type(m) for m in msgs.messages} == {tuple}
             assert xp.StorageNoise.random(f, p, Random(seed)) == xp.StorageNoise(
-                f, oracles.nested(xp.StorageNoise.shape(p), ref(seed)))
+                f, per_vector(ref(seed), p.layers * p.security, p.num_messages))
             assert xp.QueryNoise.random(f, p, Random(seed)) == xp.QueryNoise(
-                f, oracles.nested(xp.QueryNoise.shape(p), ref(seed)))
+                f, per_vector(ref(seed), p.layers * p.privacy * p.code_dim, p.num_messages))
     pp = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
     draw = ref(3)  # the three noises come from one stream, in this order
     wide = pp.library_size * pp.cols_b
     assert pm.PsdmmNoise.random(f, pp, Random(3)) == pm.PsdmmNoise(
         f,
-        oracles.nested((pp.layers, pp.security_a, pp.rows_a * pp.inner_dim), draw),
-        oracles.nested((pp.layers, pp.security_b, pp.inner_dim * wide), draw),
-        oracles.nested((pp.layers, pp.privacy, pp.code_dim, wide * pp.cols_b), draw),
+        per_vector(draw, pp.layers * pp.security_a, pp.rows_a * pp.inner_dim),
+        per_vector(draw, pp.layers * pp.security_b, pp.inner_dim * wide),
+        per_vector(draw, pp.layers * pp.privacy * pp.code_dim, wide * pp.cols_b),
     )
 
 
@@ -600,15 +628,9 @@ def test_storage_queries_and_answers_are_residues(shape, smallest_q):
     def raw():
         return tuple(rng.randrange(-2 * q, 3 * q) for _ in range(p.num_messages))
 
-    zn = xp.StorageNoise(
-        f, tuple(tuple(raw() for _ in range(p.security)) for _ in range(p.layers))
-    )
+    zn = xp.StorageNoise(f, tuple(v for _ in range(p.layers * p.security) for v in raw()))
     qn = xp.QueryNoise(
-        f,
-        tuple(
-            tuple(tuple(raw() for _ in range(p.code_dim)) for _ in range(p.privacy))
-            for _ in range(p.layers)
-        ),
+        f, tuple(v for _ in range(p.layers * p.privacy * p.code_dim) for v in raw())
     )
     storages = xp.encode_storage(msgs, zn, pts, p)
     assert all(_residues(s.shares.flat, q) for s in storages)
@@ -676,8 +698,8 @@ def test_answer_four_term_decomposition():
     )
     q = f.q
     w11, w12 = layer_vector(msgs, 1, 1), layer_vector(msgs, 1, 2)
-    z11 = zn.z[0][0]
-    zq1 = qn.zp[0][0][0]
+    z11 = oracles.storage_noise_terms(zn, p)[0][0]
+    zq1 = oracles.query_noise_terms(qn, p)[0][0][0]
     e_t = [1 if j == theta - 1 else 0 for j in range(3)]
     dot = lambda u, v: sum(a * b for a, b in zip(u, v)) % q
     i1 = (dot(w11, zq1) + dot(w12, e_t)) % q

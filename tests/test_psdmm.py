@@ -128,10 +128,11 @@ def test_share_b_single_noise_layer_formula():
     field, pts, inst, noise = build_instance(p, seed=1)
     shares = pm.share_b(inst, noise, pts, p)
     b = inst.b_concat
+    zb = oracles.psdmm_noise_terms(noise, p)[1]
     for n in range(1, p.num_servers + 1):
         for l in range(1, p.layers + 1):
             d = diff(pts, l, n)
-            want = matadd(b, scale(reshape(field, noise.b_noise[l - 1][0], b.cols), d))
+            want = matadd(b, scale(reshape(field, zb[l - 1][0], b.cols), d))
             assert shares[n - 1][l - 1] == want
 
 
@@ -140,7 +141,7 @@ def test_shares_and_queries_reject_misshapen_noise():
     p = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
     field, pts, inst, noise = build_instance(p, seed=3)
     other = pm.PsdmmNoise.random(field, pm.PsdmmParams(6, 1, 0, 1, 2, 2, 2, 2, 1), Random(0))
-    assert other.a_noise and len(other.a_noise) != p.layers  # drawn at X_A = 0: L = 4
+    assert len(other.a_noise) != len(noise.a_noise)  # drawn at X_A = 0: L = 4
     builds = {
         "a_noise": lambda z: pm.share_a(inst, z, pts, p),
         "b_noise": lambda z: pm.share_b(inst, z, pts, p),
@@ -148,7 +149,7 @@ def test_shares_and_queries_reject_misshapen_noise():
     }
     for name, build in builds.items():
         drawn = getattr(noise, name)
-        for bad in (tuple(() for _ in drawn), tuple(zl + zl for zl in drawn), getattr(other, name)):
+        for bad in (drawn[:-1], drawn + drawn[:1], getattr(other, name)):
             with pytest.raises(ValueError, match="noise must be"):
                 build(replace(noise, **{name: bad}))
         build(noise)
@@ -165,7 +166,7 @@ def test_share_a_minimal_formula():
         d = diff(pts, 1, n)
         want = matadd(
             scale(inst.a_blocks[0], pow(d, q - 2, q)),
-            reshape(field, noise.a_noise[0][0], p.inner_dim),
+            reshape(field, oracles.psdmm_noise_terms(noise, p)[0][0][0], p.inner_dim),
         )
         assert shares[n - 1][0] == want
 
@@ -273,6 +274,7 @@ def test_query_matches_dense_selector_oracle(kc, smallest_q):
         q = field.q
         pts = pm.default_points(p, field)
         noise = pm.PsdmmNoise.random(field, p, Random(10 * kc + t))
+        zq = oracles.psdmm_noise_terms(noise, p)[2]
         for theta in range(1, p.library_size + 1):
             sel = block_selector(field, p.library_size, p.cols_b, theta)
             selector = [v for row in sel.data for v in row]
@@ -283,7 +285,7 @@ def test_query_matches_dense_selector_oracle(kc, smallest_q):
                 flat = oracles.coded_share(
                     diff(pts, l, n),
                     [kc - rk, *range(kc, kc + t)],
-                    [selector] + [zt[rk - 1] for zt in noise.query_noise[l - 1]],
+                    [selector] + [zt[rk - 1] for zt in zq[l - 1]],
                     q,
                 )
                 assert queries[n - 1][rk - 1][l - 1] == reshape(field, flat, p.cols_b)
@@ -315,8 +317,7 @@ def test_noise_is_the_row_by_row_draw_stream(shape):
     want = [
         ref.randrange(field.q) for rows, cols in matrices for _ in range(rows) for _ in range(cols)
     ]
-    parts = (noise.a_noise, noise.b_noise, [zt for zl in noise.query_noise for zt in zl])
-    got = [v for part in parts for zl in part for z in zl for v in z]
+    got = [*noise.a_noise, *noise.b_noise, *noise.query_noise]
     assert got == want
     assert rng.random() == ref.random()
 
