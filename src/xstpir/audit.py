@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 import json
+from operator import index
 import sys
 
 from .linalg import EvaluationPoints, row_reduce
@@ -28,6 +29,7 @@ from .protocol import (
     default_points,
     encode_storage,
     gen_queries,
+    _desired_index,
     _of_residues,
 )
 
@@ -41,7 +43,7 @@ class AuditConfig:
     target: str  # "storage-security" | "query-privacy"
 
     def __post_init__(self):
-        object.__setattr__(self, "colluding", tuple(sorted(set(self.colluding))))
+        object.__setattr__(self, "colluding", tuple(sorted(set(map(index, self.colluding)))))
         if self.target not in ("storage-security", "query-privacy"):
             raise ValueError("target must be storage-security or query-privacy")
         if not self.colluding:
@@ -165,9 +167,7 @@ def audit_query_privacy(
         raise ValueError("no query privacy is claimed at T = 0")
     if len(theta_pair) != 2:
         raise ValueError("theta_pair must name exactly two indices")
-    for th in theta_pair:
-        if not 1 <= th <= p.num_messages:
-            raise ValueError(f"theta must be in 1..{p.num_messages}")
+    theta_pair = [_desired_index(th, p.num_messages) for th in theta_pair]
     if points is None:
         points = default_points(p)
     noise = partial(_of_residues, QueryNoise, points.field)  # the unit vectors are residues

@@ -69,7 +69,7 @@ def smallest_prime_geq(n: int) -> int:
 
 
 class PrimeField:
-    """GF(q) for a prime modulus q.
+    """GF(q) for a prime modulus q, taken through ``operator.index``.
 
     Instances are immutable, compare by modulus, and are safe to share.
     """
@@ -77,6 +77,7 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
+        q = index(q)  # a float raises TypeError
         if q >= 1 << 64:  # the residue contract above
             raise ValueError(f"field modulus must be below 2^64, got {q}")
         if not is_prime(q):

@@ -7,21 +7,19 @@ expose exactly the L desired symbols (W_lk e_theta) on the terms
 1/(f_l - a_n), with every remaining product collapsing onto the shared span
 1, a_n, ..., a_n^(K_c+X+T-2).
 
-Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n.
-``code_layers`` codes server by server: it hands ``linalg.coded_share`` every
-block (a storage layer, or one round's layer of the queries) with one
-coefficient table, takes back each server's whole flat list, and adds a 0/1
-selector as d^e at its few nonzero positions.  This module owns the code
-layout: ``layer_count`` is the one layout rule, ``code_storage`` the one
-storage coder (data on d^(-K_c..-1), X noise layers on d^(0..X-1)) and
-``code_queries`` the one query coder (the selector on d^(K_c-k), T noise
-layers on d^(K_c..K_c+T-1), every round k).  PSDMM is this code at
-X = X_eff and U = B = 0.  The storage coder takes the ell data
-vectors in message order and is the one place that puts the (L(k-1)+l)-th
-on layer l's term d^(-(K_c-k+1)); the decoder returns them in that order.
-Each noise object is one flat draw of uniform symbols, and the coders own
-its layout: ``noise_vectors`` cuts their term vectors from it, in row-major
-order, and refuses a noise of another total length.
+Every coded object is one sum sum_e d^e v_e mod q with d = f_l - a_n, coded
+server by server: each coder hands ``linalg.coded_share`` every block (a
+storage layer, or one round's layer of the queries) with one coefficient
+table, and takes back each server's whole flat list.  ``layer_count`` is the
+one layout rule, ``code_storage`` the one storage coder (data on
+d^(-K_c..-1), X noise on d^(0..X-1)) and ``code_queries`` the one query coder
+(T noise layers on d^(K_c..K_c+T-1); the 0/1 selector, the only part that
+depends on theta, on d^(K_c-k) at its few nonzero positions).  PSDMM is this
+code at X = X_eff and U = B = 0.  The storage coder takes the ell data
+vectors in message order and puts the (L(k-1)+l)-th on layer l's term
+d^(-(K_c-k+1)); the decoder returns them in that order.  Each noise object
+is one flat draw of uniform symbols, which ``noise_vectors`` cuts into the
+coders' term vectors, row-major, refusing one of another total length.
 
 The coefficients d^e depend only on the evaluation points, so they are the
 code's per-point constants: ``coefficient_table`` builds each (points,
@@ -58,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import index
 
 from .field import PrimeField, smallest_prime_geq
 from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
@@ -86,13 +85,26 @@ def layer_count(n: int, kc: int, x: int, t: int, u: int, b: int) -> int:
     return layers
 
 
+def _take_ints(params) -> None:
+    """Store each input of the frozen dataclass ``params`` through ``operator.index``."""
+    for name in params.__match_args__:  # the inputs; a bool enters as 0 or 1
+        object.__setattr__(params, name, index(getattr(params, name)))
+
+
+def _desired_index(theta, count: int) -> int:
+    """``theta`` through ``operator.index`` (a float raises ``TypeError``), in 1..count."""
+    if not 1 <= (theta := index(theta)) <= count:
+        raise ValueError(f"theta must be in 1..{count}")
+    return theta
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Validated parameter tuple; the layer count and message length are computed.
 
     layers (``layer_count``) and message_len = layers * K_c are set here from
-    the seven inputs and cannot be passed.  L >= 1 with K_c >= 1 also bounds
-    X, T <= N - 1 and U <= N - 1.
+    the seven inputs (ints, by ``_take_ints``) and cannot be passed.  L >= 1
+    with K_c >= 1 also bounds X, T <= N - 1 and U <= N - 1.
     """
 
     num_servers: int            # N
@@ -108,6 +120,9 @@ class ProtocolParams:
     def __post_init__(self):
         n, kc, x, t = self.num_servers, self.code_dim, self.security, self.privacy
         u, b, k = self.max_unresponsive, self.max_byzantine, self.num_messages
+        if not type(n) is type(kc) is type(x) is type(t) is type(u) is type(b) is type(k) is int:
+            _take_ints(self)  # kept off the all-int path: params_grid builds hundreds of tuples
+            return self.__post_init__()
         if min(n, kc, k) < 1 or min(x, t, u, b) < 0:
             raise ValueError("need N, K_c, K >= 1 and X, T, U, B >= 0")
         layers = layer_count(n, kc, x, t, u, b)
@@ -291,32 +306,6 @@ def coefficient_table(points: EvaluationPoints, exponents: tuple[int, ...]):
     )
 
 
-def code_layers(points: EvaluationPoints, exponents, terms, length: int, selector=None):
-    """[server]: the flat list of every block's sum_e d^e v_e mod q, d = f_l - a_n.
-
-    ``terms`` holds each block's term vectors of ``length`` entries, paired
-    with ``exponents`` (with none, every block codes to zeros); block b is
-    on layer b mod L, in round b // L.  Every d^e is read from
-    ``coefficient_table``.  ``selector = (rounds, positions)`` stands for a
-    0/1 vector (e_theta, or Q_theta flattened) on d^e, e = rounds[b // L] in
-    block b: d^e is added at its few nonzero positions, not coded densely.
-    """
-    q, layers = points.field.q, len(points.f)
-    if exponents:
-        flats = coded_share(coefficient_table(points, tuple(exponents)), terms, q)
-    else:
-        flats = [[0] * (len(terms) * length) for _ in points.alpha]
-    if selector is not None:
-        rounds, positions = selector
-        picks = coefficient_table(points, tuple(rounds))
-        for n, flat in enumerate(flats):
-            for b in range(len(terms)):
-                c = picks[b % layers][n][b // layers]
-                for j in positions:
-                    flat[b * length + j] = (flat[b * length + j] + c) % q
-    return flats
-
-
 def noise_vectors(noise, count: int, length: int, what: str) -> list:
     """The ``count`` term vectors of ``length`` entries, cut in order from the flat ``noise``.
 
@@ -347,7 +336,8 @@ def code_storage(points, code_dim: int, security: int, columns, noise):
     length = len(columns[0])
     z = noise_vectors(noise, layers * security, length, "storage noise must be L x X vectors")
     terms = [[*columns[l::layers], *z[l * security:(l + 1) * security]] for l in range(layers)]
-    return code_layers(points, range(-code_dim, security), terms, length)
+    table = coefficient_table(points, tuple(range(-code_dim, security)))
+    return coded_share(table, terms, points.field.q)
 
 
 def code_queries(points, code_dim: int, privacy: int, positions, noise, length: int):
@@ -355,19 +345,27 @@ def code_queries(points, code_dim: int, privacy: int, positions, noise, length: 
 
     E is the 0/1 selector with ones at ``positions``; the flat noise holds the
     L x T x K_c vectors Z'_ltk, [l][t][round], of ``length`` entries
-    (``ValueError`` otherwise).
+    (``ValueError`` otherwise).  E is added at its ``positions``, not coded.
     """
-    layers = len(points.f)
+    q, layers = points.field.q, len(points.f)
     what = "query noise must be L x T x K_c vectors"
     z = noise_vectors(noise, layers * privacy * code_dim, length, what)
-    terms = [
-        [z[(l * privacy + t) * code_dim + k] for t in range(privacy)]
-        for k in range(code_dim) for l in range(layers)
-    ]
-    return code_layers(
-        points, query_noise_exponents(code_dim, privacy), terms, length,
-        (range(code_dim - 1, -1, -1), positions),
-    )
+    if privacy:
+        terms = [
+            [z[(l * privacy + t) * code_dim + k] for t in range(privacy)]
+            for k in range(code_dim) for l in range(layers)
+        ]
+        table = coefficient_table(points, tuple(query_noise_exponents(code_dim, privacy)))
+        flats = coded_share(table, terms, q)
+    else:
+        flats = [[0] * (code_dim * layers * length) for _ in points.alpha]
+    picks = coefficient_table(points, tuple(range(code_dim - 1, -1, -1)))  # d^(K_c-k), by k
+    for n, flat in enumerate(flats):
+        for b in range(code_dim * layers):  # block b: round b // L, layer b % L
+            c = picks[b % layers][n][b // layers]
+            for j in positions:
+                flat[b * length + j] = (flat[b * length + j] + c) % q
+    return flats
 
 
 def encode_storage(
@@ -401,8 +399,7 @@ def gen_queries(
 
     Q_nlk = (f_l - a_n)^(K_c-k) e_theta + sum_t (f_l - a_n)^(K_c+t-1) Z'_ltk.
     """
-    if not 1 <= theta <= params.num_messages:
-        raise ValueError(f"theta must be in 1..{params.num_messages}")
+    theta = _desired_index(theta, params.num_messages)
     if noise.field != points.field:
         raise ValueError("noise and points live in different fields")
     k = params.num_messages

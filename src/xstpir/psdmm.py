@@ -4,7 +4,7 @@ The confidential blocks A_1..A_ell are secret-shared exactly like message
 columns (Cauchy terms plus X_A noise layers), the library matrices B_1..B_M
 are optionally shared with X_B noise on the query-noise exponents, and the
 block selector Q_theta is hidden like a query.  Each server returns
-sum_l A~_nl B~_nl Q_nl per round.  The share product is storage with the
+sum_l A~_nl B~_nl Q_nlk in round k.  The share product is storage with the
 noise span X_eff = K_c + X_A + X_B - 1 (X_A when the library is public), so
 the layout is ``protocol.layer_count`` at X = X_eff and U = B = 0, and its
 lambda*mu entries decode as scalar streams of ``RobustDecoder.decode_rounds``.
@@ -13,11 +13,11 @@ Matrices stay flat: a ``FieldMatrix`` holds its entries row-major, so the
 A-shares come from the storage coder ``protocol.code_storage``, handed the
 ell blocks' ``flat`` vectors in block order as it takes message symbols, and
 the queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones
-as the selector); each server's blocks are cut from the flat list the coder
-returns for it.  Each noise is one flat draw, which the coders cut into term
-vectors through ``protocol.noise_vectors``, and must be over the points'
-field.  Round k's N answer blocks, flat, are the rows of the one matrix
-``decode_rounds`` solves for round k with one product.
+as the selector).  Each share is cut into per-layer blocks, and each query is
+one matrix, which ``psdmm_answer`` cuts into blocks.  Each noise is one flat
+draw, cut into term vectors through ``protocol.noise_vectors``, over the
+points' field.  Round k's N answer blocks, flat, are the rows of the one
+matrix ``decode_rounds`` solves for round k with one product.
 
 ``PsdmmInstance`` holds one shape of A block and one of library matrix, over
 its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
@@ -31,10 +31,10 @@ from fractions import Fraction
 from functools import partial
 
 from .field import PrimeField
-from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix
+from .linalg import EvaluationPoints, FieldMatrix, build_decoding_matrix, coded_share
 from .protocol import (  # noqa: F401  (default_field/default_points re-exported)
     InfeasibleParamsError,
-    code_layers,
+    coefficient_table,
     code_queries,
     code_storage,
     default_field,
@@ -42,7 +42,9 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
     layer_count,
     noise_vectors,
     query_noise_exponents,
+    _desired_index,
     _of_residues,
+    _take_ints,
 )
 from .robust import decoder_for
 
@@ -52,8 +54,8 @@ class PsdmmParams:
     """Parameter tuple for one multiplication instance; the layout is computed.
 
     ``layers`` (``protocol.layer_count`` at X = X_eff, U = B = 0) and
-    block_count = K_c * layers are set here from the nine inputs and cannot
-    be passed.
+    block_count = K_c * layers are set here from the nine inputs (ints, by
+    ``protocol._take_ints``) and cannot be passed.
     """
 
     num_servers: int    # N
@@ -69,6 +71,7 @@ class PsdmmParams:
     block_count: int = dc_field(init=False)  # ell = K_c * L, derived
 
     def __post_init__(self):
+        _take_ints(self)
         if min(self.num_servers, self.library_size, self.code_dim) < 1:
             raise ValueError("need N, M, K_c >= 1")
         if min(self.rows_a, self.inner_dim, self.cols_b) < 1:
@@ -253,63 +256,59 @@ def share_b(
     size, what = len(b.flat), "library noise must be L x X_B matrices"
     z = noise_vectors(noise.b_noise, params.layers * xb, size, what)
     terms = [[b.flat, *z[l * xb:(l + 1) * xb]] for l in range(params.layers)]
-    exponents = [0, *query_noise_exponents(params.code_dim, xb)]
-    flats = code_layers(points, exponents, terms, size)
+    table = coefficient_table(points, (0, *query_noise_exponents(params.code_dim, xb)))
+    flats = coded_share(table, terms, points.field.q)
     return [_cut(points.field, flat, b.rows, b.cols) for flat in flats]
 
 
 def psdmm_query(
     theta: int, noise: PsdmmNoise, points: EvaluationPoints, params: PsdmmParams
-) -> list[tuple[tuple[FieldMatrix, ...], ...]]:
-    """Per-server block queries Q_nl = d^(K_c-k) Q_theta + sum_t d^(K_c+t-1) Z''_lt.
+) -> list[FieldMatrix]:
+    """Per-server block queries Q_nlk = d^(K_c-k) Q_theta + sum_t d^(K_c+t-1) Z''_ltk.
 
     Q_theta is the M*mu x mu block column holding the identity at block theta;
     its mu ones sit at the row-major positions ((theta-1)mu + i)mu + i.
+    Server n's query is its flat list from the coder as it is: one
+    K_c*L*M*mu x mu matrix of blocks Q_nlk, by round, then layer.
     """
-    if not 1 <= theta <= params.library_size:
-        raise ValueError(f"theta must be in 1..{params.library_size}")
+    theta, mu = _desired_index(theta, params.library_size), params.cols_b
     _check_field(noise, points)
-    mu, layers = params.cols_b, params.layers
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
     length = params.library_size * mu * mu
     flats = code_queries(points, params.code_dim, params.privacy, ones, noise.query_noise, length)
-    blocks = [_cut(points.field, flat, params.library_size * mu, mu) for flat in flats]
-    return [tuple(b[i:i + layers] for i in range(0, len(b), layers)) for b in blocks]
+    return [FieldMatrix._of_flat(points.field, flat, mu) for flat in flats]
 
 
 def psdmm_answer(
     a_share_n: tuple[FieldMatrix, ...],
     b_share_n: tuple[FieldMatrix, ...],
-    queries_n: tuple[tuple[FieldMatrix, ...], ...],
+    queries_n: FieldMatrix,
 ) -> list[FieldMatrix]:
     """One server's K_c answers: Y_nk = sum_l A~_nl (B~_nl Q_nlk), each lambda x mu.
 
-    Two products: per layer, B~_nl [Q_nl1 ... Q_nlK_c] takes every round at
-    once; then [A~_n1 ... A~_nL] times those results stacked sums over the
-    layers, and its columns split into the K_c answers.
+    Two products on the blocks of the ``psdmm_query`` matrix: per layer,
+    B~_nl [Q_nl1 ... Q_nlK_c] takes every round at once; then [A~_n1 ... A~_nL]
+    times those results stacked sums over the layers, in K_c column blocks.
     """
     if len(a_share_n) != len(b_share_n):
         raise ValueError("share layer counts differ")
-    if any(len(per_layer) != len(a_share_n) for per_layer in queries_n):
-        raise ValueError("query layer count mismatch")
-    queries = [m for per_layer in queries_n for m in per_layer]
-    for blocks in (a_share_n, b_share_n, queries):
+    for blocks in (a_share_n, b_share_n):
         if len({(m.field, m.rows, m.cols) for m in blocks}) != 1:
-            raise ValueError("the shares of every layer, and all queries, must share one shape")
-    mu = queries[0].cols
+            raise ValueError("the shares of every layer must share one shape")
+    layers, field, height = len(b_share_n), b_share_n[0].field, b_share_n[0].cols
+    if not isinstance(queries_n, FieldMatrix) or queries_n.field != field:
+        raise ValueError(f"the query must be one FieldMatrix over GF({field.q})")
+    (rounds, rest), mu = divmod(queries_n.rows, layers * height), queries_n.cols
+    if rounds < 1 or rest:
+        raise ValueError(f"the query must be rounds of {layers} blocks of {height} rows")
+    blocks = _cut(field, queries_n.flat, height, mu)  # by round, then layer
     stacked = []  # B~_nl [Q_nl1 ... Q_nlK_c] of every layer, one below the other
     for l, b_m in enumerate(b_share_n):
-        stacked += b_m.mul(_side_by_side([per_layer[l] for per_layer in queries_n])).flat
-    y = _side_by_side(a_share_n).mul(
-        FieldMatrix._of_flat(b_share_n[0].field, stacked, len(queries_n) * mu)
-    )
-    flat = y.flat
-    return [
-        FieldMatrix._of_flat(
-            y.field, [v for r in range(0, len(flat), y.cols) for v in flat[r + i:r + i + mu]], mu
-        )
-        for i in range(0, y.cols, mu)
-    ]
+        stacked += b_m.mul(_side_by_side(blocks[l::layers])).flat
+    y = _side_by_side(a_share_n).mul(FieldMatrix._of_flat(field, stacked, rounds * mu))
+    flat, cols, wrap = y.flat, y.cols, partial(FieldMatrix._of_flat, field, cols=mu)
+    starts = (range(i, len(flat), cols) for i in range(0, cols, mu))  # round k's mu columns
+    return [wrap([v for r in rows for v in flat[r:r + mu]]) for rows in starts]
 
 
 def psdmm_decode(

@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from random import Random
 
 from .field import PrimeField
@@ -56,8 +57,9 @@ class AdversaryConfig:
     constant_value: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "unresponsive", tuple(sorted(set(self.unresponsive))))
-        object.__setattr__(self, "byzantine", tuple(sorted(set(self.byzantine))))
+        for name in ("unresponsive", "byzantine"):  # through operator.index, as ints
+            object.__setattr__(self, name, tuple(sorted(set(map(index, getattr(self, name))))))
+        object.__setattr__(self, "constant_value", index(self.constant_value))
         if self.policy not in CORRUPTION_POLICIES:
             raise ValueError(f"policy must be one of {CORRUPTION_POLICIES}")
         if set(self.unresponsive) & set(self.byzantine):

@@ -260,6 +260,17 @@ def reshape(field, flat, cols: int) -> FieldMatrix:
     return FieldMatrix(field, [flat[i:i + cols] for i in range(0, len(flat), cols)])
 
 
+def query_block(matrix: FieldMatrix, params, k: int, l: int) -> FieldMatrix:
+    """Q_nlk, round k's layer-l block of one server's ``psdmm_query`` matrix.
+
+    The matrix stacks M*mu-row blocks round by round, and layer by layer
+    within a round.
+    """
+    height = params.library_size * params.cols_b
+    start = ((k - 1) * params.layers + l - 1) * height * matrix.cols
+    return reshape(matrix.field, matrix.flat[start:start + height * matrix.cols], matrix.cols)
+
+
 def block_selector(field: PrimeField, library_size: int, cols_b: int, theta: int) -> FieldMatrix:
     """Q_theta: M*mu x mu block column holding the identity at block theta."""
     if not 1 <= theta <= library_size:

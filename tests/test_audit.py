@@ -122,6 +122,24 @@ def test_config_validation():
         audit_storage_security(AuditConfig(p, (1,), "query-privacy"), msgs, msgs)
 
 
+def test_audit_indices_enter_through_index():
+    """A colluding set of ``(True,)`` used to print ``"colluding_set": [true]``,
+    and a float index or theta reached the coders."""
+    p, f, pts = storage_scheme()
+    with pytest.raises(TypeError):
+        AuditConfig(p, (1.0,), "storage-security")
+    cfg = AuditConfig(p, (True,), "storage-security")
+    assert cfg.colluding == (1,) and type(cfg.colluding[0]) is int
+    msgs = xp.MessageSet.random(f, p, Random(2))
+    assert '"colluding_set": [1]' in audit_storage_security(cfg, msgs, msgs, pts).to_json()
+    query_cfg = AuditConfig(p, (1,), "query-privacy")
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        audit_query_privacy(query_cfg, (1, 2.0), pts)
+    assert audit_query_privacy(query_cfg, (True, 2), pts) == audit_query_privacy(
+        query_cfg, (1, 2), pts
+    )
+
+
 def test_verdict_json_keys():
     p, f, pts = storage_scheme()
     msgs = xp.MessageSet.random(f, p, Random(1))

@@ -52,6 +52,22 @@ def test_nonprime_modulus_rejected():
             PrimeField(q)
 
 
+def test_modulus_enters_through_index():
+    """``PrimeField(5.0)`` used to build and reduce to floats, and a session
+    over ``PrimeField(7.0)`` died inside with ``TypeError``."""
+    for bad in (5.0, 7.0, "5"):
+        with pytest.raises(TypeError):
+            PrimeField(bad)
+
+    class Five:
+        def __index__(self):
+            return 5
+
+    f = PrimeField(Five())
+    assert type(f.q) is int and f == PrimeField(5)
+    assert f.residues([7, 8], 1) == (2, 3)
+
+
 def test_smallest_prime_geq():
     assert smallest_prime_geq(5) == 5
     assert smallest_prime_geq(6) == 7

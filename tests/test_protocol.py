@@ -1,7 +1,7 @@
 """The retrieval scheme: parameters, encoding, queries, answers, decoding."""
 
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -56,6 +56,29 @@ def test_derive_params_worked_examples():
         xp.derive_params(4, 2, 1, 2, 0, 0, 2)  # L = 0
     with pytest.raises(InfeasibleParamsError, match="square pure-Cauchy"):
         xp.derive_params(4, 1, 0, 0)  # width = L = rows, no Vandermonde column
+
+
+def test_params_take_their_counts_through_index():
+    """``ProtocolParams(6.0, 2, 1, 1, 1, 0, 2)`` used to build with ``layers == 2.0``."""
+    args = (6, 2, 1, 1, 1, 0, 2)
+    for i in range(len(args)):
+        for bad in (float(args[i]), str(args[i])):
+            with pytest.raises(TypeError):
+                xp.ProtocolParams(*args[:i], bad, *args[i + 1:])
+    p = xp.ProtocolParams(6, True, 1, 1, True, False, 2)
+    assert p == xp.ProtocolParams(6, 1, 1, 1, 1, 0, 2)
+    assert all(type(v) is int for v in asdict(p).values())
+
+
+def test_theta_enters_gen_queries_through_index():
+    """``gen_queries(2.0, ...)`` used to fail on list indexing deep in ``code_queries``."""
+    p = xp.derive_params(4, 2, 1, 1, num_messages=2)
+    f = xp.default_field(p)
+    pts, noise = xp.default_points(p, f), xp.QueryNoise.random(f, p, Random(0))
+    for bad in (2.0, "2"):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            xp.gen_queries(bad, noise, pts, p)
+    assert xp.gen_queries(True, noise, pts, p) == xp.gen_queries(1, noise, pts, p)
 
 
 def test_derive_params_validation():

@@ -1,7 +1,7 @@
 """Private secure distributed matrix multiplication: shares, queries, decode, costs."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -20,6 +20,7 @@ from oracles import (
     evaluate_matrix_coefficients,
     matadd,
     matmul,
+    query_block,
     reshape,
     scale,
     share_product_coefficients,
@@ -98,6 +99,18 @@ def test_params_derived_fields_not_settable():
     p = pm.PsdmmParams(6, 1, 1, 1, 2, 2, 2, 2, 1)
     assert p == pm.derive_psdmm_params(6, 1, 1, 1, 2, 2, 2, 2, 1)
     assert (p.layers, p.block_count) == (3, 3)
+
+
+def test_params_take_their_inputs_through_index():
+    """``PsdmmParams(4.0, 1, 1, 0, 2, 2, 2, 2, 1)`` used to build, and its
+    ``download_cost`` then raised ``TypeError`` from ``Fraction``."""
+    args = (4, 1, 1, 0, 2, 2, 2, 2, 1)
+    for i in range(len(args)):
+        with pytest.raises(TypeError):
+            pm.PsdmmParams(*args[:i], float(args[i]), *args[i + 1:])
+    p = pm.PsdmmParams(4, True, 1, False, 2, 2, 2, 2, True)
+    assert p == pm.PsdmmParams(*args) and p.download_cost == 2
+    assert all(type(v) is int for v in asdict(p).values())
 
 
 def test_kc_range_endpoint_feasible_when_library_shared():
@@ -259,7 +272,7 @@ def test_query_without_privacy_noise_is_bare_scaled_selector():
         for rk in range(1, p.code_dim + 1):
             for l in range(1, p.layers + 1):
                 d = diff(pts, l, n)
-                assert queries[n - 1][rk - 1][l - 1] == scale(
+                assert query_block(queries[n - 1], p, rk, l) == scale(
                     sel, pow(d, p.code_dim - rk, q)
                 )
 
@@ -288,7 +301,7 @@ def test_query_matches_dense_selector_oracle(kc, smallest_q):
                     [selector] + [zt[rk - 1] for zt in zq[l - 1]],
                     q,
                 )
-                assert queries[n - 1][rk - 1][l - 1] == reshape(field, flat, p.cols_b)
+                assert query_block(queries[n - 1], p, rk, l) == reshape(field, flat, p.cols_b)
         for theta in (0, p.library_size + 1):
             with pytest.raises(ValueError):
                 pm.psdmm_query(theta, noise, pts, p)
@@ -344,7 +357,7 @@ def test_shares_and_queries_are_residues(shape, smallest_q):
     blocks = [m for per_server in a_sh + b_sh for m in per_server]
     for theta in range(1, p.library_size + 1):
         queries = pm.psdmm_query(theta, noise, pts, p)
-        blocks += [m for per_server in queries for per_round in per_server for m in per_round]
+        blocks += queries
         answers = [pm.psdmm_answer(*server) for server in zip(a_sh, b_sh, queries)]
         blocks += [m for rounds in answers for m in rounds]
         blocks += pm.psdmm_decode(answers, pts, p)
@@ -363,7 +376,7 @@ def test_answer_minimal_triple_product():
     queries = pm.psdmm_query(1, qnoise, pts, p)
     y = pm.psdmm_answer(a_sh[0], b_sh[0], queries[0])
     assert len(y) == 1
-    assert y[0] == a_sh[0][0].mul(b_sh[0][0].mul(queries[0][0][0]))
+    assert y[0] == a_sh[0][0].mul(b_sh[0][0].mul(query_block(queries[0], p, 1, 1)))
 
 
 @pytest.mark.parametrize("smallest_q", [True, False])
@@ -383,7 +396,8 @@ def test_answer_is_sum_of_triple_products(kc, security_b, smallest_q):
     for a_n, b_n, q_n in zip(a_sh, b_sh, queries):
         answers = pm.psdmm_answer(a_n, b_n, q_n)
         assert len(answers) == kc
-        for y, per_layer in zip(answers, q_n):
+        for k, y in enumerate(answers, 1):
+            per_layer = [query_block(q_n, p, k, l) for l in range(1, p.layers + 1)]
             expected = [[0] * p.cols_b for _ in range(p.rows_a)]
             for a_m, b_m, q_m in zip(a_n, b_n, per_layer):
                 term = matmul(a_m.data, matmul(b_m.data, q_m.data, q), q)
@@ -474,6 +488,66 @@ def test_answer_shape_validation():
     for first in (None, answers[0][0], 5):  # no round list, a bare block, an int
         with pytest.raises(ValueError, match="rounds"):
             pm.psdmm_decode([first] + answers[1:], pts, p)
+
+
+def test_answer_rejects_a_malformed_query():
+    """A query that is no ``FieldMatrix``, holds no positive whole number of
+    L*M*mu-row rounds, or lives over another field raises ``ValueError``."""
+    p = pm.derive_psdmm_params(5, 1, 1, 0, 2, 2, 2, 2, code_dim=2)
+    field, pts, inst, noise = build_instance(p, seed=31)
+    a_sh, b_sh = pm.share_a(inst, noise, pts, p), pm.share_b(inst, noise, pts, p)
+    query = pm.psdmm_query(1, noise, pts, p)[0]
+    rows, mu = query.rows, query.cols
+    assert p.layers == 2 and rows == p.code_dim * p.layers * p.library_size * mu
+    other = PrimeField(smallest_prime_geq(field.q + 1))
+    cut = pm._cut(field, query.flat, p.library_size * mu, mu)
+    bad = (
+        [[]],
+        None,
+        query.data,
+        tuple(cut[i:i + p.layers] for i in range(0, len(cut), p.layers)),  # per-round tuples
+        FieldMatrix._of_flat(field, query.flat[:-mu], mu),  # a row short
+        FieldMatrix._of_flat(field, query.flat[:rows * mu // 4], mu),  # half a round
+        FieldMatrix._of_flat(field, [], mu),  # no round
+        FieldMatrix(other, query.data),
+    )
+    for q_n in bad:
+        with pytest.raises(ValueError):
+            pm.psdmm_answer(a_sh[0], b_sh[0], q_n)
+    one_round = FieldMatrix._of_flat(field, query.flat[:rows * mu // 2], mu)
+    assert pm.psdmm_answer(a_sh[0], b_sh[0], one_round) == pm.psdmm_answer(
+        a_sh[0], b_sh[0], query
+    )[:1]
+
+
+def test_query_is_the_coders_list_wrapped_as_it_is(monkeypatch):
+    """Server n's query holds ``code_queries``' list for n itself, not a copy,
+    as one K_c*L*M*mu x mu matrix."""
+    p = pm.derive_psdmm_params(7, 1, 1, 1, 2, 2, 2, 2, code_dim=2)
+    field, pts, _, noise = build_instance(p, seed=32)
+    coded, code_queries = [], pm.code_queries
+
+    def spy(*args):
+        coded.append(code_queries(*args))
+        return coded[-1]
+
+    monkeypatch.setattr(pm, "code_queries", spy)
+    queries = pm.psdmm_query(2, noise, pts, p)
+    (flats,) = coded
+    assert len(queries) == len(flats) == p.num_servers
+    shape = (field, p.code_dim * p.layers * p.library_size * p.cols_b, p.cols_b)
+    for m, flat in zip(queries, flats):
+        assert m.flat is flat and (m.field, m.rows, m.cols) == shape
+
+
+def test_theta_enters_psdmm_query_through_index():
+    """``psdmm_query(2.0, ...)`` used to fail on list indexing inside the coder."""
+    p = pm.derive_psdmm_params(4, 1, 1, 0, 2, 2, 2, 2, code_dim=1)
+    _, pts, _, noise = build_instance(p, seed=33)
+    for bad in (2.0, "2"):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            pm.psdmm_query(bad, noise, pts, p)
+    assert pm.psdmm_query(True, noise, pts, p) == pm.psdmm_query(1, noise, pts, p)
 
 
 # ----------------------------------------------------------- boundary checks

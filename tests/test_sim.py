@@ -82,6 +82,24 @@ def test_adversary_config_validation():
     AdversaryConfig((3,), (5, 6)).validate(p, strict=False)
 
 
+def test_adversary_indices_enter_through_index():
+    """``AdversaryConfig((1.0,), ())`` used to run, and its transcript printed
+    ``"unresponsive": [1.0]``; a bool is stored as 0 or 1."""
+    for kwargs in (
+        {"unresponsive": (1.0,)}, {"byzantine": (2.0,)}, {"byzantine": ("2",)},
+        {"constant_value": 3.0},
+    ):
+        with pytest.raises(TypeError):
+            AdversaryConfig(**kwargs)
+    p = xp.derive_params(8, 2, 1, 1, 1, 1, num_messages=2)
+    adv = AdversaryConfig((True,), (6,), "constant", constant_value=True)
+    assert adv == AdversaryConfig((1,), (6,), "constant", constant_value=1)
+    assert all(type(n) is int for n in (*adv.unresponsive, adv.constant_value))
+    doc = json.loads(run_session(p, adv, 1, 4).to_json())
+    assert doc["adversary"]["unresponsive"] == [1] and doc["adversary"]["constant_value"] == 1
+    assert '"unresponsive": [1]' in json.dumps(doc["adversary"])
+
+
 def test_budget_guard_in_run_session():
     p = xp.derive_params(8, 2, 1, 1, 1, 1, num_messages=2)
     with pytest.raises(ValueError):

@@ -184,3 +184,21 @@ def test_workload_setups_keep_their_digests():
     assert _sha256(json.dumps([[m.flat for m in blocks] for blocks in psdmm.b_shares])) == (
         "f0650f9602b65c5b4ea325cba2bc677253ec1bf4d350ce708a02f63fa97205aa"
     )
+
+
+def test_workload_queries_keep_their_digest():
+    """Psdmm op 0's queries keep their bytes, which the op digest reaches only
+    through the answers.
+
+    At seed 1 the op's noise is drawn as ``psdmm.op`` draws it, and each
+    server's query entries are pinned in block order: Q_nlk round by round,
+    layer by layer within a round, each block row-major.
+    """
+    w = _load("workloads").WORKLOADS["psdmm"](seed=1)
+    w.setup()
+    _, theta, noise_rng = w.inputs(0)
+    noise = psdmm.PsdmmNoise.random(w.field, w.params, noise_rng)
+    queries = psdmm.psdmm_query(theta, noise, w.points, w.params)
+    assert _sha256(json.dumps([m.flat for m in queries])) == (
+        "e2e4eb768a83461e97fbe4bafe1c51fa50d30123d724ea7d700781cca90ed1cb"
+    )
