@@ -13,9 +13,10 @@ the layout of the package's coded vectors; ``data`` derives fresh row lists
 from it.  ``FieldMatrix(...)`` reduces caller entries on construction; every
 product, inverse and submatrix is already a residue matrix and is wrapped as
 it is, without a copy.
-``row_reduce`` is the package's one Gauss-Jordan elimination, behind both
-``FieldMatrix.inverse`` and the audits' ranks; it uses first-nonzero
-pivoting, since arithmetic is exact and pivot magnitude is irrelevant.
+``row_reduce`` is the package's one Gauss-Jordan elimination, behind
+``FieldMatrix.inverse`` (the decoders' square solves and Gao's tables in
+``robust``) and the audits' ranks; it uses first-nonzero pivoting, since
+arithmetic is exact and pivot magnitude is irrelevant.
 
 Every packed product lives here.  ``_word_slots`` is the one slot layout:
 each entry gets a slot of whole 64-bit words in native order, and it hands

@@ -149,7 +149,8 @@ def achievable_rate(params: ProtocolParams) -> Fraction:
 
 
 def comparison_rate_prior(params: ProtocolParams) -> Fraction:
-    """Best previously reported rate: ours scaled by K_c / (K_c + X)."""
+    """Our rate times K_c / (K_c + X), the ``prior_rate`` column: a fixed scaling,
+    not a published rate (at K_c = 1 it is below arXiv 1808.07457's (N-X-T)/N)."""
     return achievable_rate(params) * Fraction(
         params.code_dim, params.code_dim + params.security
     )
@@ -400,6 +401,7 @@ def gen_queries(
     Q_nlk = (f_l - a_n)^(K_c-k) e_theta + sum_t (f_l - a_n)^(K_c+t-1) Z'_ltk.
     """
     theta = _desired_index(theta, params.num_messages)
+    _check_points(points, params)
     if noise.field != points.field:
         raise ValueError("noise and points live in different fields")
     k = params.num_messages
@@ -453,6 +455,7 @@ def decode(answers, points: EvaluationPoints, params: ProtocolParams) -> list[in
     (the lowest server indices), and DecodingFailure is raised when fewer
     remain.
     """
+    _check_points(points, params)
     kc, field, q = params.code_dim, points.field, points.field.q
     scalars = _scalars_by_server(answers, params.num_servers)
     well_formed = sorted(
@@ -479,7 +482,12 @@ def _check_dims(messages: MessageSet, params: ProtocolParams, points: Evaluation
         raise ValueError("message layout does not match the parameters")
     if messages.num_messages != params.num_messages:
         raise ValueError("message count does not match the parameters")
-    if len(points.f) != params.layers or len(points.alpha) != params.num_servers:
-        raise ValueError("evaluation point counts do not match the parameters")
+    _check_points(points, params)
     if not messages.field == noise.field == points.field:
         raise ValueError("messages, noise and points live in different fields")
+
+
+def _check_points(points: EvaluationPoints, params) -> None:
+    """One f per layer and one alpha per server (ProtocolParams or PsdmmParams)."""
+    if len(points.f) != params.layers or len(points.alpha) != params.num_servers:
+        raise ValueError("evaluation point counts do not match the parameters")

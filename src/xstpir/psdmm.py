@@ -20,8 +20,9 @@ points' field.  Round k's N answer blocks, flat, are the rows of the one
 matrix ``decode_rounds`` solves for round k with one product.
 
 ``PsdmmInstance`` holds one shape of A block and one of library matrix, over
-its field, with A's columns matching B's rows; ``share_a``, ``share_b`` and
-``psdmm_decode`` check blocks against the parameters and the points' field.
+its field, with A's columns matching B's rows.  The coders and
+``psdmm_decode`` check the point counts, and their blocks, against the
+parameters and the points' field.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .protocol import (  # noqa: F401  (default_field/default_points re-exported
     layer_count,
     noise_vectors,
     query_noise_exponents,
+    _check_points,
     _desired_index,
     _of_residues,
     _take_ints,
@@ -210,7 +212,8 @@ def _check_blocks(blocks, count: int, rows: int, cols: int, field: PrimeField, w
         raise ValueError(f"need {count} {what} of {rows}x{cols} over GF({field.q})")
 
 
-def _check_field(noise: PsdmmNoise, points: EvaluationPoints) -> None:
+def _check_points_and_noise(noise: PsdmmNoise, points: EvaluationPoints, params) -> None:
+    _check_points(points, params)
     if noise.field != points.field:  # residues of another field, taken mod q, are not uniform
         raise ValueError("noise and points live in different fields")
 
@@ -233,7 +236,7 @@ def share_a(
         inst.a_blocks, params.block_count, params.rows_a, params.inner_dim, points.field,
         "A blocks",
     )
-    _check_field(noise, points)
+    _check_points_and_noise(noise, points, params)
     columns = [m.flat for m in inst.a_blocks]
     flats = code_storage(points, params.code_dim, params.security_a, columns, noise.a_noise)
     return [_cut(points.field, flat, params.rows_a, params.inner_dim) for flat in flats]
@@ -251,7 +254,7 @@ def share_b(
         inst.b_library, params.library_size, params.inner_dim, params.cols_b, points.field,
         "library matrices",
     )
-    _check_field(noise, points)
+    _check_points_and_noise(noise, points, params)
     b, xb = inst.b_concat, params.security_b
     size, what = len(b.flat), "library noise must be L x X_B matrices"
     z = noise_vectors(noise.b_noise, params.layers * xb, size, what)
@@ -272,7 +275,7 @@ def psdmm_query(
     K_c*L*M*mu x mu matrix of blocks Q_nlk, by round, then layer.
     """
     theta, mu = _desired_index(theta, params.library_size), params.cols_b
-    _check_field(noise, points)
+    _check_points_and_noise(noise, points, params)
     ones = [((theta - 1) * mu + i) * mu + i for i in range(mu)]
     length = params.library_size * mu * mu
     flats = code_queries(points, params.code_dim, params.privacy, ones, noise.query_noise, length)
@@ -319,6 +322,7 @@ def psdmm_decode(
     Round k stacks the N servers' round-k blocks, flattened row-major, as the
     rows of one N x lambda*mu matrix of scalar streams of the round decoder.
     """
+    _check_points(points, params)
     if not isinstance(answers, (list, tuple)) or len(answers) != params.num_servers:
         raise ValueError("answers from all servers are required")
     for rounds in answers:

@@ -39,9 +39,10 @@ choice, by the operand's shape.
 
 Everything a decoder needs besides the observations is a per-matrix
 constant, built once and kept on the memoized ``RobustDecoder``: the square
-inverse, Gao's interpolation and codeword tables, and the offset matrices
-O_k (round k+1's known contribution of the earlier rounds, read off the
-matrix's Cauchy entries).
+inverse, Gao's locator, interpolation and codeword tables (read off the
+Vandermonde matrix of the row points and its one inverse), and the offset
+matrices O_k (round k+1's known contribution of the earlier rounds, read off
+the matrix's Cauchy entries).
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ def _trim(p: list[int]) -> list[int]:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _product(factors, q: int) -> list[int]:
-    """Coefficients (low to high) of the product of linear polynomials c0 + c1 x."""
-    p = [1]
-    for c0, c1 in factors:
-        p = [(c0 * lo + c1 * hi) % q for lo, hi in zip(p + [0], [0] + p)]
-    return p
-
-
-def _evaluate(p: list[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * x + c) % q
-    return acc
 
 
 def _sub(a: list[int], b: list[int], q: int) -> list[int]:
@@ -113,30 +99,29 @@ class RobustDecoder:
 
     def __init__(self, matrix: DecodingMatrix):
         self.matrix = matrix
-        self._full = matrix.matrix()
-        self._inverse = self._full.row_submatrix(range(matrix.width)).inverse()
+        self._inverse = matrix.matrix().row_submatrix(range(matrix.width)).inverse()
         self._offsets: dict[int, FieldMatrix] = {}
         if matrix.rows > matrix.width:  # a square matrix corrects no errors
             self._init_gao()
 
     def _init_gao(self):
         m = self.matrix
-        q = m.field.q
+        q, rows = m.field.q, m.rows
+        # V[n][j] = a_n^j (j <= rows): its square part evaluates polynomials of
+        # degree < rows at the row points a_n, and its one inverse interpolates
         alphas = [m.points.alpha[n - 1] for n in m.row_servers]
-        self._locator = _product([(-a, 1) for a in alphas], q)  # G(x)
-        # g0 = sum_n y_n P(a_n) w_n G(x)/(x - a_n) with Lagrange weight
-        # w_n = 1/prod_{m != n}(a_n - a_m): one row per coefficient of g0.
-        # Row n of the codeword table evaluates g at a_n and divides by P(a_n).
-        columns = []
-        self._codeword = []
-        for a in alphas:
-            basis, _ = _divmod(self._locator, [-a % q, 1], q)
-            p_a = prod(f - a for f in m.points.f) % q
-            c = pow(_evaluate(basis, a, q), q - 2, q) * p_a % q
-            columns.append([c * v % q for v in basis])
-            inv_p = pow(p_a, q - 2, q)
-            self._codeword.append([pow(a, j, q) * inv_p % q for j in range(m.width)])
-        self._interp = list(zip(*columns))
+        vander = [[pow(a, j, q) for j in range(rows + 1)] for a in alphas]
+        square = [v for row in vander for v in row[:rows]]
+        inverse = FieldMatrix._of_flat(m.field, square, rows).inverse().data
+        # G(x) = prod_n (x - a_n) is x^rows minus the interpolant of the a_n^rows
+        top = [row[rows] for row in vander]
+        self._locator = [-sum(map(mul, row, top)) % q for row in inverse] + [1]
+        # row j of the interpolation table gives coefficient j of g0 through the
+        # z_n = P(a_n) y_n; codeword row n evaluates g at a_n, divided by P(a_n)
+        scale = [prod(f - a for f in m.points.f) % q for a in alphas]
+        self._interp = [[v * p % q for v, p in zip(row, scale)] for row in inverse]
+        unscale = [pow(p, q - 2, q) for p in scale]
+        self._codeword = [[v * u % q for v in row[:m.width]] for row, u in zip(vander, unscale)]
 
     def candidates(self, observed):
         """Yield (subset, solution, agreement count) for every width-subset.
@@ -144,10 +129,10 @@ class RobustDecoder:
         Used by no decode; kept because ``perfbench/tracing.py`` patches it.
         """
         m = self.matrix
-        data = self._full.data
-        q = m.field.q
+        full = m.matrix()
+        data, q = full.data, m.field.q
         for subset in combinations(range(m.rows), m.width):
-            x = self._full.row_submatrix(subset).inverse().matvec(
+            x = full.row_submatrix(subset).inverse().matvec(
                 [observed[i] for i in subset]
             )
             agree = sum(

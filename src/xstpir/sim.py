@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from operator import index
 from random import Random
 
@@ -364,19 +364,14 @@ def sweep(
 def params_grid(
     n_range, kc_range, x_range, t_range, u_range, b_range, k_range
 ):
-    """All feasible parameter tuples in the given ranges."""
+    """All feasible parameter tuples in the given ranges, K innermost."""
     out = []
-    for n in n_range:
-        for kc in kc_range:
-            for x in x_range:
-                for t in t_range:
-                    for u in u_range:
-                        for b in b_range:
-                            if u >= n:  # also skips N = 0, which is not a tuple at all
-                                continue
-                            for k in k_range:
-                                try:
-                                    out.append(derive_params(n, kc, x, t, u, b, k))
-                                except InfeasibleParamsError:
-                                    break  # L does not depend on K
+    for n, kc, x, t, u, b in product(n_range, kc_range, x_range, t_range, u_range, b_range):
+        if u >= n:  # also skips N = 0, which is not a tuple at all
+            continue
+        for k in k_range:
+            try:
+                out.append(derive_params(n, kc, x, t, u, b, k))
+            except InfeasibleParamsError:
+                break  # L does not depend on K
     return out

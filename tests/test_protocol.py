@@ -248,6 +248,27 @@ def test_noise_from_another_field_is_refused():
         xp.gen_queries(1, xp.QueryNoise.random(g, p, Random(0)), pts, p)
 
 
+def test_queries_and_decode_refuse_points_for_another_server_count():
+    """Seven alphas for five servers, both layouts at L = 2: ``gen_queries``
+    returned seven bundles and ``decode`` read the answers at them, while
+    only ``encode_storage`` checked the point counts."""
+    f = xp.PrimeField(13)
+    p = xp.ProtocolParams(5, 2, 1, 1, 0, 0, 2)
+    pts = xp.default_points(xp.ProtocolParams(7, 2, 1, 1, 2, 0, 2), f)
+    assert (len(pts.f), len(pts.alpha)) == (p.layers, 7)
+    message = "^evaluation point counts do not match the parameters$"
+    with pytest.raises(ValueError, match=message):
+        xp.gen_queries(1, xp.QueryNoise.random(f, p, Random(0)), pts, p)
+    good = xp.default_points(p, f)
+    msgs = xp.MessageSet.random(f, p, Random(1))
+    storages = xp.encode_storage(msgs, xp.StorageNoise.random(f, p, Random(2)), good, p)
+    queries = xp.gen_queries(1, xp.QueryNoise.random(f, p, Random(3)), good, p)
+    answers = [xp.server_answer(s, b) for s, b in zip(storages, queries)]
+    assert xp.decode(answers, good, p) == list(msgs.messages[0])
+    with pytest.raises(ValueError, match=message):
+        xp.decode(answers, pts, p)
+
+
 def test_query_noise_of_another_length_is_refused():
     """Query noise vectors must hold K entries (M*mu*mu for PSDMM), not one more or fewer."""
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from xstpir.field import PrimeField, smallest_prime_geq
-from xstpir.linalg import FieldMatrix
+from xstpir.linalg import EvaluationPoints, FieldMatrix
 from xstpir.protocol import InfeasibleParamsError, ProtocolParams
 import xstpir.psdmm as pm
 
@@ -632,6 +632,31 @@ def test_shares_and_queries_reject_noise_of_another_field():
             share(inst, foreign, pts, p)
     with pytest.raises(ValueError, match=message):
         pm.psdmm_query(1, foreign, pts, p)
+
+
+def test_coders_and_decoder_refuse_points_for_another_server_count():
+    """Eight alphas for six servers, at the right L = 4: both shares and the
+    queries coded eight servers, while ``psdmm_decode`` read the answers at
+    the first six alphas."""
+    field = PrimeField(13)
+    p = pm.PsdmmParams(6, 1, 1, 0, 2, 2, 2, 2, 1)
+    pts = EvaluationPoints(field, (1, 2, 3, 4), tuple(range(5, 13)))
+    assert (p.layers, p.num_servers) == (4, 6)
+    good = pm.default_points(p, field)
+    inst = pm.PsdmmInstance.random(field, p, Random(31))
+    noise = pm.PsdmmNoise.random(field, p, Random(32))
+    a_sh, b_sh = pm.share_a(inst, noise, good, p), pm.share_b(inst, noise, good, p)
+    queries = pm.psdmm_query(1, noise, good, p)
+    answers = [pm.psdmm_answer(a_sh[n], b_sh[n], queries[n]) for n in range(p.num_servers)]
+    assert pm.psdmm_decode(answers, good, p) == [a.mul(inst.b_library[0]) for a in inst.a_blocks]
+    message = "^evaluation point counts do not match the parameters$"
+    for share in (pm.share_a, pm.share_b):
+        with pytest.raises(ValueError, match=message):
+            share(inst, noise, pts, p)
+    with pytest.raises(ValueError, match=message):
+        pm.psdmm_query(1, noise, pts, p)
+    with pytest.raises(ValueError, match=message):
+        pm.psdmm_decode(answers, pts, p)
 
 
 def test_decode_rejects_answer_blocks_of_another_field_or_type():

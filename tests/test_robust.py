@@ -147,9 +147,10 @@ PARITY_SHAPES = (
 
 @pytest.mark.parametrize("rows,width,layers", PARITY_SHAPES)
 def test_solve_matches_subset_consensus(rows, width, layers):
-    """Same vector as subset consensus, or DecodingFailure exactly where it has none."""
+    """Same vector as subset consensus, or DecodingFailure exactly where it has none,
+    from the smallest field to the largest prime below 2^64."""
     rng = Random(rows * 100 + width * 10 + layers)
-    for q in sorted({smallest_prime_geq(layers + rows), 13, 2**31 - 1}):
+    for q in sorted({smallest_prime_geq(layers + rows), 13, 2**31 - 1, 2**64 - 59}):
         m = _default_matrix(q, rows, width, layers)
         dec = decoder_for(m)
         for b in range(1, (rows - width) // 2 + 1):
