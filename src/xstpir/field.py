@@ -2,7 +2,10 @@
 
 Every residue is a plain int in [0, q).  ``PrimeField`` carries the modulus
 and draws uniform random vectors; the rest of the package does its arithmetic
-on raw ints and flat int vectors, with Python's ``%`` and ``pow``.
+on raw ints and flat int vectors, with Python's ``%`` and ``pow``.  Every
+inverse is ``pow(x, -1, q)``, by the extended Euclidean algorithm, which
+raises ``ValueError`` on 0 (no caller inverts 0: the points are pairwise
+distinct and every pivot is nonzero) and costs a fraction of a Fermat power.
 
 Residue contract: q < 2^64, so every residue fits one 64-bit word, and the
 contract has two owners.  ``PrimeField.residues`` reduces what enters: caller

@@ -16,7 +16,8 @@ it is, without a copy.
 ``row_reduce`` is the package's one Gauss-Jordan elimination, behind
 ``FieldMatrix.inverse`` (the decoders' square solves and Gao's tables in
 ``robust``) and the audits' ranks; it uses first-nonzero pivoting, since
-arithmetic is exact and pivot magnitude is irrelevant.
+arithmetic is exact and pivot magnitude is irrelevant, and inverts each pivot
+by ``pow(x, -1, q)``, as ``build_decoding_matrix`` does each Cauchy entry.
 
 Every packed product lives here.  ``_word_slots`` is the one slot layout:
 each entry gets a slot of whole 64-bit words in native order, and it hands
@@ -269,7 +270,7 @@ def row_reduce(rows, q: int) -> tuple[list, list[int]]:
         if piv is None:
             continue
         a[top], a[piv] = a[piv], a[top]
-        inv = pow(a[top][col], q - 2, q)
+        inv = pow(a[top][col], -1, q)
         head = a[top] = [v * inv % q for v in a[top]]
         for r, row in enumerate(a):
             f = row[col]
@@ -347,7 +348,9 @@ def build_decoding_matrix(
 
     Requires 1 <= cauchy_cols <= rows - 1 (the guaranteed-invertibility
     domain) and cauchy_cols <= width <= rows.  Memoized: a repeated
-    (points, servers, L, width) returns the same immutable matrix.
+    (points, servers, L, width) returns the same immutable matrix.  Each
+    Cauchy entry is ``pow(f_l - a_n, -1, q)``; the points are pairwise
+    distinct, so no difference is 0.
     """
     servers = tuple(row_servers)
     rows = len(servers)
@@ -364,7 +367,7 @@ def build_decoding_matrix(
     ent = []
     for n in servers:
         a_n = points.alpha[n - 1]
-        row = [pow((fl - a_n) % q, q - 2, q) for fl in points.f]
+        row = [pow((fl - a_n) % q, -1, q) for fl in points.f]
         v = 1
         for _ in range(width - cauchy_cols):
             row.append(v)

@@ -32,10 +32,10 @@ Server n's ``ServerStorage.shares`` is the L x K matrix whose row l is S_nl,
 and its ``QueryBundle.rounds`` the K_c x L*K matrix whose row k is
 [Q_n1k ... Q_nLk], the L layer vectors side by side.  Round k's answer
 sum_l S_nl . Q_nlk is row k times the stored rows joined, so
-``server_answer`` is one ``FieldMatrix.mul`` by the L*K x 1 column of
-``shares.flat``.  It reads a query row as vectors of the stored K: a row
-that is no whole number of them is refused as a length mismatch, and one of
-another number as a layer-count mismatch.
+``server_answer`` is one ``FieldMatrix.matvec`` of ``rounds`` by
+``shares.flat``, K_c dot products of length L*K.  It reads a query row as
+vectors of the stored K: a row that is no whole number of them is refused as
+a length mismatch, and one of another number as a layer-count mismatch.
 
 Every decode (PIR, and PSDMM with lambda*mu scalars per answer) is
 ``RobustDecoder.decode_rounds``, which owns the round loop and the order of
@@ -411,7 +411,11 @@ def gen_queries(
 
 
 def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
-    """Honest answer: round k's sum_l S_nl . Q_nlk, all K_c rounds as one product."""
+    """Honest answer: round k's sum_l S_nl . Q_nlk, all K_c rounds as one ``matvec``.
+
+    ``shares.flat`` is the L stored rows joined, so row k of ``rounds`` dotted
+    with it is round k's answer.
+    """
     if storage.server != queries.server:
         raise ValueError("storage and query bundle belong to different servers")
     if storage.shares.field != queries.rounds.field:
@@ -420,8 +424,7 @@ def server_answer(storage: ServerStorage, queries: QueryBundle) -> AnswerBundle:
         raise ValueError("share and query vector lengths differ")
     if queries.rounds.cols != storage.shares.rows * storage.shares.cols:
         raise ValueError("query layer count must match stored share count")
-    answers = queries.rounds.mul(FieldMatrix._of_flat(storage.shares.field, storage.shares.flat, 1))
-    return AnswerBundle(storage.server, tuple(answers.flat))
+    return AnswerBundle(storage.server, tuple(queries.rounds.matvec(storage.shares.flat)))
 
 
 def _scalars_by_server(answers, num_servers: int) -> dict:

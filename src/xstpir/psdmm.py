@@ -14,7 +14,8 @@ A-shares come from the storage coder ``protocol.code_storage``, handed the
 ell blocks' ``flat`` vectors in block order as it takes message symbols, and
 the queries from the query coder ``protocol.code_queries`` (Q_theta's mu ones
 as the selector).  Each share is cut into per-layer blocks, and each query is
-one matrix, which ``psdmm_answer`` cuts into blocks.  Each noise is one flat
+one matrix, whose blocks ``psdmm_answer`` gathers layer by layer with strided
+slices of its ``flat``, copying each entry once.  Each noise is one flat
 draw, cut into term vectors through ``protocol.noise_vectors``, over the
 points' field.  Round k's N answer blocks, flat, are the rows of the one
 matrix ``decode_rounds`` solves for round k with one product.
@@ -290,8 +291,10 @@ def psdmm_answer(
     """One server's K_c answers: Y_nk = sum_l A~_nl (B~_nl Q_nlk), each lambda x mu.
 
     Two products on the blocks of the ``psdmm_query`` matrix: per layer,
-    B~_nl [Q_nl1 ... Q_nlK_c] takes every round at once; then [A~_n1 ... A~_nL]
-    times those results stacked sums over the layers, in K_c column blocks.
+    B~_nl [Q_nl1 ... Q_nlK_c] takes every round at once, its right operand
+    gathered by strided slices straight from the query's ``flat``; then
+    [A~_n1 ... A~_nL] times those results stacked sums over the layers, in
+    K_c column blocks.
     """
     if len(a_share_n) != len(b_share_n):
         raise ValueError("share layer counts differ")
@@ -304,10 +307,15 @@ def psdmm_answer(
     (rounds, rest), mu = divmod(queries_n.rows, layers * height), queries_n.cols
     if rounds < 1 or rest:
         raise ValueError(f"the query must be rounds of {layers} blocks of {height} rows")
-    blocks = _cut(field, queries_n.flat, height, mu)  # by round, then layer
+    flat, size, width = queries_n.flat, height * mu, rounds * mu
     stacked = []  # B~_nl [Q_nl1 ... Q_nlK_c] of every layer, one below the other
     for l, b_m in enumerate(b_share_n):
-        stacked += b_m.mul(_side_by_side(blocks[l::layers])).flat
+        joined = [0] * (height * width)  # [Q_nl1 ... Q_nlK_c], gathered from the flat query
+        for k in range(rounds):
+            start = (k * layers + l) * size
+            for c in range(mu):  # column c of Q_nlk is column k*mu + c of the join
+                joined[k * mu + c::width] = flat[start + c:start + size:mu]
+        stacked += b_m.mul(FieldMatrix._of_flat(field, joined, width)).flat
     y = _side_by_side(a_share_n).mul(FieldMatrix._of_flat(field, stacked, rounds * mu))
     flat, cols, wrap = y.flat, y.cols, partial(FieldMatrix._of_flat, field, cols=mu)
     starts = (range(i, len(flat), cols) for i in range(0, cols, mu))  # round k's mu columns

@@ -83,14 +83,14 @@ def _divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int
     """Polynomial quotient and remainder over GF(q); den must be trimmed and nonzero."""
     rem = num[:]
     dd = len(den) - 1
-    inv = pow(den[-1], q - 2, q)
+    inv = pow(den[-1], -1, q)
     quot = [0] * max(len(num) - dd, 0)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + dd] * inv % q
         quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                rem[i + j] = (rem[i + j] - c * d) % q
+        if c:  # a plain loop: a comprehension's frame costs more than these few updates
+            for j, d in enumerate(den, i):
+                rem[j] = (rem[j] - c * d) % q
     return _trim(quot), _trim(rem[:dd])
 
 
@@ -120,7 +120,7 @@ class RobustDecoder:
         # z_n = P(a_n) y_n; codeword row n evaluates g at a_n, divided by P(a_n)
         scale = [prod(f - a for f in m.points.f) % q for a in alphas]
         self._interp = [[v * p % q for v, p in zip(row, scale)] for row in inverse]
-        unscale = [pow(p, q - 2, q) for p in scale]
+        unscale = [pow(p, -1, q) for p in scale]
         self._codeword = [[v * u % q for v in row[:m.width]] for row, u in zip(vander, unscale)]
 
     def candidates(self, observed):

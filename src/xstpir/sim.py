@@ -5,7 +5,10 @@ Delivery is logical and in-process: unresponsiveness is an omitted answer
 a corruption policy.  Every random draw comes from a child stream derived
 from the session master seed, one stream per role, so replaying a seed
 reproduces the transcript byte for byte and audits over one noise source can
-hold the others fixed.
+hold the others fixed.  A role that draws nothing seeds no stream: the
+storage noise at X = 0, the query noise at T = 0 and the liars' offsets with
+no liar are empty, exactly what a draw of size 0 returns.  ``role_seeds``
+still names all three roles, so every transcript keeps its bytes.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ def run_session(
     Returns a transcript with ok=True and decoded == W_theta, or a structured
     failure when the adversary exceeded the (U, B) budget (reachable only with
     strict=False; strict mode rejects over-budget configs up front).  ``rates``
-    is None when no server answered.
+    is None when no server answered.  A noise role with nothing to draw
+    (X = 0, T = 0) gets its empty object without seeding a ``Random``;
+    ``role_seeds`` records all three roles either way.
     """
     adversary.validate(params, strict=strict)
     if field is None:
@@ -215,8 +220,15 @@ def run_session(
         for role in ("messages", "storage-noise", "query-noise")
     }
     messages = MessageSet.random(field, params, Random(role_seeds["messages"]))
-    storage_noise = StorageNoise.random(field, params, Random(role_seeds["storage-noise"]))
-    query_noise = QueryNoise.random(field, params, Random(role_seeds["query-noise"]))
+    # an empty draw consumes no stream, so its Random is never seeded
+    storage_noise = (
+        StorageNoise.random(field, params, Random(role_seeds["storage-noise"]))
+        if params.security else StorageNoise(field, ())
+    )
+    query_noise = (
+        QueryNoise.random(field, params, Random(role_seeds["query-noise"]))
+        if params.privacy else QueryNoise(field, ())
+    )
 
     storages = encode_storage(messages, storage_noise, points, params)
     queries = gen_queries(theta, query_noise, points, params)

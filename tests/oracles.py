@@ -255,6 +255,48 @@ def brute_force_inverse(q: int, a: int) -> int:
     raise AssertionError(f"{a} has no inverse mod {q}")
 
 
+def trim(p: list[int]) -> list[int]:
+    """``p`` without its high zero coefficients, in place; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_add(a, b, q: int) -> list[int]:
+    """The sum of two coefficient lists (low degree first) mod q, trimmed."""
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    return trim([(v + (shorter[i] if i < len(shorter) else 0)) % q for i, v in enumerate(longer)])
+
+
+def poly_mul(a, b, q: int) -> list[int]:
+    """The product of two coefficient lists (low degree first) mod q, trimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % q
+    return trim(out)
+
+
+def long_division(num, den, q: int) -> tuple[list[int], list[int]]:
+    """Schoolbook quotient and remainder of polynomials over GF(q), both trimmed.
+
+    ``den``'s leading coefficient is inverted by Fermat's little theorem, and
+    each step cancels the remainder's leading term until its degree is below
+    ``den``'s.
+    """
+    rem = trim([v % q for v in num])
+    inv = pow(den[-1], q - 2, q)
+    quot = [0] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        shift = len(rem) - len(den)
+        c = rem[-1] * inv % q
+        quot[shift] = c
+        for j, d in enumerate(den):
+            rem[shift + j] = (rem[shift + j] - c * d) % q
+        trim(rem)
+    return trim(quot), rem
+
+
 def reshape(field, flat, cols: int) -> FieldMatrix:
     """The matrix with ``cols`` columns whose row-major entries are ``flat``."""
     return FieldMatrix(field, [flat[i:i + cols] for i in range(0, len(flat), cols)])

@@ -733,6 +733,27 @@ def test_server_answer_refuses_bundles_that_do_not_match():
         xp.server_answer(storages[0], three_messages[0])
 
 
+@pytest.mark.parametrize("q", [2, 2**31 - 1, 2**64 - 59])
+@pytest.mark.parametrize("kc", [1, 2, 3])
+def test_server_answer_is_each_rounds_dot_product(q, kc):
+    """Round k's answer is sum_l S_nl . Q_nlk, summed entry by entry, on random shapes.
+
+    ``test_server_answer_refuses_bundles_that_do_not_match`` covers the four refusals.
+    """
+    f, rng = PrimeField(q), Random(q + kc)
+    for _ in range(20):
+        layers, k = rng.randrange(1, 5), rng.randrange(1, 6)
+        shares = [[rng.randrange(q) for _ in range(k)] for _ in range(layers)]
+        rounds = [[rng.randrange(q) for _ in range(layers * k)] for _ in range(kc)]
+        storage = xp.ServerStorage(3, FieldMatrix(f, shares))
+        answer = xp.server_answer(storage, xp.QueryBundle(3, FieldMatrix(f, rounds)))
+        expected = tuple(
+            sum(shares[l][j] * row[l * k + j] for l in range(layers) for j in range(k)) % q
+            for row in rounds
+        )
+        assert (answer.server, answer.scalars) == (3, expected)
+
+
 def test_answer_four_term_decomposition():
     """A_n1 = W11Qt/d + I1 + d*I2 + d^2*I3 with the documented I terms."""
     p = xp.derive_params(4, 2, 1, 1, num_messages=3)

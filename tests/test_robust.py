@@ -5,12 +5,21 @@ from random import Random
 
 import pytest
 
-from oracles import consensus_candidates, consensus_decode, solve, solve_column
+from oracles import (
+    consensus_candidates,
+    consensus_decode,
+    long_division,
+    poly_add,
+    poly_mul,
+    solve,
+    solve_column,
+    trim,
+)
 from xstpir import sim
 from xstpir.field import PrimeField, smallest_prime_geq
 from xstpir.linalg import EvaluationPoints, build_decoding_matrix
 from xstpir.protocol import derive_params
-from xstpir.robust import DecodingFailure, decoder_for
+from xstpir.robust import DecodingFailure, _divmod, decoder_for
 
 
 def tall_matrix(q=13, rows=6, width=4, layers=2, seed=3):
@@ -184,3 +193,18 @@ def test_thirty_servers_eight_liars_decode_in_polynomial_time():
     assert t.ok and t.decoded == t.messages[1]
     over = _liars_session(9, strict=False)
     assert not over.ok and over.failure.startswith("decoding failure")
+
+
+@pytest.mark.parametrize("q", [2, 13, 2**31 - 1, 2**64 - 59])
+def test_divmod_matches_long_division(q):
+    """Gao's Euclid divides as schoolbook long division does: num = quot * den + rem,
+    deg rem < deg den, on random polynomials (the leading inverse by Euclid there,
+    by Fermat in the oracle)."""
+    rng = Random(q)
+    for _ in range(200):
+        den = [rng.randrange(q) for _ in range(rng.randrange(7))] + [rng.randrange(1, q)]
+        num = [rng.randrange(q) for _ in range(rng.randrange(13))]
+        quot, rem = _divmod(num, den, q)
+        assert (quot, rem) == long_division(num, den, q)
+        assert len(rem) < len(den)
+        assert poly_add(poly_mul(quot, den, q), rem, q) == trim(num[:])

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import xstpir as xp
+from xstpir import sim
 from xstpir.sim import (
     HONEST,
     AdversaryConfig,
@@ -64,6 +65,41 @@ def test_role_seeds_are_split_and_stable():
     p = xp.derive_params(4, 2, 1, 1, num_messages=2)
     t = run_session(p, HONEST, 1, seed=7)
     assert set(t.role_seeds) == {"messages", "storage-noise", "query-noise"}
+
+
+@pytest.mark.parametrize("x, t, b", list(product((0, 1), repeat=3)))
+def test_a_session_seeds_a_stream_only_for_a_role_that_draws(monkeypatch, x, t, b):
+    """1 + [X > 0] + [T > 0] + [a liar is present] streams, in role order;
+    ``role_seeds`` still names all three roles, and an unseeded noise role
+    holds what a draw of size 0 returns."""
+    seeded = []
+
+    class CountingRandom(sim.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(sim, "Random", CountingRandom)
+    p = xp.derive_params(7, 2, x, t, 1, b, num_messages=2)
+    liars = [(), (3,)] if b else [()]
+    for byzantine in liars:
+        adv = AdversaryConfig(unresponsive=(5,), byzantine=byzantine, seed=11)
+        seeded.clear()
+        tr = run_session(p, adv, theta=2, seed=4)
+        assert tr.ok
+        roles = tr.role_seeds
+        assert list(roles) == ["messages", "storage-noise", "query-noise"]
+        assert seeded == [
+            roles["messages"],
+            *[roles["storage-noise"]] * (x > 0),
+            *[roles["query-noise"]] * (t > 0),
+            *[adv.seed] * bool(byzantine),
+        ]
+    f = xp.default_field(p)
+    if not x:
+        assert xp.StorageNoise(f, ()) == xp.StorageNoise.random(f, p, sim.Random(0))
+    if not t:
+        assert xp.QueryNoise(f, ()) == xp.QueryNoise.random(f, p, sim.Random(0))
 
 
 def test_adversary_config_validation():
