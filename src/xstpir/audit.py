@@ -1,11 +1,11 @@
 """Exact checks of the secrecy guarantees by rank, and rate accounting.
 
-What a colluding set observes must be distributed alike, over uniform noise z,
-under any two message sets (storage secrecy) or desired indices (query
-privacy).  Shares and queries are linear in (messages, noise), so a view is
-y(0) + M z, uniform on the coset y(0) + colspace(M), and two views are alike
-iff both M have the rank of [M_a | M_b | y_b(0) - y_a(0)].  Ranks over GF(q)
-are exact, so a verdict is a proof at the audited parameters, at any size.
+A colluding set's view is linear in (messages, noise), and the coders code the
+data and add the selector outside the noise terms, so under every library or
+index θ it is y(0) + M z with one noise map M: uniform on y(0) + colspace M.
+The views are alike iff rank [M | D] = rank M for their offsets D.  Ranks over
+GF(q) are exact, so a verdict is a proof at the audited parameters, at any
+size, and ``audit_all`` covers every library or every index at once.
 """
 
 from __future__ import annotations
@@ -53,12 +53,8 @@ class AuditConfig:
 
     @property
     def within_budget(self) -> bool:
-        bound = (
-            self.params.security
-            if self.target == "storage-security"
-            else self.params.privacy
-        )
-        return len(self.colluding) <= bound
+        p = self.params
+        return len(self.colluding) <= (p.security if self.target == "storage-security" else p.privacy)
 
 
 @dataclass(frozen=True)
@@ -93,36 +89,49 @@ class AuditVerdict:
 
 
 def _audit(cfg: AuditConfig, points: EvaluationPoints, free: int, views) -> AuditVerdict:
-    """Compare the views, affine in a flat noise of ``free`` entries, by rank.
+    """Compare the views, affine in a flat noise of ``free`` entries, by one rank test.
 
-    Each view maps a flat noise to the N servers' observations; its values at
-    z = 0 and at each unit vector give y(0) and M (one view is both a and b).
-    Each unit vector is built only for its view call, so one is alive at a time.
-    The support is q^r_a + q^r_b less the intersection, a coset of dimension
-    r_a + r_b - r_ab when the offset lies in colspace [M_a | M_b], else empty.
+    Each view maps a flat noise to the N servers' observations.  Premise: every
+    view has one noise map M (see the module docstring).  ``views[0]`` at z = 0
+    and at each unit vector, built only for its call, gives y_0(0) and M.  D
+    holds each view's offset y_i(0) - y_0(0), from one call at z = 0 (view 0's
+    is zero).  The views leak rank [M | D] - rank M symbols.  Two offsets share
+    a coset of colspace M iff their reduced columns agree on D's pivot rows.
     """
     q = points.field.q
-    affine = []  # per view: y(0), then the columns of M
-    for view in views:
-        zs = chain([(0,) * free], ((0,) * i + (1,) + (0,) * (free - 1 - i) for i in range(free)))
-        ys = ([v for n in cfg.colluding for v in seen[n - 1]] for seen in map(view, zs))
-        y0 = next(ys)
-        affine.append((y0, [[(v - o) % q for v, o in zip(y, y0)] for y in ys]))
-    (ya, ma), (yb, mb) = affine[0], affine[-1]
-    offset = [(b - a) % q for a, b in zip(ya, yb)]
-    pivots = row_reduce(list(zip(*ma, *mb, offset)), q)[1]  # of [M_a | M_b | offset]
-    r_a = sum(c < free for c in pivots)
-    r_ab = sum(c < 2 * free for c in pivots)
-    r_b = len(row_reduce(list(zip(*mb)), q)[1])
-    shared = q ** (r_a + r_b - r_ab) if len(pivots) == r_ab else 0
+    zs = chain([(0,) * free], ((0,) * i + (1,) + (0,) * (free - 1 - i) for i in range(free)))
+    seen = chain(map(views[0], zs), (view((0,) * free) for view in views[1:]))
+    ys = ([v for n in cfg.colluding for v in s[n - 1]] for s in seen)
+    y0 = next(ys)
+    columns = ([(v - o) % q for v, o in zip(y, y0)] for y in chain(ys, [y0]))  # view 0's D last
+    rref, pivots = row_reduce(list(zip(*columns)), q)
+    r = sum(c < free for c in pivots)  # rank M; the rest of the pivots are D's
+    cosets = {tuple(row[free + i] for row in rref[r:len(pivots)]) for i in range(len(views))}
     return AuditVerdict(
         target=cfg.target,
         colluding=cfg.colluding,
         states_enumerated=len(views) * q**free,
-        passed=r_a == r_b == len(pivots),
-        support_size=q**r_a + q**r_b - shared,
+        passed=len(pivots) == r,
+        support_size=len(cosets) * q**r,
         within_budget=cfg.within_budget,
     )
+
+
+def _views(cfg: AuditConfig, points: EvaluationPoints | None, secrets):
+    """(points, free, views): the coder of ``cfg.target``, one view per library or index θ."""
+    p = cfg.params
+    points = points or default_points(p)
+    if cfg.target == "storage-security":
+        if p.security == 0:
+            raise ValueError("no storage secrecy is claimed at X = 0")
+        cls, code = StorageNoise, lambda m, z: [s.shares.flat for s in encode_storage(m, z, points, p)]
+    else:
+        if p.privacy == 0:
+            raise ValueError("no query privacy is claimed at T = 0")
+        secrets = dict.fromkeys(_desired_index(th, p.num_messages) for th in secrets)
+        cls, code = QueryNoise, lambda th, z: [qb.rounds.flat for qb in gen_queries(th, z, points, p)]
+    noise = partial(_of_residues, cls, points.field)  # the unit vectors are residues
+    return points, cls.size(p), [lambda z, s=s: code(s, noise(z)) for s in secrets]
 
 
 def audit_storage_security(
@@ -132,19 +141,9 @@ def audit_storage_security(
     points: EvaluationPoints | None = None,
 ) -> AuditVerdict:
     """Exact check that colluding shares are identically distributed under two libraries."""
-    p = cfg.params
     if cfg.target != "storage-security":
         raise ValueError("config target is not storage-security")
-    if p.security == 0:
-        raise ValueError("no storage secrecy is claimed at X = 0")
-    if points is None:
-        points = default_points(p)
-    noise = partial(_of_residues, StorageNoise, points.field)  # the unit vectors are residues
-    views = [
-        lambda z, m=m: [s.shares.flat for s in encode_storage(m, noise(z), points, p)]
-        for m in (msgs_a, msgs_b)
-    ]
-    return _audit(cfg, points, StorageNoise.size(p), views)
+    return _audit(cfg, *_views(cfg, points, (msgs_a, msgs_b)))
 
 
 def audit_query_privacy(
@@ -160,22 +159,30 @@ def audit_query_privacy(
     joint observed-by-colluders test reduces to this query marginal.  Equal
     indices give one view, counted once in ``states_enumerated``.
     """
-    p = cfg.params
     if cfg.target != "query-privacy":
         raise ValueError("config target is not query-privacy")
-    if p.privacy == 0:
-        raise ValueError("no query privacy is claimed at T = 0")
     if len(theta_pair) != 2:
         raise ValueError("theta_pair must name exactly two indices")
-    theta_pair = [_desired_index(th, p.num_messages) for th in theta_pair]
-    if points is None:
-        points = default_points(p)
-    noise = partial(_of_residues, QueryNoise, points.field)  # the unit vectors are residues
-    views = [
-        lambda zp, th=th: [qb.rounds.flat for qb in gen_queries(th, noise(zp), points, p)]
-        for th in dict.fromkeys(theta_pair)
-    ]
-    return _audit(cfg, points, QueryNoise.size(p), views)
+    return _audit(cfg, *_views(cfg, points, theta_pair))
+
+
+def audit_all(cfg: AuditConfig, points: EvaluationPoints | None = None) -> AuditVerdict:
+    """Exact check over every library (storage) or every index θ = 1..K (privacy) at once.
+
+    Storage compares the zero library with each of the ell*K unit libraries:
+    by linearity every library's offset is a combination of theirs.  At K = 1
+    the privacy audit has no index to hide and passes.
+    """
+    p = cfg.params
+    secrets = range(1, p.num_messages + 1)
+    if cfg.target == "storage-security":
+        points = points or default_points(p)
+        zero = (0,) * p.message_len
+        units = [zero[:i] + (1,) + zero[i + 1:] for i in range(len(zero))]
+        rows = (zero,) * p.num_messages
+        libraries = [rows] + [rows[:k] + (u,) + rows[k + 1:] for k in range(len(rows)) for u in units]
+        secrets = [_of_residues(MessageSet, points.field, p.layers, p.code_dim, m) for m in libraries]
+    return _audit(cfg, *_views(cfg, points, secrets))
 
 
 @dataclass(frozen=True)

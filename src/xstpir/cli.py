@@ -16,11 +16,10 @@ import json
 import sys
 from random import Random
 
-from .audit import AuditConfig, audit_query_privacy, audit_storage_security
+from .audit import AuditConfig, audit_all
 from .field import PrimeField
 from .protocol import (
     InfeasibleParamsError,
-    MessageSet,
     ProtocolParams,
     achievable_rate,
     comparison_rate_prior,
@@ -163,17 +162,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit(args) -> int:
     params = _protocol_params(args)
-    field = _field_for(params, args.q)
-    points = default_points(params, field)
-    colluding = tuple(args.colluding)
-    if args.target in ("storage", "storage-security"):
-        cfg = AuditConfig(params, colluding, "storage-security")
-        msgs_a = MessageSet.random(field, params, Random(derive_seed(args.seed, "audit-a")))
-        msgs_b = MessageSet.random(field, params, Random(derive_seed(args.seed, "audit-b")))
-        verdict = audit_storage_security(cfg, msgs_a, msgs_b, points)
-    else:
-        cfg = AuditConfig(params, colluding, "query-privacy")
-        verdict = audit_query_privacy(cfg, tuple(args.thetas), points)
+    points = default_points(params, _field_for(params, args.q))
+    target = "storage-security" if args.target.startswith("storage") else "query-privacy"
+    verdict = audit_all(AuditConfig(params, tuple(args.colluding), target), points)
     _write_or_print(verdict.to_json(), args.out)
     if verdict.passed or args.expect_fail:
         return EXIT_OK
@@ -291,15 +282,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--seeds", type=int, default=1, help="number of master seeds (0..n-1)")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("audit", parents=[common], help="exact distribution-equality audits")
-    _add_flags(sp, dict(scheme, seed=0, q=None))
+    sp = sub.add_parser("audit", parents=[common], help="exact audits of every library or index")
+    _add_flags(sp, dict(scheme, q=None))
     sp.add_argument("--target", default="storage",
                     choices=("storage", "privacy", "storage-security", "query-privacy"),
                     help="storage secrecy or query privacy")
     sp.add_argument("--colluding", type=_int_list, default="1",
                     help="comma list of colluding server indices")
-    sp.add_argument("--thetas", type=_int_list, default="1,2",
-                    help="two candidate indices for the privacy audit")
     sp.add_argument("--expect-fail", action="store_true",
                     help="exit 0 even on a FAIL verdict (tightness demonstrations)")
     sp.set_defaults(func=cmd_audit)

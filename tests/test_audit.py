@@ -16,6 +16,7 @@ from xstpir import audit as audit_module
 from xstpir.audit import (
     AuditConfig,
     AuditVerdict,
+    audit_all,
     audit_query_privacy,
     audit_storage_security,
     rate_report,
@@ -219,21 +220,125 @@ def test_rank_audit_matches_enumeration(monkeypatch):
     assert len(verdicts) == 198 and min(verdicts.count(True), verdicts.count(False)) >= 90
 
 
-def test_rank_audit_matches_enumeration_on_unequal_noise_spans():
-    """Views whose noise spans differ in rank or direction, which the scheme's views never do."""
-    p = xp.derive_params(3, 1, 1, 1, num_messages=2)
-    cfg = AuditConfig(p, (1,), "query-privacy")
-    pts = xp.default_points(p, xp.PrimeField(5))
-    views = [
-        lambda z: [(z[0], 0)],
-        lambda z: [(0, z[0])],
-        lambda z: [(z[0], z[1])],
-        lambda z: [(1, 2)],
-        lambda z: [((z[0] + 1) % 5, 2 * z[0] % 5)],
-    ]
-    for pair in combinations(views, 2):
-        rank = audit_module._audit(cfg, pts, 2, list(pair))
-        assert rank.to_json() == enumerate_audit(cfg, pts, 2, list(pair)).to_json()
+def test_audit_calls_each_view_once_per_noise_and_reduces_once(monkeypatch):
+    """free + len(views) view calls and one row reduction, whatever the colluding set's size."""
+    p = xp.derive_params(4, 1, 1, 1, num_messages=3)
+    cfg = AuditConfig(p, (1, 2, 3), "query-privacy")
+    pts, free, views = audit_module._views(cfg, xp.default_points(p), (1, 2, 3))
+    calls, reductions = [], []
+    counted = [lambda z, i=i, view=view: calls.append(i) or view(z) for i, view in enumerate(views)]
+    reduce = audit_module.row_reduce
+    monkeypatch.setattr(audit_module, "row_reduce", lambda *a: reductions.append(a) or reduce(*a))
+    verdict = audit_module._audit(cfg, pts, free, counted)
+    assert calls == [0] * (free + 1) + [1, 2] and len(reductions) == 1
+    assert verdict.to_json() == audit_all(cfg, pts).to_json()
+
+
+def noise_map(code, free: int, q: int) -> list[list[int]]:
+    """The columns y(e_i) - y(0) of a view ``code``, flat noise -> flat observation."""
+    y0 = code((0,) * free)
+    units = ((0,) * i + (1,) + (0,) * (free - 1 - i) for i in range(free))
+    return [[(v - o) % q for v, o in zip(code(z), y0)] for z in units]
+
+
+# every scheme the all-inputs audits are checked on: N 2..5, K_c 1..2, X and T 0..2, K 1..3
+ALL_INPUTS_GRID = xp.sim.params_grid(range(2, 6), (1, 2), (0, 1, 2), (0, 1, 2), (0,), (0,), (1, 2, 3))
+
+
+def test_every_secret_sees_one_noise_map():
+    """The rank audits' premise: all N servers' noise map M is the same under every
+    library and every index, since the coders code the data and add the selector
+    outside the noise terms."""
+    checked = 0
+    for k, p in enumerate(ALL_INPUTS_GRID):
+        f = xp.default_field(p)
+        pts = xp.default_points(p, f)
+        if p.security:
+            zero = xp.MessageSet(f, p.layers, p.code_dim, ((0,) * p.message_len,) * p.num_messages)
+            libraries = [xp.MessageSet.random(f, p, Random(2 * k + i)) for i in (0, 1)] + [zero]
+            maps = [
+                noise_map(
+                    lambda z, m=m: [v for s in xp.encode_storage(m, xp.StorageNoise(f, z), pts, p)
+                                    for v in s.shares.flat],
+                    xp.StorageNoise.size(p), f.q,
+                )
+                for m in libraries
+            ]
+            assert maps[0] == maps[1] == maps[2] and any(map(any, maps[0]))
+            checked += 1
+        if p.privacy:
+            maps = [
+                noise_map(
+                    lambda z, th=th: [v for qb in xp.gen_queries(th, xp.QueryNoise(f, z), pts, p)
+                                      for v in qb.rounds.flat],
+                    xp.QueryNoise.size(p), f.q,
+                )
+                for th in range(1, p.num_messages + 1)
+            ]
+            assert all(m == maps[0] for m in maps) and any(map(any, maps[0]))
+            checked += 1
+    assert checked == 144
+
+
+def all_input_configs():
+    """(cfg, points, q^free) for both targets and every colluding set of ``ALL_INPUTS_GRID``."""
+    for p in ALL_INPUTS_GRID:
+        f = xp.default_field(p)
+        pts = xp.default_points(p, f)
+        for target, bound, free in (
+            ("storage-security", p.security, xp.StorageNoise.size(p)),
+            ("query-privacy", p.privacy, xp.QueryNoise.size(p)),
+        ):
+            for size in range(1, p.num_servers + 1) if bound else ():
+                for group in combinations(range(1, p.num_servers + 1), size):
+                    yield AuditConfig(p, group, target), pts, f.q**free
+
+
+def test_audit_all_matches_enumeration(monkeypatch):
+    """Every library or every index at once, JSON for JSON with the enumeration, where q^free <= 10^3."""
+    checked = 0
+    for cfg, pts, states in all_input_configs():
+        if states <= 10**3:
+            rank = audit_all(cfg, pts)
+            with monkeypatch.context() as m:
+                m.setattr(audit_module, "_audit", enumerate_audit)
+                assert audit_all(cfg, pts).to_json() == rank.to_json()
+            checked += 1
+    assert checked == 806
+
+
+def test_audit_all_is_tight():
+    """PASS iff the colluding set is within the bound, on every colluding set of the grid.
+
+    The one exception is privacy at K = 1, which has no index to hide and passes.
+    """
+    vacuous = 0
+    for cfg, pts, _ in all_input_configs():
+        v = audit_all(cfg, pts)
+        if cfg.target == "query-privacy" and cfg.params.num_messages == 1:
+            assert v.passed and v.states_enumerated == pts.field.q ** xp.QueryNoise.size(cfg.params)
+            vacuous += not v.within_budget
+        else:
+            assert v.passed == v.within_budget, cfg
+    assert vacuous == 320
+
+
+@pytest.mark.parametrize(
+    "args, colluding",
+    [((3, 1, 1, 1, 0, 0, 1), (1, 2)), ((3, 1, 1, 1, 0, 0, 2), (1, 2)),
+     ((4, 2, 1, 1, 0, 0, 1), (1, 2, 3)), ((5, 1, 1, 1, 0, 0, 1), (1, 2))],
+)
+def test_audit_all_fails_where_a_pair_of_equal_libraries_passed(args, colluding):
+    """Over the X bound, two equal libraries look alike; every library at once does not."""
+    p = xp.derive_params(*args)
+    f = xp.default_field(p)
+    cfg = AuditConfig(p, colluding, "storage-security")
+    msgs = xp.MessageSet.random(f, p, Random(3))
+    assert audit_storage_security(cfg, msgs, msgs).passed
+    verdict = audit_all(cfg)
+    assert not verdict.passed and not verdict.within_budget
+    # the zero library and the ell*K unit libraries
+    assert verdict.states_enumerated == (p.message_len * p.num_messages + 1) * f.q ** xp.StorageNoise.size(p)
 
 
 def test_rate_report_worked_examples():

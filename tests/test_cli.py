@@ -157,7 +157,7 @@ def test_audit_pass_and_verdict_file(tmp_path, capsys):
 def test_audit_over_budget_fail_modes(capsys):
     args = [
         "audit", "--target", "privacy", "--N", "4", "--Kc", "1", "--X", "1",
-        "--T", "1", "--K", "2", "--colluding", "1,3", "--thetas", "1,2",
+        "--T", "1", "--K", "2", "--colluding", "1,3",
     ]
     code, out, _ = run(capsys, *args, "--expect-fail")
     assert code == 0
@@ -166,13 +166,24 @@ def test_audit_over_budget_fail_modes(capsys):
     assert code == 2 and "mismatch" in err
 
 
-@pytest.mark.parametrize("thetas", ["2", "1,2,3"])
-def test_audit_thetas_other_than_a_pair_exit_1(capsys, thetas):
-    code, out, err = run(
-        capsys, "audit", "--target", "privacy", "--N", "4", "--Kc", "1", "--X", "1",
-        "--T", "1", "--K", "3", "--colluding", "1,3", "--thetas", thetas,
-    )
-    assert code == 1 and out == "" and "two indices" in err
+@pytest.mark.parametrize("flag", ["--thetas=2", "--thetas=1,2,3", "--thetas=1,2", "--seed=3"])
+def test_audit_has_no_thetas_or_seed_flag(capsys, flag):
+    """The audit covers every index and every library, so neither is chosen."""
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--target", "privacy", "--N", "4", "--Kc", "1", "--X", "1",
+              "--T", "1", "--K", "3", "--colluding", "1,3", flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == "" and "unrecognized arguments" in err
+
+
+def test_audit_storage_over_budget_exits_2(capsys):
+    """Two colluders at X = 1, K = 1 see the library: every library at once FAILs,
+    where two equal libraries drawn from one seed used to PASS."""
+    code, out, err = run(capsys, "audit", "--target", "storage", "--N", "3", "--Kc", "1",
+                         "--X", "1", "--T", "1", "--K", "1", "--colluding", "1,2")
+    doc = json.loads(out)
+    assert code == 2 and doc["pass"] is False and doc["within_budget"] is False
+    assert "mismatch" in err
 
 
 @pytest.mark.parametrize(
@@ -367,8 +378,8 @@ README_COMMANDS = [
      "12e19b076d9868112480f986090e464f32891a92de25c7379349d69b44efa3d2",
      "acfdab7db6f29260b4caec5208b094ce3e4c111bd731be5bd2efda190e44145a"),
     ("audit --target storage --N 4 --Kc 2 --X 1 --T 1 --K 2 --colluding 2", 0, _EMPTY, _EMPTY,
-     "d5c17a18d7cd39594f31e5b79b835cbaca408e793511ca76f2a46343c6caee8e"),
-    ("audit --target privacy --N 4 --Kc 1 --X 1 --T 1 --K 2 --colluding 1,3 --thetas 1,2"
+     "0890c949962d542773c78db658c46b0f8379b0235b832bbe9524587c4d4a474c"),
+    ("audit --target privacy --N 4 --Kc 1 --X 1 --T 1 --K 2 --colluding 1,3"
      " --expect-fail", 0, _EMPTY, _EMPTY,
      "d8d56d20a55656abcb3ff965f781988523fba754bc97f92aa1e01955271b7d10"),
     ("psdmm --N 6 --T 1 --XA 1 --XB 1 --M 2 --Kc 1 --lam 2 --chi 2 --mu 2 --theta 2", 0, _EMPTY,

@@ -251,6 +251,29 @@ def test_sweep_refuses_to_run_nothing(mode, kwargs):
         sweep([p], mode, **kwargs)
 
 
+@pytest.mark.parametrize("theta, error", [(3, ValueError), (0, ValueError), (2.0, TypeError)])
+def test_sweep_checks_every_theta_before_any_session(monkeypatch, theta, error):
+    """A theta past one tuple's K raised only when the sweep reached that tuple."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_session", counted)
+    grid = [xp.derive_params(4, 1, 1, 1, num_messages=k) for k in (3, 2, 3, 2)]
+    with pytest.raises(error):
+        sweep(grid, "honest", thetas=(1, theta), seeds=range(5))
+    assert calls == []
+
+
+def test_sweep_reads_thetas_once():
+    """The up-front theta check must not use up a one-shot iterable of thetas."""
+    grid = [xp.derive_params(4, 1, 1, 1, num_messages=k) for k in (3, 2)]
+    s = sweep(grid, "honest", thetas=iter((1, 2)), seeds=(0,))
+    assert s.total_sessions == 4 and s.all_passed
+
+
 def test_sweep_empty_grid():
     s = sweep([], "honest")
     assert s.cells == () and s.all_passed and s.total_sessions == 0
